@@ -283,7 +283,12 @@ def _series_doc(series: LaurentSeries) -> dict:
 def _parse_series(doc, variables, where: str) -> LaurentSeries:
     if not isinstance(doc, Mapping) or set(doc.keys()) != {"terms"}:
         raise ValidationError(f"{where}: series documents have exactly one key, 'terms'")
-    terms = doc["terms"]
+    return parse_series_terms(doc["terms"], variables, where)
+
+
+def parse_series_terms(terms, variables, where: str, trunc=None) -> LaurentSeries:
+    """Strictly parse a list of {exp, re, im} term objects, rationals given
+    as [numerator, denominator] integer pairs."""
     if not isinstance(terms, list):
         raise ValidationError(f"{where}: 'terms' must be a list")
     parsed = {}
@@ -306,7 +311,7 @@ def _parse_series(doc, variables, where: str) -> LaurentSeries:
             _parse_frac(entry["re"], f"{where}: term {n} re"),
             _parse_frac(entry["im"], f"{where}: term {n} im"),
         )
-    return LaurentSeries(variables, parsed)
+    return LaurentSeries(variables, parsed, trunc)
 
 
 def _require_keys(doc: Mapping, required: set, optional: set, where: str):
@@ -417,13 +422,19 @@ def parse_atlas(document) -> FixedPointAtlas:
     _require_keys(
         gdoc["vol"], {"q"}, {"i_pow", "pi_pow", "sqrt2_pow"}, "group vol"
     )
-    vol_q = gdoc["vol"]["q"]
-    _parse_frac(vol_q, "group vol q")
+    vdoc = gdoc["vol"]
+    vol = SymbolicConstant(
+        _parse_frac(vdoc["q"], "group vol q"),
+        *(
+            _parse_int(vdoc.get(key, 0), f"group vol {key}")
+            for key in ("i_pow", "pi_pow", "sqrt2_pow")
+        ),
+    )
     group = GroupSpec(
         kind=str(gdoc["kind"]),
         rank=_parse_int(gdoc["rank"], "group rank"),
         s=_parse_int(gdoc["s"], "group s"),
-        vol=SymbolicConstant.from_json_dict(gdoc["vol"]),
+        vol=vol,
         root_system=roots,
     )
 

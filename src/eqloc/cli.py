@@ -17,12 +17,19 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .atlas import builtin_atlas, parse_atlas, permute_atlas_variables, serialize_atlas
+from .atlas import (
+    builtin_atlas,
+    parse_atlas,
+    parse_series_terms,
+    permute_atlas_variables,
+    serialize_atlas,
+)
 from .engines import (
     reduce_hk_circle,
     reduce_hk_circle_viaP,
@@ -82,21 +89,34 @@ def _load_series(path: str) -> LaurentSeries:
         )
     if "variables" not in doc or "terms" not in doc:
         raise ValidationError("series file needs variables and terms")
-    variables = tuple(str(v) for v in doc["variables"])
+    variables = doc["variables"]
+    if not isinstance(variables, list) or not variables or not all(
+        isinstance(v, str) for v in variables
+    ):
+        raise ValidationError("series file variables must be a nonempty list of strings")
     trunc = doc.get("trunc")
-    if trunc is not None:
-        trunc = tuple(int(x) for x in trunc)
-    return LaurentSeries.from_json_terms(variables, doc["terms"], trunc)
+    if trunc is not None and (
+        not isinstance(trunc, list)
+        or not all(isinstance(x, int) and not isinstance(x, bool) for x in trunc)
+    ):
+        raise ValidationError("series file trunc must be a list of integers")
+    return parse_series_terms(doc["terms"], tuple(variables), f"series file {path!r}", trunc)
+
+
+def _numbers(text: str, what: str) -> tuple:
+    try:
+        values = tuple(float(x) for x in text.split(","))
+    except ValueError:
+        raise ValidationError(f"cannot parse {what} {text!r}")
+    if not all(math.isfinite(v) for v in values):
+        raise ValidationError(f"{what} must be finite numbers, got {text!r}")
+    return values
 
 
 def _ladder(text):
     if text is None:
         return None
-    try:
-        values = tuple(float(x) for x in text.split(","))
-    except ValueError:
-        raise ValidationError(f"cannot parse t ladder {text!r}")
-    return values
+    return _numbers(text, "t ladder")
 
 
 def _profile_arg(args) -> object:
@@ -256,7 +276,7 @@ def _cmd_oracle(args) -> int:
             f"--mode {args.mode} does not match atlas geometry {atlas.geometry}"
         )
     if args.shift is not None:
-        zetas = tuple(float(z) for z in args.shift.split(","))
+        zetas = _numbers(args.shift, "moment shifts")
         cfg = _oracle_cfg(args)
         table = shift_smoothness_check(atlas, zetas, cfg)
         _emit({"shift": table.to_json_dict()})
@@ -328,9 +348,12 @@ _COMMANDS = {
 
 
 def _fail(kind: str, exc: BaseException, code: int) -> int:
-    sys.stderr.write(
-        json.dumps({"error": kind, "message": str(exc)}, sort_keys=True) + "\n"
-    )
+    doc = {"error": kind, "message": str(exc)}
+    if isinstance(exc, EqlocError):
+        detail = exc.to_json_dict()
+        doc["slug"] = detail["error"]
+        doc["context"] = detail.get("context", {})
+    sys.stderr.write(json.dumps(doc, sort_keys=True) + "\n")
     return code
 
 

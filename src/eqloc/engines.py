@@ -1,4 +1,4 @@
-"""Quotient-integration engines: residue reads of the localized series.
+"""Quotient-integration engines: residue reads of the localization sum.
 
 Four formulas share one core.  Symplectic engines read the coefficient at
 y^-1 (per variable) of the phase-weighted localization sum over the fixed
@@ -8,10 +8,20 @@ moment lengths, positive by regularity) and divide once by the degree factor
 dim_quotient - deg_eta0 + 1.  A circle is the rank-1 torus; the two entry
 points produce byte-identical canonical reports.
 
+A product of linear forms has a Laurent inverse with finite principal part
+only if it is a monomial, so the Euler class of every structured point the
+engines accept is c * y^n: each tangent weight involves one variable.  Such a
+point's coefficient is then a finite sum over its eta terms, which the
+engines read in closed form without building a series.  A weight involving
+two variables is rejected with NonInvertibleError naming the point and the
+weight.  Raw points are read from their stored series.
+
 The alternative hyperKahler route builds each point's series in the original
-variable, keeps its even part, substitutes the square of the variable, and
-reads the coefficient at y^-1 instead; the two routes agree exactly and the
-report does not distinguish them.
+variable with the exact Laurent arithmetic, keeps its even part, substitutes
+the square of the variable, and reads the coefficient at y^-1 instead; it is
+the independent reference for the closed-form read, the two routes agree
+exactly and the report does not distinguish them.  ``localize`` (and the
+``localize`` command) and the oracle's pole gate also keep the series path.
 
 All convention-sensitive constants (2 pi powers, group volume, the hk
 structural constant) live in a ConventionProfile and are applied outside the
@@ -21,12 +31,18 @@ exact coefficient, which the report always exposes raw.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Dict, Optional, Sequence, Tuple
 
 from .atlas import FixedPointAtlas, FixedPointDatum, RootSystemData
-from .errors import InternalError, OddExponentError, ValidationError
+from .errors import (
+    InternalError,
+    NonInvertibleError,
+    OddExponentError,
+    ValidationError,
+)
 from .exact import (
     ComplexRational,
     LaurentSeries,
@@ -36,7 +52,9 @@ from .exact import (
     invert_series,
     substitute_sqrt,
 )
-from .localize import euler_class, localize, phase_factory, restriction_factory
+# The engines no longer call localize; it stays importable from this module
+# because the benchmark's tracer test reaches it as eqloc.engines.localize.
+from .localize import check_eta_mode, euler_class, localize, phase_covector  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -246,6 +264,7 @@ def _run(
 ) -> ReductionReport:
     profile = resolve_profile(profile)
     _check_order(order)
+    check_eta_mode(eta_mode)
     if atlas.geometry != geometry:
         raise ValidationError(
             f"engine expects {geometry} geometry, atlas declares {atlas.geometry!r}"
@@ -259,35 +278,22 @@ def _run(
     if not atlas.fixed_points:
         raise ValidationError("atlas has no fixed points; nothing to localize")
 
-    variables = atlas.variable_order
-    target_exp = -1 if geometry == "symplectic" else -2
-
     if geometry == "symplectic":
         mask = [all(m > 0 for m in fp.moment) for fp in atlas.fixed_points]
     else:
         mask = [True] * len(atlas.fixed_points)
-    selected_points = tuple(
-        fp for fp, keep in zip(atlas.fixed_points, mask) if keep
-    )
 
-    per_point: Dict[str, ComplexRational] = {}
     if via_p:
         if k != 1:
             raise ValidationError("the even-part route is a rank-1 computation")
-        for fp in selected_points:
-            per_point[fp.name] = _point_coeff_via_even_part(atlas, fp, eta_mode, order)
+        read = _point_coeff_via_even_part
     else:
-        work = replace(atlas, fixed_points=selected_points)
-        target = tuple(target_exp + order for _ in range(k))
-        res = localize(work, phase_factory(eta_mode), target)
-        read_at = (target_exp,) * k
-        for name, contrib in res.contributions:
-            per_point[name] = contrib.coefficient(read_at)
+        read = _point_coeff
 
     entries = []
     raw = ComplexRational.zero()
     for fp, keep in zip(atlas.fixed_points, mask):
-        c = per_point.get(fp.name, ComplexRational.zero())
+        c = read(atlas, fp, eta_mode, order) if keep else ComplexRational.zero()
         entries.append(PointEntry(fp.name, keep, c))
         raw = raw + c
 
@@ -301,7 +307,7 @@ def _run(
         geometry=geometry,
         rank=k,
         profile=profile,
-        variable_order=variables,
+        variable_order=atlas.variable_order,
         eta_mode=eta_mode,
         contributions=tuple(entries),
         raw_coefficient=raw,
@@ -309,6 +315,81 @@ def _run(
         prefactor=prefactor,
         quotient_integral=quotient,
     )
+
+
+def _monomial_euler_class(fp: FixedPointDatum, k: int) -> Tuple[int, Tuple[int, ...]]:
+    """(c, n) with e(y) = c * y^n at a structured fixed point.
+
+    Each tangent weight must involve exactly one variable.  A weight such as
+    (1, -1) makes e(y) a non-monomial product of linear forms, whose inverse
+    has no finite principal part.
+    """
+    c = 1
+    n = [0] * k
+    for w in fp.weights:
+        nonzero = [v for v, x in enumerate(w) if x != 0]
+        if not nonzero:
+            raise ValidationError(
+                f"e(y) is a zero divisor at {fp.name!r}: zero tangent weight"
+            )
+        if len(nonzero) > 1:
+            raise NonInvertibleError(
+                f"e(y) at {fp.name!r} is not a monomial: tangent weight {w} "
+                "involves more than one variable, so 1/e(y) has no finite "
+                "principal part",
+                point=fp.name,
+                weight=w,
+            )
+        v = nonzero[0]
+        c *= w[v]
+        n[v] += 1
+    return c, tuple(n)
+
+
+def _point_coeff(
+    atlas: FixedPointAtlas, fp: FixedPointDatum, eta_mode: str, order: int
+) -> ComplexRational:
+    """One fixed point's coefficient at y^-1 (symplectic) or y^-2
+    (hyperkahler) in every variable.
+
+    Raw points are read from their stored series.  A structured point
+    contributes eta(y) exp(i sum_v f_v y_v^s) / (c y^n), with s = 1 or 2 and
+    f the phase covector, so its coefficient is a finite sum over the eta
+    terms eta_j y^j: each term needs y_v^(n_v - s - j_v) from the phase,
+    which is (i f_v)^m / m! with s * m = n_v - s - j_v, and nothing when
+    that exponent is negative or not a multiple of s.  ``order`` plays no
+    part: the sum is exact.
+    """
+    k = atlas.group.rank
+    hk = atlas.geometry == "hyperkahler"
+    if fp.mode == "raw":
+        return fp.raw_contribution.coefficient(((-2 if hk else -1),) * k)
+    c, n = _monomial_euler_class(fp, k)
+    freqs = phase_covector(atlas, fp)
+    if eta_mode == "one":
+        eta_terms = {(0,) * k: ComplexRational.one()}
+    else:
+        eta_terms = fp.eta.terms
+    s = 2 if hk else 1
+    re = im = Fraction(0)
+    for j, eta_j in eta_terms.items():
+        q = Fraction(1)
+        i_pow = 0
+        for n_v, j_v, f in zip(n, j, freqs):
+            d = n_v - s - j_v
+            if d < 0 or d % s:
+                break
+            m = d // s
+            q = q * f**m / math.factorial(m)
+            i_pow += m
+        else:
+            # eta_j * q * i^i_pow
+            a, b = eta_j.re * q, eta_j.im * q
+            for _ in range(i_pow % 4):
+                a, b = -b, a
+            re += a
+            im += b
+    return ComplexRational(re / c, im / c)
 
 
 def _point_coeff_via_even_part(

@@ -56,7 +56,7 @@ def restriction_factory(eta_mode: str = "atlas") -> IntegrandFactory:
     eta_mode "atlas" uses each point's stored restriction, "one" replaces it
     by the constant 1 (the volume normalization probe).
     """
-    _check_eta_mode(eta_mode)
+    check_eta_mode(eta_mode)
 
     def factory(atlas, fp, orders):
         if eta_mode == "one":
@@ -73,7 +73,7 @@ def phase_factory(eta_mode: str = "atlas") -> IntegrandFactory:
     i * sum_nu |moment vector_nu|^2 * y_nu^2 for hyperkahler data (the
     squared-moment frequencies couple to the squares of the variables).
     """
-    _check_eta_mode(eta_mode)
+    check_eta_mode(eta_mode)
     base = restriction_factory(eta_mode)
 
     def factory(atlas, fp, orders):
@@ -102,7 +102,7 @@ def phase_factory(eta_mode: str = "atlas") -> IntegrandFactory:
     return factory
 
 
-def _check_eta_mode(eta_mode: str) -> None:
+def check_eta_mode(eta_mode: str) -> None:
     if eta_mode not in ("atlas", "one"):
         raise ValidationError(f"unknown eta mode {eta_mode!r}")
 

@@ -308,6 +308,39 @@ class TestExamples:
         assert err["error"] == "validation"
 
 
+def _series_missing_re(tmp_path):
+    p = tmp_path / "s.json"
+    p.write_text(json.dumps({"variables": ["y"], "terms": [{"exp": [-1], "im": [0, 1]}]}))
+    return ["oracle", "--contour", str(p), "1"]
+
+
+def _series_fractional_trunc(tmp_path):
+    p = tmp_path / "s.json"
+    term = {"exp": [-1], "re": [1, 1], "im": [0, 1]}
+    p.write_text(json.dumps({"variables": ["y"], "terms": [term], "trunc": [0.5]}))
+    return ["oracle", "--contour", str(p), "1"]
+
+
+def _unparsable_shift(tmp_path):
+    return ["oracle", "builtin:mirror_pair(5)", "--mode", "symplectic", "--shift", "a,b"]
+
+
+def _nonfinite_shift(tmp_path):
+    return ["oracle", "builtin:sphere_S2", "--mode", "symplectic", "--shift", "nan"]
+
+
+def _nonfinite_ladder(tmp_path):
+    return ["oracle", "builtin:sphere_S2", "--mode", "symplectic", "--t", "1,inf"]
+
+
+def _string_volume_power(tmp_path):
+    doc = json.loads((GOLDEN_DIR / "sphere_s2.json").read_text())
+    doc["group"]["vol"]["i_pow"] = "x"
+    p = tmp_path / "a.json"
+    p.write_text(json.dumps(doc))
+    return ["check", str(p)]
+
+
 class TestErrorMapping:
     def test_unexpected_exception_is_internal(self, capsys, monkeypatch):
         def boom(args):
@@ -316,3 +349,38 @@ class TestErrorMapping:
         monkeypatch.setitem(cli._COMMANDS, "roots", boom)
         err = run_err(capsys, ["roots"], expect_code=2)
         assert err["error"] == "internal"
+        assert "slug" not in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            _series_missing_re,
+            _series_fractional_trunc,
+            _unparsable_shift,
+            _nonfinite_shift,
+            _nonfinite_ladder,
+            _string_volume_power,
+        ],
+    )
+    def test_bad_user_input_is_validation(self, capsys, tmp_path, argv):
+        rc = cli.run(argv(tmp_path))
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert "Traceback" not in err
+        assert len(err.splitlines()) == 1
+        doc = json.loads(err)
+        assert doc["error"] == "validation"
+        assert doc["slug"] == "validation"
+
+    def test_mixed_weight_reduce_carries_slug_and_context(self, capsys, tmp_path):
+        doc = json.loads((GOLDEN_DIR / "hk_torus_rank2.json").read_text())
+        doc["fixed_points"][0]["weights"] = [[1, 1], [1, 0], [0, 1], [1, -1]]
+        path = tmp_path / "mixed.json"
+        path.write_text(json.dumps(doc))
+        assert cli.run(["check", str(path)]) == 0
+        capsys.readouterr()
+        err = run_err(capsys, ["reduce", str(path), "--mode", "hk"])
+        assert err["error"] == "series"
+        assert err["slug"] == "non-invertible"
+        assert err["context"] == {"point": "'product'", "weight": "(1, 1)"}
+        assert "'product'" in err["message"]

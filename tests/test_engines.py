@@ -46,8 +46,9 @@ from eqloc.engines import (
     weyl_product,
     weyl_wrap,
 )
-from eqloc.errors import ValidationError
+from eqloc.errors import NonInvertibleError, ValidationError
 from eqloc.exact import ComplexRational, LaurentSeries, SymbolicConstant
+from eqloc.localize import localize, phase_factory
 from eqloc.roots import SU2_ROOTS, U2_ROOTS, group_spec
 
 
@@ -396,6 +397,102 @@ def test_eta_mode_one_probe():
     rep = reduce_hk_circle(a, eta_mode="one")
     assert rep.raw_coefficient == cr(Fraction(1, 2))
     assert rep.eta_mode == "one"
+    for reduce in (reduce_hk_circle, reduce_hk_circle_viaP):
+        with pytest.raises(ValidationError):
+            reduce(a, eta_mode="bogus")
+
+
+# -- closed-form read against the series path -----------------------------
+
+
+def test_mixed_weight_rejected_naming_point_and_weight():
+    base = hk_torus_rank2_atlas()
+    fp = replace(
+        base.fixed_points[0], weights=((1, 1), (1, 0), (0, 1), (1, -1))
+    )
+    atlas = replace(base, fixed_points=(fp,))
+    validate_atlas(atlas)
+    with pytest.raises(NonInvertibleError) as info:
+        reduce_hk_torus(atlas)
+    assert "'product'" in info.value.message
+    assert "(1, 1)" in info.value.message
+    assert info.value.context == {"point": "product", "weight": (1, 1)}
+
+
+@st.composite
+def product_atlases(draw):
+    """Valid rank 1-3 atlases whose tangent weights each involve one
+    variable, with signed weights, mixed moment signs (symplectic) and eta
+    exponents past the pole order, so some eta terms cannot contribute."""
+    k = draw(st.integers(1, 3))
+    geometry = draw(st.sampled_from(["symplectic", "hyperkahler"]))
+    hk = geometry == "hyperkahler"
+    variables = tuple(f"y{v + 1}" for v in range(k))
+    n_weights = 2 * draw(st.integers(k, 4)) if hk else draw(st.integers(k, 7))
+    small = st.integers(-3, 3)
+    nonzero = small.filter(bool)
+    rational = st.builds(Fraction, small, st.integers(1, 2))
+    points = []
+    for j in range(draw(st.integers(1, 3))):
+        # mostly at least one weight per variable, else that variable has no
+        # pole and the point reads 0
+        cover = draw(st.integers(0, 3)) > 0
+        weights = []
+        for i in range(n_weights):
+            w = [0] * k
+            v = i if cover and i < k else draw(st.integers(0, k - 1))
+            w[v] = draw(nonzero)
+            weights.append(tuple(w))
+        terms = {}
+        for _ in range(draw(st.integers(0, 3))):
+            exps = tuple(draw(st.integers(0, n_weights + 1)) for _ in range(k))
+            terms[exps] = ComplexRational(draw(rational), draw(rational))
+        if hk:
+            moment = (Fraction(0),) * k
+            moment_hk = tuple(
+                draw(st.tuples(rational, rational, rational).filter(any))
+                for _ in range(k)
+            )
+        else:
+            moment = tuple(
+                Fraction(draw(nonzero), draw(st.integers(1, 2))) for _ in range(k)
+            )
+            moment_hk = None
+        points.append(
+            FixedPointDatum(
+                name=f"fp{j}",
+                moment=moment,
+                weights=tuple(weights),
+                eta=LaurentSeries(variables, terms),
+                moment_hk=moment_hk,
+            )
+        )
+    dim_m = 2 * n_weights
+    dim_quotient = dim_m - (4 if hk else 2) * k
+    a = FixedPointAtlas(
+        group=GroupSpec.torus(k),
+        geometry=geometry,
+        dim_m=dim_m,
+        dim_quotient=dim_quotient,
+        deg_eta0=draw(st.integers(0, dim_quotient)),
+        variable_order=variables,
+        fixed_points=tuple(points),
+    )
+    validate_atlas(a)
+    return a
+
+
+@given(product_atlases(), st.sampled_from(["atlas", "one"]))
+@settings(max_examples=60, deadline=None)
+def test_closed_form_read_matches_series_path(atlas, eta_mode):
+    hk = atlas.geometry == "hyperkahler"
+    reduce = reduce_hk_torus if hk else reduce_symplectic_torus
+    rep = reduce(atlas, eta_mode=eta_mode)
+    target = (-2 if hk else -1,) * atlas.group.rank
+    series = localize(atlas, phase_factory(eta_mode), target)
+    for p in rep.contributions:
+        want = series.contribution(p.name).coefficient(target)
+        assert p.coefficient == (want if p.selected else cr(0))
 
 
 # -- variable-order permutation -----------------------------------------
