@@ -188,13 +188,6 @@ def _cmd_localize(args) -> int:
     return 0
 
 
-_REDUCERS = {
-    ("symplectic", 1): reduce_symplectic_circle,
-    ("hk", 1): reduce_hk_circle,
-    ("hk-p", 1): reduce_hk_circle_viaP,
-}
-
-
 def _cmd_reduce(args) -> int:
     atlas = _load_atlas(args.atlas)
     if args.order:

@@ -21,7 +21,9 @@ variable with the exact Laurent arithmetic, keeps its even part, substitutes
 the square of the variable, and reads the coefficient at y^-1 instead; it is
 the independent reference for the closed-form read, the two routes agree
 exactly and the report does not distinguish them.  ``localize`` (and the
-``localize`` command) and the oracle's pole gate also keep the series path.
+``localize`` command) also keeps the series path.  The closed-form read
+itself, ``point_coeff``, lives in ``localize`` beside ``euler_class``: the
+oracle's pole gate reads the principal part of the sum with it too.
 
 All convention-sensitive constants (2 pi powers, group volume, the hk
 structural constant) live in a ConventionProfile and are applied outside the
@@ -31,7 +33,6 @@ exact coefficient, which the report always exposes raw.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Dict, Optional, Sequence, Tuple
@@ -39,7 +40,6 @@ from typing import Dict, Optional, Sequence, Tuple
 from .atlas import FixedPointAtlas, FixedPointDatum, RootSystemData
 from .errors import (
     InternalError,
-    NonInvertibleError,
     OddExponentError,
     ValidationError,
 )
@@ -54,7 +54,7 @@ from .exact import (
 )
 # The engines no longer call localize; it stays importable from this module
 # because the benchmark's tracer test reaches it as eqloc.engines.localize.
-from .localize import check_eta_mode, euler_class, localize, phase_covector  # noqa: F401
+from .localize import check_eta_mode, euler_class, localize, point_coeff  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -283,17 +283,19 @@ def _run(
     else:
         mask = [True] * len(atlas.fixed_points)
 
-    if via_p:
-        if k != 1:
-            raise ValidationError("the even-part route is a rank-1 computation")
-        read = _point_coeff_via_even_part
-    else:
-        read = _point_coeff
+    if via_p and k != 1:
+        raise ValidationError("the even-part route is a rank-1 computation")
+    target = (-2 if geometry == "hyperkahler" else -1,) * k
 
     entries = []
     raw = ComplexRational.zero()
     for fp, keep in zip(atlas.fixed_points, mask):
-        c = read(atlas, fp, eta_mode, order) if keep else ComplexRational.zero()
+        if not keep:
+            c = ComplexRational.zero()
+        elif via_p:
+            c = _point_coeff_via_even_part(atlas, fp, eta_mode, order)
+        else:
+            c = point_coeff(atlas, fp, eta_mode, target)
         entries.append(PointEntry(fp.name, keep, c))
         raw = raw + c
 
@@ -315,81 +317,6 @@ def _run(
         prefactor=prefactor,
         quotient_integral=quotient,
     )
-
-
-def _monomial_euler_class(fp: FixedPointDatum, k: int) -> Tuple[int, Tuple[int, ...]]:
-    """(c, n) with e(y) = c * y^n at a structured fixed point.
-
-    Each tangent weight must involve exactly one variable.  A weight such as
-    (1, -1) makes e(y) a non-monomial product of linear forms, whose inverse
-    has no finite principal part.
-    """
-    c = 1
-    n = [0] * k
-    for w in fp.weights:
-        nonzero = [v for v, x in enumerate(w) if x != 0]
-        if not nonzero:
-            raise ValidationError(
-                f"e(y) is a zero divisor at {fp.name!r}: zero tangent weight"
-            )
-        if len(nonzero) > 1:
-            raise NonInvertibleError(
-                f"e(y) at {fp.name!r} is not a monomial: tangent weight {w} "
-                "involves more than one variable, so 1/e(y) has no finite "
-                "principal part",
-                point=fp.name,
-                weight=w,
-            )
-        v = nonzero[0]
-        c *= w[v]
-        n[v] += 1
-    return c, tuple(n)
-
-
-def _point_coeff(
-    atlas: FixedPointAtlas, fp: FixedPointDatum, eta_mode: str, order: int
-) -> ComplexRational:
-    """One fixed point's coefficient at y^-1 (symplectic) or y^-2
-    (hyperkahler) in every variable.
-
-    Raw points are read from their stored series.  A structured point
-    contributes eta(y) exp(i sum_v f_v y_v^s) / (c y^n), with s = 1 or 2 and
-    f the phase covector, so its coefficient is a finite sum over the eta
-    terms eta_j y^j: each term needs y_v^(n_v - s - j_v) from the phase,
-    which is (i f_v)^m / m! with s * m = n_v - s - j_v, and nothing when
-    that exponent is negative or not a multiple of s.  ``order`` plays no
-    part: the sum is exact.
-    """
-    k = atlas.group.rank
-    hk = atlas.geometry == "hyperkahler"
-    if fp.mode == "raw":
-        return fp.raw_contribution.coefficient(((-2 if hk else -1),) * k)
-    c, n = _monomial_euler_class(fp, k)
-    freqs = phase_covector(atlas, fp)
-    if eta_mode == "one":
-        eta_terms = {(0,) * k: ComplexRational.one()}
-    else:
-        eta_terms = fp.eta.terms
-    s = 2 if hk else 1
-    re = im = Fraction(0)
-    for j, eta_j in eta_terms.items():
-        q = Fraction(1)
-        i_pow = 0
-        for n_v, j_v, f in zip(n, j, freqs):
-            d = n_v - s - j_v
-            if d < 0 or d % s:
-                break
-            m = d // s
-            q = q * f**m / math.factorial(m)
-            i_pow += m
-        else:
-            # eta_j * q * i^i_pow
-            a, b = eta_j.re * q, eta_j.im * q
-            for _ in range(i_pow % 4):
-                a, b = -b, a
-            re += a
-            im += b
-    return ComplexRational(re / c, im / c)
 
 
 def _point_coeff_via_even_part(

@@ -11,12 +11,13 @@ coefficient the engines later read is certified.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, Optional, Sequence, Tuple
 
 from .atlas import FixedPointAtlas, FixedPointDatum
-from .errors import ValidationError
+from .errors import NonInvertibleError, ValidationError
 from .exact import ComplexRational, LaurentSeries, exp_series, invert_series
 
 Orders = Tuple[Optional[int], ...]
@@ -48,6 +49,83 @@ def phase_covector(atlas: FixedPointAtlas, fp: FixedPointDatum) -> Tuple[Fractio
     if atlas.geometry == "hyperkahler":
         return tuple(fp.hk_norm_sq(nu) for nu in range(atlas.group.rank))
     return fp.moment
+
+
+def monomial_euler_class(fp: FixedPointDatum, k: int) -> Tuple[int, Tuple[int, ...]]:
+    """(c, n) with e(y) = c * y^n at a structured fixed point.
+
+    Each tangent weight must involve exactly one variable.  A weight such as
+    (1, -1) makes e(y) a non-monomial product of linear forms, whose inverse
+    has no finite principal part.
+    """
+    c = 1
+    n = [0] * k
+    for w in fp.weights:
+        nonzero = [v for v, x in enumerate(w) if x != 0]
+        if not nonzero:
+            raise ValidationError(
+                f"e(y) is a zero divisor at {fp.name!r}: zero tangent weight"
+            )
+        if len(nonzero) > 1:
+            raise NonInvertibleError(
+                f"e(y) at {fp.name!r} is not a monomial: tangent weight {w} "
+                "involves more than one variable, so 1/e(y) has no finite "
+                "principal part",
+                point=fp.name,
+                weight=w,
+            )
+        v = nonzero[0]
+        c *= w[v]
+        n[v] += 1
+    return c, tuple(n)
+
+
+def point_coeff(
+    atlas: FixedPointAtlas,
+    fp: FixedPointDatum,
+    eta_mode: str,
+    target: Tuple[int, ...],
+) -> ComplexRational:
+    """One fixed point's exact coefficient at y^target in its phase-weighted
+    contribution, read in closed form.
+
+    Raw points are read from their stored series.  A structured point
+    contributes eta(y) exp(i sum_v f_v y_v^s) / (c y^n), with s = 1
+    (symplectic) or 2 (hyperkahler) and f the phase covector, so its
+    coefficient is a finite sum over the eta terms eta_j y^j: each term
+    needs y_v^d_v from the phase, d_v = n_v + target_v - j_v, which is
+    (i f_v)^m / m! with s * m = d_v, and nothing when d_v is negative or not
+    a multiple of s.  The sum is exact; it equals the coefficient that
+    ``localize`` with ``phase_factory(eta_mode)`` produces.
+    """
+    if fp.mode == "raw":
+        return fp.raw_contribution.coefficient(target)
+    c, n = monomial_euler_class(fp, len(target))
+    freqs = phase_covector(atlas, fp)
+    if eta_mode == "one":
+        eta_terms = {(0,) * len(target): ComplexRational.one()}
+    else:
+        eta_terms = fp.eta.terms
+    s = 2 if atlas.geometry == "hyperkahler" else 1
+    re = im = Fraction(0)
+    for j, eta_j in eta_terms.items():
+        q = Fraction(1)
+        i_pow = 0
+        for n_v, e_v, j_v, f in zip(n, target, j, freqs):
+            d = n_v + e_v - j_v
+            if d < 0 or d % s:
+                break
+            m = d // s
+            q = q * f**m / math.factorial(m)
+            i_pow += m
+        else:
+            # eta_j * q * i^i_pow
+            a, b = eta_j.re * q, eta_j.im * q
+            for _ in range(i_pow % 4):
+                a, b = -b, a
+            re += a
+            im += b
+    return ComplexRational(re / c, im / c)
 
 
 def restriction_factory(eta_mode: str = "atlas") -> IntegrandFactory:

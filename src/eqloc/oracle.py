@@ -13,23 +13,33 @@ Three independent instruments:
 Everything here is double precision on purpose: agreement with the exact
 side is only meaningful if the two routes share no code.  The quadrature
 evaluates numeric closures built directly from atlas data, never the exact
-Laurent arithmetic.
+Laurent arithmetic; the exact closed-form read only gates atlas integrands,
+refusing data whose summed series has a pole at the origin.
+
+An atlas integrand is a sum of per-point terms amp(y) * exp(i phase(y)),
+amp a Laurent polynomial evaluated by Horner's rule in real arithmetic.  On
+a circle the mollified quadrature evaluates it a Kronrod panel at a time:
+on a panel the nodes are c + h * xi_k, so a linear phase separates as
+exp(i f c) * exp(i f h xi_k), taken once per panel centre and once per
+distinct half-width, and the Gaussian is folded into the real factor y^lo
+of each amplitude.  A hyperkahler phase exp(i f y^2) does not separate and
+is taken per node.
 """
 
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
-from dataclasses import dataclass, field
-from fractions import Fraction
-from typing import Callable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .atlas import FixedPointAtlas
 from .errors import QuadratureError, ValidationError
-from .exact import LaurentSeries
-from .localize import localize, phase_factory
+from .exact import ComplexRational, LaurentSeries
+from .localize import check_eta_mode, monomial_euler_class, phase_covector, point_coeff
 
 # 7-point Gauss / 15-point Kronrod pair on [-1, 1].  Positive abscissae and
 # weights; the grid is mirrored.  Exactness (degree 13 for the Gauss rule,
@@ -99,18 +109,20 @@ def _panel_edges(window: float, max_freq: float) -> np.ndarray:
 def _eval_panels(fn, a: np.ndarray, b: np.ndarray):
     half = (b - a) / 2
     centers = (a + b) / 2
-    x = centers[:, None] + half[:, None] * KRONROD_NODES[None, :]
-    f = np.asarray(fn(x.ravel()), dtype=complex).reshape(len(a), 15)
+    if isinstance(fn, _MollifiedPanels):
+        f = fn.panels(centers, half)
+    else:
+        x = centers[:, None] + half[:, None] * KRONROD_NODES[None, :]
+        f = np.asarray(fn(x.ravel()), dtype=complex).reshape(len(a), 15)
     i15 = (f @ KRONROD_WEIGHTS) * half
     i7 = (f[:, GAUSS_INDEX] @ GAUSS_WEIGHTS) * half
     return i15, np.abs(i15 - i7)
 
 
-def _fsum_panels(pairs: List[Tuple[float, complex]]) -> complex:
-    pairs.sort(key=lambda p: p[0])
-    return complex(
-        math.fsum(v.real for _, v in pairs), math.fsum(v.imag for _, v in pairs)
-    )
+def _fsum(values: np.ndarray) -> complex:
+    """Correctly rounded sum of complex values, so independent of their
+    order."""
+    return complex(math.fsum(values.real.tolist()), math.fsum(values.imag.tolist()))
 
 
 def adaptive_quadrature(
@@ -121,20 +133,21 @@ def adaptive_quadrature(
 ) -> Tuple[complex, float]:
     """Composite adaptive Gauss-Kronrod integration over fixed outer edges.
 
-    Panels whose Kronrod-minus-Gauss estimate exceeds tol_panel are halved,
-    all of them, each round.  Accepted panels are summed with fsum in
-    left-edge order so the result does not depend on the splitting history.
+    fn is a function of an array of nodes, or a _MollifiedPanels evaluated a
+    panel at a time.  Panels whose Kronrod-minus-Gauss estimate exceeds
+    tol_panel are halved, all of them, each round.  Accepted panels are
+    summed with fsum, which rounds the exact sum once, so the result does
+    not depend on the splitting history.
     """
     work_a = edges[:-1].astype(float)
     work_b = edges[1:].astype(float)
-    accepted: List[Tuple[float, complex]] = []
+    accepted: List[np.ndarray] = []
     err_total = 0.0
     while len(work_a):
         budget.spend(len(work_a))
         i15, err = _eval_panels(fn, work_a, work_b)
         ok = err <= tol_panel
-        for j in np.nonzero(ok)[0]:
-            accepted.append((work_a[j], complex(i15[j])))
+        accepted.append(i15[ok])
         err_total += float(err[ok].sum())
         bad = np.nonzero(~ok)[0]
         if len(bad) == 0:
@@ -143,7 +156,7 @@ def adaptive_quadrature(
         mid = (a + b) / 2
         work_a = np.concatenate([a, mid])
         work_b = np.concatenate([mid, b])
-    return _fsum_panels(accepted), err_total
+    return _fsum(np.concatenate(accepted)), err_total
 
 
 def fixed_quadrature(
@@ -152,9 +165,7 @@ def fixed_quadrature(
     """Single non-adaptive composite Kronrod pass over the given edges.
     Used when two integrands must be compared on the identical grid."""
     i15, _ = _eval_panels(fn, edges[:-1].astype(float), edges[1:].astype(float))
-    return complex(
-        math.fsum(v.real for v in i15), math.fsum(v.imag for v in i15)
-    )
+    return _fsum(i15)
 
 
 # -- mollified limit integrals ------------------------------------------
@@ -173,12 +184,17 @@ class MollifierConfig:
         object.__setattr__(self, "t_ladder", ladder)
         if len(ladder) < 2:
             raise ValidationError("t ladder needs at least two entries")
-        if any(t <= 0 for t in ladder) or any(
+        # written so that NaN fails every test
+        if not all(0 < t < math.inf for t in ladder) or any(
             a >= b for a, b in zip(ladder, ladder[1:])
         ):
-            raise ValidationError("t ladder must be positive and strictly increasing")
-        if self.quad_tolerance <= 0 or self.window_sigmas <= 0:
-            raise ValidationError("tolerance and window size must be positive")
+            raise ValidationError(
+                "t ladder must be finite, positive and strictly increasing"
+            )
+        if not (
+            0 < self.quad_tolerance < math.inf and 0 < self.window_sigmas < math.inf
+        ):
+            raise ValidationError("tolerance and window size must be finite and positive")
         if self.extrapolation not in ("last_value", "richardson"):
             raise ValidationError(
                 f"unknown extrapolation rule {self.extrapolation!r}"
@@ -257,9 +273,12 @@ def _mollified_single_t(
     edges = _panel_edges(window, g.max_frequency(window))
 
     if g.k == 1:
+        if isinstance(g.fn, _PointSum):
+            fn = _MollifiedPanels(g.fn, t)
+        else:
 
-        def fn(y: np.ndarray) -> np.ndarray:
-            return np.exp(-(y * y) / (4.0 * t)) * g.fn([y])
+            def fn(y: np.ndarray) -> np.ndarray:
+                return np.exp(-(y * y) / (4.0 * t)) * g.fn([y])
 
         return adaptive_quadrature(fn, edges, cfg.quad_tolerance, budget)
 
@@ -321,22 +340,149 @@ def mollified_oint(
 # -- atlas integrands ----------------------------------------------------
 
 
-def _series_closure(series: LaurentSeries):
-    data = [
-        (complex(c), tuple(e)) for e, c in sorted(series.terms.items())
-    ]
+class _Term(NamedTuple):
+    """One fixed point's term amp(y) * exp(i sum_v freqs_v y_v^s) in double
+    precision, s = 2 for hyperkahler data and 1 otherwise.
 
-    def ev(ys: List[np.ndarray]) -> np.ndarray:
+    amp is the Laurent polynomial y^lo * (re(y) + i im(y)); re and im hold
+    real coefficients, one axis per variable, highest power first, for
+    Horner's rule.  im is None when every imaginary coefficient is 0.
+    """
+
+    lo: Tuple[int, ...]
+    re: np.ndarray
+    im: Optional[np.ndarray]
+    freqs: Tuple[float, ...]
+
+
+def _term(coeffs: Dict[Tuple[int, ...], ComplexRational], freqs) -> Optional[_Term]:
+    if not coeffs:
+        return None
+    exps = list(coeffs)
+    lo = tuple(map(min, zip(*exps)))
+    hi = tuple(map(max, zip(*exps)))
+    re = np.zeros(tuple(h - l + 1 for h, l in zip(hi, lo)))
+    im = np.zeros_like(re)
+    for e, c in coeffs.items():
+        idx = tuple(h - x for h, x in zip(hi, e))
+        re[idx] = float(c.re)
+        im[idx] = float(c.im)
+    return _Term(lo, re, im if im.any() else None, tuple(freqs))
+
+
+def _horner(coeffs: np.ndarray, ys: Sequence[np.ndarray]):
+    """sum_j coeffs[j] y^j over the first variable, highest power first,
+    each coefficient itself a polynomial in the remaining variables."""
+    acc = None
+    for c in coeffs:
+        if len(ys) > 1:
+            c = _horner(c, ys[1:])
+        acc = c if acc is None else acc * ys[0] + c
+    return acc
+
+
+def _amplitude(term: _Term, ys: Sequence[np.ndarray], scale):
+    """scale * (re(y) + i im(y)): the caller passes y^lo, times any real
+    weight it wants folded in."""
+    re = _horner(term.re, ys) * scale
+    if term.im is None:
+        return re
+    return re + 1j * (_horner(term.im, ys) * scale)
+
+
+class _PointSum:
+    """The summed localization series of an atlas as a numeric function of
+    k arrays: sum over the terms of amp(y) * exp(i phase(y))."""
+
+    def __init__(self, terms: Sequence[_Term], quadratic: bool):
+        self.terms = tuple(terms)
+        self.quadratic = quadratic
+
+    def __call__(self, ys: List[np.ndarray]) -> np.ndarray:
         acc = np.zeros_like(ys[0], dtype=complex)
-        for c, exps in data:
-            term = np.full_like(ys[0], c, dtype=complex)
-            for y, e in zip(ys, exps):
+        power = 2 if self.quadratic else 1
+        for term in self.terms:
+            scale = 1.0
+            for y, e in zip(ys, term.lo):
                 if e:
-                    term = term * y**e
-            acc = acc + term
+                    scale = scale * y**e
+            v = _amplitude(term, ys, scale)
+            if any(term.freqs):
+                v = v * np.exp(1j * sum(f * y**power for f, y in zip(term.freqs, ys)))
+            acc = acc + v
         return acc
 
-    return ev
+
+class _MollifiedPanels:
+    """exp(-y^2/4t) times a rank-1 _PointSum, evaluated a panel at a time.
+
+    On a panel x = c + h xi_k, so a linear phase separates:
+    exp(i f x) = exp(i f c) * exp(i f h xi_k).  The first factor is taken
+    once per panel, the second once per distinct half-width, and each node
+    costs one complex multiply.  The Gaussian is folded into the real
+    factor x^lo of every amplitude.  Hyperkahler phases exp(i f x^2) do not
+    separate and are taken per node.
+    """
+
+    def __init__(self, point_sum: _PointSum, t: float):
+        self.terms = point_sum.terms
+        self.quadratic = point_sum.quadratic
+        self.t = t
+
+    def panels(self, centers: np.ndarray, half: np.ndarray) -> np.ndarray:
+        x = centers[:, None] + half[:, None] * KRONROD_NODES[None, :]
+        gauss = np.exp(-(x * x) / (4.0 * self.t))
+        scales = {0: gauss}
+        if not self.quadratic:
+            widths, which = np.unique(half, return_inverse=True)
+            offsets = widths[:, None] * KRONROD_NODES[None, :]
+        acc = np.zeros(x.shape, dtype=complex)
+        for term in self.terms:
+            (lo,) = term.lo
+            if lo not in scales:
+                scales[lo] = gauss * x**lo
+            v = _amplitude(term, [x], scales[lo])
+            (f,) = term.freqs
+            if f and self.quadratic:
+                v = v * np.exp(1j * f * (x * x))
+            elif f:
+                node = np.exp(1j * f * offsets)[which]
+                v = v * (np.exp(1j * f * centers)[:, None] * node)
+            acc += v
+        return acc
+
+
+def _principal_part(
+    atlas: FixedPointAtlas, eta_mode: str
+) -> Dict[Tuple[int, ...], ComplexRational]:
+    """The terms with a negative exponent of the summed localization series
+    trusted through y^-1 in every variable, read in closed form.
+
+    A structured point's series has no exponent below -n_v in variable v, so
+    its part lies in the box -n_v <= e_v <= -1.  Raw points add their stored
+    terms.  As in the sum ``localize`` forms, a term is kept only where
+    every contribution is trusted: through -1 when there is a structured
+    point, and through each raw series' own truncation order.
+    """
+    check_eta_mode(eta_mode)
+    k = atlas.group.rank
+    # None: trusted through every exponent
+    top: List[Optional[int]] = [None] * k
+    for fp in atlas.fixed_points:
+        bounds = fp.raw_contribution.trunc if fp.mode == "raw" else (-1,) * k
+        top = [t if b is None else b if t is None else min(t, b) for t, b in zip(top, bounds)]
+    total: Dict[Tuple[int, ...], ComplexRational] = {}
+    for fp in atlas.fixed_points:
+        if fp.mode == "raw":
+            part = fp.raw_contribution.terms
+        else:
+            _, n = monomial_euler_class(fp, k)
+            box = itertools.product(*(range(-n_v, t + 1) for n_v, t in zip(n, top)))
+            part = {e: point_coeff(atlas, fp, eta_mode, e) for e in box}
+        for e, c in part.items():
+            if any(x < 0 for x in e) and all(t is None or x <= t for x, t in zip(e, top)):
+                total[e] = total.get(e, ComplexRational.zero()) + c
+    return {e: c for e, c in total.items() if not c.is_zero()}
 
 
 def atlas_integrand(
@@ -344,10 +490,12 @@ def atlas_integrand(
 ) -> OracleIntegrand:
     """Numeric evaluator for the summed localization series of an atlas.
 
-    Built directly from the fixed-point data (weights, moments, restriction
-    coefficients) with double-precision arithmetic; the exact engine is used
-    only as a gate, to refuse data whose summed series has a genuine pole at
-    the origin and therefore no mollified limit.
+    Built directly from the fixed-point data with double-precision
+    arithmetic: each structured point is eta(y) / (c y^n) times its phase,
+    with e(y) = c y^n its monomial Euler class, and each raw point is its
+    stored series.  The exact closed-form read is used only as a gate, to
+    refuse data whose summed series has a genuine pole at the origin and
+    therefore no mollified limit.
 
     zeta shifts every symplectic moment by -zeta (rank 1 only): the phase
     picks up a global factor exp(-i zeta y).
@@ -356,61 +504,41 @@ def atlas_integrand(
     if zeta and (k != 1 or atlas.geometry != "symplectic"):
         raise ValidationError("moment shifts are a symplectic circle diagnostic")
 
-    total = localize(atlas, phase_factory(eta_mode), (-1,) * k).total
-    if total.has_negative_exponents():
-        principal = sorted(total.principal_terms())
+    principal = _principal_part(atlas, eta_mode)
+    if principal:
         raise QuadratureError(
             "localized sum has a pole at the origin (principal exponents "
-            f"{principal}); the mollified integral does not exist for this data"
+            f"{sorted(principal)}); the mollified integral does not exist for this data"
         )
 
     hk = atlas.geometry == "hyperkahler"
-    points = []
-    for fp in atlas.fixed_points:
-        if fp.mode == "raw":
-            points.append(("raw", _series_closure(fp.raw_contribution), None, None))
-            continue
-        eta = (
-            LaurentSeries.const(atlas.variable_order, 1)
-            if eta_mode == "one"
-            else fp.eta
-        )
-        num = _series_closure(eta)
-        weights = [tuple(float(x) for x in w) for w in fp.weights]
-        if hk:
-            freqs = tuple(float(fp.hk_norm_sq(nu)) for nu in range(k))
-        else:
-            freqs = tuple(float(m) for m in fp.moment)
-        points.append(("structured", num, weights, freqs))
-
-    def fn(ys: List[np.ndarray]) -> np.ndarray:
-        acc = np.zeros_like(ys[0], dtype=complex)
-        for kind, num, weights, freqs in points:
-            if kind == "raw":
-                acc = acc + num(ys)
-                continue
-            if hk:
-                phase_arg = sum(f * y * y for f, y in zip(freqs, ys))
-            else:
-                phase_arg = sum(f * y for f, y in zip(freqs, ys))
-            term = num(ys) * np.exp(1j * phase_arg)
-            for w in weights:
-                term = term / sum(c * y for c, y in zip(w, ys))
-            acc = acc + term
-        if zeta:
-            acc = acc * np.exp(-1j * zeta * ys[0])
-        return acc
-
+    terms = []
     lin = abs(zeta)
     quad = 0.0
-    for kind, _, weights, freqs in points:
-        if kind != "structured":
-            continue
-        if hk:
-            quad = max(quad, max(freqs))
+    for fp in atlas.fixed_points:
+        if fp.mode == "raw":
+            coeffs = fp.raw_contribution.terms
+            freqs = (0.0,) * k
         else:
-            lin = max(lin, sum(abs(f) for f in freqs))
-    return OracleIntegrand(fn=fn, k=k, freq_linear=lin, freq_quadratic=quad)
+            c, n = monomial_euler_class(fp, k)
+            eta = {(0,) * k: ComplexRational.one()} if eta_mode == "one" else fp.eta.terms
+            coeffs = {
+                tuple(x - y for x, y in zip(j, n)): eta_j / c
+                for j, eta_j in eta.items()
+            }
+            freqs = tuple(float(f) for f in phase_covector(atlas, fp))
+            if hk:
+                quad = max(quad, max(freqs))
+            else:
+                lin = max(lin, sum(abs(f) for f in freqs))
+        if zeta:
+            freqs = (freqs[0] - zeta,)
+        term = _term(coeffs, freqs)
+        if term is not None:
+            terms.append(term)
+    return OracleIntegrand(
+        fn=_PointSum(terms, hk), k=k, freq_linear=lin, freq_quadratic=quad
+    )
 
 
 def moment_gap(atlas: FixedPointAtlas) -> float:

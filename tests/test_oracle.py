@@ -1,5 +1,10 @@
+import cmath
 import math
+import re
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +22,7 @@ from eqloc.atlas import (
 from eqloc.engines import reduce_symplectic_circle
 from eqloc.errors import QuadratureError, ValidationError
 from eqloc.exact import ComplexRational, LaurentSeries, exp_series
+from eqloc.localize import localize, phase_covector, phase_factory
 from eqloc.oracle import (
     GAUSS_INDEX,
     GAUSS_WEIGHTS,
@@ -25,7 +31,11 @@ from eqloc.oracle import (
     MollifierConfig,
     OracleIntegrand,
     _Budget,
+    _eval_panels,
+    _MollifiedPanels,
+    _PointSum,
     _panel_edges,
+    _principal_part,
     adaptive_quadrature,
     atlas_integrand,
     contour_coeff,
@@ -182,18 +192,20 @@ class TestMollified:
             mollified_oint(lambda y: np.exp(-y * y), CIRCLE, cfg)
 
     def test_config_validation(self):
-        with pytest.raises(ValidationError):
-            MollifierConfig(t_ladder=(1.0,))
-        with pytest.raises(ValidationError):
-            MollifierConfig(t_ladder=(10.0, 10.0))
-        with pytest.raises(ValidationError):
-            MollifierConfig(t_ladder=(-1.0, 2.0))
-        with pytest.raises(ValidationError):
-            MollifierConfig(quad_tolerance=0.0)
-        with pytest.raises(ValidationError):
-            MollifierConfig(extrapolation="pade")
-        with pytest.raises(ValidationError):
-            MollifierConfig(max_panels=2)
+        for bad in (
+            dict(t_ladder=(1.0,)),
+            dict(t_ladder=(10.0, 10.0)),
+            dict(t_ladder=(-1.0, 2.0)),
+            dict(t_ladder=(1.0, math.nan)),
+            dict(t_ladder=(1.0, math.inf)),
+            dict(quad_tolerance=0.0),
+            dict(quad_tolerance=math.nan),
+            dict(window_sigmas=math.inf),
+            dict(extrapolation="pade"),
+            dict(max_panels=2),
+        ):
+            with pytest.raises(ValidationError):
+                MollifierConfig(**bad)
 
     def test_result_json_shape(self):
         res = mollified_oint(
@@ -408,3 +420,218 @@ class TestAtlasIntegrand:
     def test_shift_on_hk_rejected(self):
         with pytest.raises(ValidationError):
             atlas_integrand(entire_hk_pair_atlas(), zeta=0.5)
+
+
+# -- closed-form pole gate and panel evaluation --------------------------
+
+
+@st.composite
+def gated_atlases(draw, max_rank=3, pole_free=None):
+    """(atlas, eta_mode) for rank 1..max_rank, either geometry: structured
+    points with several signed weights, each involving one variable, moments
+    of either sign and eta terms up to past the pole order; raw points with
+    random terms and truncation orders; and, when pole_free (drawn if None),
+    one more raw point holding the negated principal part of the localized
+    sum, so that the sum has no pole."""
+    k = draw(st.integers(1, max_rank))
+    hk = draw(st.booleans())
+    eta_mode = draw(st.sampled_from(["atlas", "one"]))
+    variables = tuple(f"y{v + 1}" for v in range(k))
+    n_weights = 2 * draw(st.integers(k, 3)) if hk else draw(st.integers(k, 5))
+    small = st.integers(-3, 3)
+    nonzero = small.filter(bool)
+    rational = st.builds(Fraction, small, st.integers(1, 2))
+    coeff = st.builds(ComplexRational, rational, rational)
+
+    def moments():
+        if hk:
+            vec = st.tuples(rational, rational, rational).filter(any)
+            return (Fraction(0),) * k, tuple(draw(vec) for _ in range(k))
+        moment = st.builds(Fraction, nonzero, st.integers(1, 2))
+        return tuple(draw(moment) for _ in range(k)), None
+
+    points = []
+    for j in range(draw(st.integers(1, 3))):
+        weights = []
+        for i in range(n_weights):
+            w = [0] * k
+            w[i if i < k else draw(st.integers(0, k - 1))] = draw(nonzero)
+            weights.append(tuple(w))
+        eta = {
+            tuple(draw(st.integers(0, n_weights + 1)) for _ in range(k)): draw(coeff)
+            for _ in range(draw(st.integers(0, 3)))
+        }
+        moment, moment_hk = moments()
+        points.append(
+            FixedPointDatum(
+                name=f"fp{j}",
+                moment=moment,
+                weights=tuple(weights),
+                eta=LaurentSeries(variables, eta),
+                moment_hk=moment_hk,
+            )
+        )
+
+    def raw_point(name, terms, trunc):
+        moment, moment_hk = moments()
+        return FixedPointDatum(
+            name=name,
+            moment=moment,
+            weights=(),
+            eta=LaurentSeries.const(variables, 1),
+            moment_hk=moment_hk,
+            mode="raw",
+            raw_contribution=LaurentSeries(variables, terms, trunc),
+        )
+
+    for j in range(draw(st.integers(0, 2))):
+        terms = {
+            tuple(draw(st.integers(-3, 3)) for _ in range(k)): draw(coeff)
+            for _ in range(draw(st.integers(0, 3)))
+        }
+        trunc = tuple(draw(st.one_of(st.none(), st.integers(-3, 3))) for _ in range(k))
+        points.append(raw_point(f"raw{j}", terms, trunc))
+
+    def make(pts):
+        dim_m = 2 * n_weights
+        atlas = FixedPointAtlas(
+            group=GroupSpec.torus(k),
+            geometry="hyperkahler" if hk else "symplectic",
+            dim_m=dim_m,
+            dim_quotient=dim_m - (4 if hk else 2) * k,
+            deg_eta0=0,
+            variable_order=variables,
+            fixed_points=tuple(pts),
+        )
+        validate_atlas(atlas)
+        return atlas
+
+    atlas = make(points)
+    if pole_free is None:
+        pole_free = draw(st.booleans())
+    if pole_free:
+        total = localize(atlas, phase_factory(eta_mode), (-1,) * k).total
+        negated = {e: -c for e, c in total.principal_terms().items()}
+        atlas = make(points + [raw_point("cancel", negated, None)])
+    return atlas, eta_mode
+
+
+def _direct_value(atlas, eta_mode, ys):
+    """The summed series at one point straight from the atlas data, and the
+    summed magnitudes of its terms."""
+    point = dict(zip(atlas.variable_order, ys))
+    power = 2 if atlas.geometry == "hyperkahler" else 1
+    total, scale = 0j, 0.0
+    for fp in atlas.fixed_points:
+        if fp.mode == "raw":
+            v = fp.raw_contribution.evaluate(point)
+        else:
+            v = 1.0 if eta_mode == "one" else fp.eta.evaluate(point)
+            freqs = phase_covector(atlas, fp)
+            v *= cmath.exp(1j * sum(float(f) * y**power for f, y in zip(freqs, ys)))
+            for w in fp.weights:
+                v /= sum(c * y for c, y in zip(w, ys))
+        total += v
+        scale += abs(v)
+    return total, scale
+
+
+class TestPoleGate:
+    @given(gated_atlases())
+    @settings(max_examples=80, deadline=None)
+    def test_matches_localized_sum(self, case):
+        atlas, eta_mode = case
+        k = atlas.group.rank
+        want = localize(atlas, phase_factory(eta_mode), (-1,) * k).total.principal_terms()
+        assert _principal_part(atlas, eta_mode) == want
+        if want:
+            with pytest.raises(QuadratureError, match=re.escape(str(sorted(want)))):
+                atlas_integrand(atlas, eta_mode=eta_mode)
+            return
+        g = atlas_integrand(atlas, eta_mode=eta_mode)
+        for ys in ((0.7, -0.3, 1.3), (-1.1, 0.45, 0.9)):
+            ys = ys[:k]
+            got = g.fn([np.array([y]) for y in ys])[0]
+            value, scale = _direct_value(atlas, eta_mode, ys)
+            assert abs(got - value) <= 1e-12 * scale
+
+
+def _split(a, b, idx):
+    """Halve the panels at idx, keeping the others."""
+    mid = (a[idx] + b[idx]) / 2
+    keep = np.ones(len(a), dtype=bool)
+    keep[idx] = False
+    return np.concatenate([a[keep], a[idx], mid]), np.concatenate([b[keep], mid, b[idx]])
+
+
+class TestPanelEvaluation:
+    @given(
+        gated_atlases(max_rank=1, pole_free=True),
+        st.sampled_from([0.0, 0.3, -0.7]),
+        st.sampled_from([0.5, 2.0, 50.0]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_node_evaluation(self, case, zeta, t):
+        """A panel at a time equals exp(-y^2/4t) * fn(y) at the same nodes,
+        on a uniform grid and on one with mixed half-widths, as left by
+        splitting.  The error is measured against the summed magnitudes of
+        the point terms, the scale of either route's rounding: near a
+        cancelled pole the sum itself is far smaller."""
+        atlas, eta_mode = case
+        if atlas.geometry == "hyperkahler":
+            zeta = 0.0
+        g = atlas_integrand(atlas, eta_mode=eta_mode, zeta=zeta)
+        window = 12.0 * math.sqrt(2.0 * t)
+        edges = np.linspace(-window, window, 65)
+        uniform = (edges[:-1], edges[1:])
+        mixed = _split(*uniform, np.arange(0, len(edges) - 1, 2))
+        mixed = _split(*mixed, np.arange(0, len(mixed[0]), 3))
+        panels = _MollifiedPanels(g.fn, t)
+        for a, b in (uniform, mixed):
+            half, centers = (b - a) / 2, (a + b) / 2
+            x = centers[:, None] + half[:, None] * KRONROD_NODES
+            gauss = np.exp(-(x * x) / (4.0 * t))
+            scale = sum(np.abs(_PointSum([p], g.fn.quadratic)([x])) for p in g.fn.terms)
+            got = panels.panels(centers, half)
+            assert np.all(np.abs(got - gauss * g.fn([x])) <= 1e-12 * gauss * scale)
+        assert len(np.unique(mixed[1] - mixed[0])) > 1
+        # the shift is a global phase, raw points included
+        unshifted = atlas_integrand(atlas, eta_mode=eta_mode).fn([x])
+        assert np.all(np.abs(g.fn([x]) - np.exp(-1j * zeta * x) * unshifted) <= 1e-12 * scale)
+
+    def test_split_panels_sum_like_left_edge_ordered_fsum(self):
+        fn = _MollifiedPanels(atlas_integrand(mirror_pair_atlas(7)).fn, 1.0)
+        edges = np.linspace(-16.0, 16.0, 5)
+        tol = 1e-13
+        budget = _Budget(10_000)
+        val, _ = adaptive_quadrature(fn, edges, tol, budget)
+        # reference: the same halving, each accepted panel kept with its
+        # left edge and summed in left-edge order
+        a, b = edges[:-1], edges[1:]
+        accepted = []
+        rounds = 0
+        while len(a):
+            rounds += 1
+            i15, err = _eval_panels(fn, a, b)
+            ok = err <= tol
+            accepted += [(a[j], complex(i15[j])) for j in np.nonzero(ok)[0]]
+            a, b = a[~ok], b[~ok]
+            a, b = np.concatenate([a, (a + b) / 2]), np.concatenate([(a + b) / 2, b])
+        accepted.sort(key=lambda p: p[0])
+        want = complex(
+            math.fsum(v.real for _, v in accepted), math.fsum(v.imag for _, v in accepted)
+        )
+        assert rounds > 2
+        assert (val.real.hex(), val.imag.hex()) == (want.real.hex(), want.imag.hex())
+
+
+def test_convergence_script_runs():
+    script = Path(__file__).resolve().parent.parent / "scripts" / "oracle_convergence.py"
+    out = subprocess.run(
+        [sys.executable, str(script), "builtin:sphere_S2", "--t", "1,10"],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert out.returncode == 0, out.stderr
+    assert "exact limit:" in out.stdout
