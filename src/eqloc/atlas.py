@@ -324,6 +324,11 @@ def _require_keys(doc: Mapping, required: set, optional: set, where: str):
         raise ValidationError(f"{where}: unknown keys {sorted(unknown)}")
 
 
+#: Largest magnitude of the i, pi and sqrt(2) powers of a parsed group volume
+#: (a rank-k torus has pi^k).
+MAX_VOLUME_POWER = 64
+
+
 def _parse_int(doc, where: str) -> int:
     if not isinstance(doc, int) or isinstance(doc, bool):
         raise ValidationError(f"{where}: expected an integer")
@@ -423,13 +428,16 @@ def parse_atlas(document) -> FixedPointAtlas:
         gdoc["vol"], {"q"}, {"i_pow", "pi_pow", "sqrt2_pow"}, "group vol"
     )
     vdoc = gdoc["vol"]
-    vol = SymbolicConstant(
-        _parse_frac(vdoc["q"], "group vol q"),
-        *(
-            _parse_int(vdoc.get(key, 0), f"group vol {key}")
-            for key in ("i_pow", "pi_pow", "sqrt2_pow")
-        ),
-    )
+    powers = []
+    for key in ("i_pow", "pi_pow", "sqrt2_pow"):
+        power = _parse_int(vdoc.get(key, 0), f"group vol {key}")
+        # SymbolicConstant folds sqrt2^(2m) into q as 2^m
+        if abs(power) > MAX_VOLUME_POWER:
+            raise ValidationError(
+                f"group vol {key}: {power} is beyond +-{MAX_VOLUME_POWER}"
+            )
+        powers.append(power)
+    vol = SymbolicConstant(_parse_frac(vdoc["q"], "group vol q"), *powers)
     group = GroupSpec(
         kind=str(gdoc["kind"]),
         rank=_parse_int(gdoc["rank"], "group rank"),

@@ -20,10 +20,12 @@ The alternative hyperKahler route builds each point's series in the original
 variable with the exact Laurent arithmetic, keeps its even part, substitutes
 the square of the variable, and reads the coefficient at y^-1 instead; it is
 the independent reference for the closed-form read, the two routes agree
-exactly and the report does not distinguish them.  ``localize`` (and the
-``localize`` command) also keeps the series path.  The closed-form read
-itself, ``point_coeff``, lives in ``localize`` beside ``euler_class``: the
-oracle's pole gate reads the principal part of the sum with it too.
+exactly and the report does not distinguish them.  Its extra expansion
+order is held to the series work budget of ``localize`` at the same depth.
+``localize`` (and the ``localize`` command) also keeps the series path.  The
+closed-form read itself, ``point_coeff``, lives in ``localize`` beside
+``euler_class``: the oracle's pole gate reads the principal part of the sum
+with it too.
 
 All convention-sensitive constants (2 pi powers, group volume, the hk
 structural constant) live in a ConventionProfile and are applied outside the
@@ -32,6 +34,7 @@ exact coefficient, which the report always exposes raw.
 
 from __future__ import annotations
 
+import cmath
 import json
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -54,7 +57,13 @@ from .exact import (
 )
 # The engines no longer call localize; it stays importable from this module
 # because the benchmark's tracer test reaches it as eqloc.engines.localize.
-from .localize import check_eta_mode, euler_class, localize, point_coeff  # noqa: F401
+from .localize import (  # noqa: F401
+    check_eta_mode,
+    check_series_budget,
+    euler_class,
+    localize,
+    point_coeff,
+)
 
 
 @dataclass(frozen=True)
@@ -143,7 +152,16 @@ class ExactValue:
     coeff: ComplexRational
 
     def numeric(self) -> complex:
-        return complex(self.coeff) * self.unit.numeric_value()
+        try:
+            value = complex(self.coeff) * self.unit.numeric_value()
+            if cmath.isfinite(value):
+                return value
+        except OverflowError:
+            pass
+        raise ValidationError(
+            "the exact value is beyond the range of a double, so the report "
+            "cannot state it numerically; rescale the atlas data"
+        )
 
     def to_json_dict(self) -> dict:
         n = self.numeric()
@@ -286,6 +304,9 @@ def _run(
     if via_p and k != 1:
         raise ValidationError("the even-part route is a rank-1 computation")
     target = (-2 if geometry == "hyperkahler" else -1,) * k
+    if via_p:
+        # the series route is held to localize's budget at the same depth
+        check_series_budget(atlas, tuple(t + order for t in target))
 
     entries = []
     raw = ComplexRational.zero()

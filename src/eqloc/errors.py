@@ -71,9 +71,11 @@ class InsufficientTruncationError(SeriesError):
 
     slug = "insufficient-truncation"
 
-    def __init__(self, message: str, *, variable: str, requested: int, required: int):
+    def __init__(
+        self, message: str, *, variable: str, requested: int, required: int, **context
+    ):
         super().__init__(
-            message, variable=variable, requested=requested, required=required
+            message, variable=variable, requested=requested, required=required, **context
         )
         self.variable = variable
         self.requested = requested

@@ -23,6 +23,58 @@ from .exact import ComplexRational, LaurentSeries, exp_series, invert_series
 Orders = Tuple[Optional[int], ...]
 IntegrandFactory = Callable[[FixedPointAtlas, FixedPointDatum, Orders], LaurentSeries]
 
+#: Work budget of the exact series path, in coefficient updates.  A
+#: structured point with pole order n_v, trusted through order o_v, expands
+#: its numerator through w_v = o_v + n_v in each variable v: a box of
+#: prod_v (w_v + 1) coefficients, updated once per order, sum_v w_v times.
+#: Summed over the points, that estimate may not exceed this; at the limit
+#: a rank-1 request takes a few seconds.
+SERIES_WORK_BUDGET = 500_000
+
+
+def series_work(atlas: FixedPointAtlas, orders: Orders) -> int:
+    """The work estimate that SERIES_WORK_BUDGET caps, from weight counts
+    alone; a variable with order None is not expanded."""
+    work = 0
+    for fp in atlas.fixed_points:
+        if fp.mode == "raw":
+            continue
+        widths = []
+        for v, o in enumerate(orders):
+            n_v = sum(1 for w in fp.weights if w[v] != 0)
+            widths.append(0 if o is None else max(0, o + n_v))
+        work += math.prod(w + 1 for w in widths) * sum(widths)
+    return work
+
+
+def check_series_budget(atlas: FixedPointAtlas, orders: Orders) -> None:
+    """Refuse, before any series is built, a request whose work estimate
+    exceeds SERIES_WORK_BUDGET; the message names the highest order, the
+    same in every variable, that fits."""
+    work = series_work(atlas, orders)
+    if work <= SERIES_WORK_BUDGET:
+        return
+    # bisect for the largest uniform order that fits: none of the work is
+    # left at minus the largest weight count, and the top requested order
+    # does not fit
+    top = max(o for o in orders if o is not None)
+    lo = -max(len(fp.weights) for fp in atlas.fixed_points)
+    hi = top
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if series_work(atlas, (mid,) * len(orders)) <= SERIES_WORK_BUDGET:
+            lo = mid
+        else:
+            hi = mid
+    raise ValidationError(
+        f"expanding through order {top} needs about {work} coefficient "
+        f"updates, over the exact series budget of {SERIES_WORK_BUDGET}; "
+        f"orders up to {lo} fit this atlas",
+        work=work,
+        budget=SERIES_WORK_BUDGET,
+        max_order=lo,
+    )
+
 
 def euler_class(fp: FixedPointDatum, variables: Sequence[str]) -> LaurentSeries:
     """Product of the tangent weight forms at a fixed point.
@@ -209,7 +261,8 @@ def localize(
     exact, as one integer for every variable or a per-variable sequence
     (None meaning fully exact, only possible for phase-free factories).  The
     numerator for each point is requested deep enough past that point's pole
-    order that no certified coefficient is lost to truncation.
+    order that no certified coefficient is lost to truncation.  Requests
+    past SERIES_WORK_BUDGET raise ValidationError before any work starts.
     """
     k = len(atlas.variable_order)
     if isinstance(order, int) or order is None:
@@ -220,6 +273,7 @@ def localize(
             raise ValidationError(
                 f"order vector length {len(orders)} does not match rank {k}"
             )
+    check_series_budget(atlas, orders)
     contributions = []
     total = LaurentSeries.zero(atlas.variable_order)
     for fp in atlas.fixed_points:

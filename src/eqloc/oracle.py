@@ -24,6 +24,11 @@ exp(i f c) * exp(i f h xi_k), taken once per panel centre and once per
 distinct half-width, and the Gaussian is folded into the real factor y^lo
 of each amplitude.  A hyperkahler phase exp(i f y^2) does not separate and
 is taken per node.
+
+numpy is imported when a numeric routine here first uses it, not when this
+module is imported: ``import eqloc`` and the exact-only CLI commands never
+load it.  The Kronrod rule arrays (KRONROD_NODES and friends) are built at
+that moment too, and reading one of them from outside loads numpy.
 """
 
 from __future__ import annotations
@@ -34,10 +39,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-import numpy as np
-
 from .atlas import FixedPointAtlas
-from .errors import QuadratureError, ValidationError
+from .errors import InsufficientTruncationError, QuadratureError, ValidationError
 from .exact import ComplexRational, LaurentSeries
 from .localize import check_eta_mode, monomial_euler_class, phase_covector, point_coeff
 
@@ -72,12 +75,40 @@ _WG = (
     0.417959183673469,
 )
 
-# full 15-node layout, ascending
-KRONROD_NODES = np.array([-x for x in _XGK[:-1]] + [0.0] + [x for x in reversed(_XGK[:-1])])
-KRONROD_WEIGHTS = np.array(list(_WGK[:-1]) + [_WGK[-1]] + list(reversed(_WGK[:-1])))
-# the embedded Gauss rule lives on nodes 1, 3, 5, ... of the Kronrod grid
-GAUSS_INDEX = np.arange(1, 15, 2)
-GAUSS_WEIGHTS = np.array(list(_WG[:-1]) + [_WG[-1]] + list(reversed(_WG[:-1])))
+_RULE_ARRAYS = ("KRONROD_NODES", "KRONROD_WEIGHTS", "GAUSS_INDEX", "GAUSS_WEIGHTS")
+
+
+def _load_numpy():
+    """Import numpy and build the rule arrays, binding both as module
+    globals, so that later reads are plain global lookups."""
+    global np, KRONROD_NODES, KRONROD_WEIGHTS, GAUSS_INDEX, GAUSS_WEIGHTS
+    import numpy as np
+
+    # full 15-node layout, ascending
+    KRONROD_NODES = np.array([-x for x in _XGK[:-1]] + [0.0] + [x for x in reversed(_XGK[:-1])])
+    KRONROD_WEIGHTS = np.array(list(_WGK[:-1]) + [_WGK[-1]] + list(reversed(_WGK[:-1])))
+    # the embedded Gauss rule lives on nodes 1, 3, 5, ... of the Kronrod grid
+    GAUSS_INDEX = np.arange(1, 15, 2)
+    GAUSS_WEIGHTS = np.array(list(_WG[:-1]) + [_WG[-1]] + list(reversed(_WG[:-1])))
+    return np
+
+
+class _DeferredNumpy:
+    """Stands in for ``np`` until the first attribute read, which loads
+    numpy and rebinds ``np`` to it."""
+
+    def __getattr__(self, name):
+        return getattr(np if np is not self else _load_numpy(), name)
+
+
+np = _DeferredNumpy()
+
+
+def __getattr__(name):
+    if name in _RULE_ARRAYS:
+        _load_numpy()
+        return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class _Budget:
@@ -139,8 +170,10 @@ def adaptive_quadrature(
     summed with fsum, which rounds the exact sum once, so the result does
     not depend on the splitting history.
     """
-    work_a = edges[:-1].astype(float)
-    work_b = edges[1:].astype(float)
+    # through np first, so that the rule arrays _eval_panels reads are bound
+    edges = np.asarray(edges, dtype=float)
+    work_a = edges[:-1]
+    work_b = edges[1:]
     accepted: List[np.ndarray] = []
     err_total = 0.0
     while len(work_a):
@@ -164,7 +197,8 @@ def fixed_quadrature(
 ) -> complex:
     """Single non-adaptive composite Kronrod pass over the given edges.
     Used when two integrands must be compared on the identical grid."""
-    i15, _ = _eval_panels(fn, edges[:-1].astype(float), edges[1:].astype(float))
+    edges = np.asarray(edges, dtype=float)
+    i15, _ = _eval_panels(fn, edges[:-1], edges[1:])
     return _fsum(i15)
 
 
@@ -495,7 +529,9 @@ def atlas_integrand(
     with e(y) = c y^n its monomial Euler class, and each raw point is its
     stored series.  The exact closed-form read is used only as a gate, to
     refuse data whose summed series has a genuine pole at the origin and
-    therefore no mollified limit.
+    therefore no mollified limit.  A raw point truncated below y^-1 in some
+    variable could hide such a pole, and is refused with
+    InsufficientTruncationError.
 
     zeta shifts every symplectic moment by -zeta (rank 1 only): the phase
     picks up a global factor exp(-i zeta y).
@@ -504,6 +540,21 @@ def atlas_integrand(
     if zeta and (k != 1 or atlas.geometry != "symplectic"):
         raise ValidationError("moment shifts are a symplectic circle diagnostic")
 
+    # a raw series cut below y^-1 would hide poles from the gate
+    for fp in atlas.fixed_points:
+        if fp.mode != "raw":
+            continue
+        for var, t in zip(atlas.variable_order, fp.raw_contribution.trunc):
+            if t is not None and t < -1:
+                raise InsufficientTruncationError(
+                    f"raw point {fp.name!r} is trusted only through {var}^{t}; "
+                    f"the pole gate needs its series through {var}^-1, so store "
+                    "it with truncation order at least -1",
+                    variable=var,
+                    requested=-1,
+                    required=-1,
+                    point=fp.name,
+                )
     principal = _principal_part(atlas, eta_mode)
     if principal:
         raise QuadratureError(

@@ -1,9 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from eqloc import cli
 from eqloc.atlas import (
@@ -14,6 +19,7 @@ from eqloc.atlas import (
     validate_atlas,
 )
 from eqloc.exact import LaurentSeries
+from eqloc.localize import SERIES_WORK_BUDGET
 from eqloc.roots import group_spec
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -101,6 +107,21 @@ class TestLocalize:
     def test_negative_depth(self, capsys):
         err = run_err(capsys, ["localize", "builtin:sphere_S2", "--depth", "-1"])
         assert err["error"] == "validation"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["localize", "builtin:hk_point", "--depth", "100000000"],
+            ["reduce", "builtin:hk_point", "--mode", "hk-p", "--depth", "100000000"],
+        ],
+    )
+    def test_depth_past_work_budget_is_refused_at_once(self, capsys, argv):
+        start = time.perf_counter()
+        err = run_err(capsys, argv)
+        assert time.perf_counter() - start < 1.0
+        assert err["error"] == "validation"
+        assert str(SERIES_WORK_BUDGET) in err["message"]
+        assert err["context"]["budget"] == str(SERIES_WORK_BUDGET)
 
 
 class TestReduce:
@@ -341,6 +362,22 @@ def _string_volume_power(tmp_path):
     return ["check", str(p)]
 
 
+def _huge_volume_power(tmp_path):
+    doc = json.loads((GOLDEN_DIR / "sphere_s2.json").read_text())
+    doc["group"]["vol"]["sqrt2_pow"] = 10**30
+    p = tmp_path / "a.json"
+    p.write_text(json.dumps(doc))
+    return ["check", str(p)]
+
+
+def _value_beyond_double(tmp_path):
+    doc = json.loads((GOLDEN_DIR / "hk_point.json").read_text())
+    doc["fixed_points"][0]["eta"]["terms"][0]["im"][0] = 10**400
+    p = tmp_path / "a.json"
+    p.write_text(json.dumps(doc))
+    return ["reduce", str(p), "--mode", "hk"]
+
+
 class TestErrorMapping:
     def test_unexpected_exception_is_internal(self, capsys, monkeypatch):
         def boom(args):
@@ -360,6 +397,8 @@ class TestErrorMapping:
             _nonfinite_shift,
             _nonfinite_ladder,
             _string_volume_power,
+            _huge_volume_power,
+            _value_beyond_double,
         ],
     )
     def test_bad_user_input_is_validation(self, capsys, tmp_path, argv):
@@ -384,3 +423,127 @@ class TestErrorMapping:
         assert err["slug"] == "non-invertible"
         assert err["context"] == {"point": "'product'", "weight": "(1, 1)"}
         assert "'product'" in err["message"]
+
+
+# -- numpy is loaded only by the oracle ------------------------------------
+
+_BLOCKED_NUMPY_RUNNER = """
+import io, json, sys
+from contextlib import redirect_stdout
+sys.modules["numpy"] = None  # any import of numpy now fails
+import eqloc.cli
+results = []
+for argv in json.loads(sys.argv[1]):
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        code = eqloc.cli.run(argv)
+    results.append([code, buf.getvalue()])
+print(json.dumps(results))
+"""
+
+
+def _fresh_python(args):
+    """Run python in a fresh interpreter on this checkout's package."""
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    return subprocess.run(
+        [sys.executable, *args],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+
+
+class TestNumpyOnlyForTheOracle:
+    def test_exact_only_commands_run_without_numpy(self, capsys, tmp_path):
+        commands = [
+            ["check", str(GOLDEN_DIR / "sphere_s2.json")],
+            ["reduce", str(GOLDEN_DIR / "mirror_pair_7.json"), "--mode", "symplectic"],
+            ["reduce", str(GOLDEN_DIR / "hk_point.json"), "--mode", "hk-p"],
+            ["localize", str(GOLDEN_DIR / "sphere_s2.json"), "--depth", "2"],
+            ["roots", "SU(2)"],
+            ["examples", "--out", str(tmp_path)],
+        ]
+        proc = _fresh_python(["-c", _BLOCKED_NUMPY_RUNNER, json.dumps(commands)])
+        assert proc.returncode == 0, proc.stderr
+        blocked = json.loads(proc.stdout)
+        for argv, (code, out) in zip(commands, blocked):
+            assert cli.run(argv) == 0
+            assert (code, out) == (0, capsys.readouterr().out), argv
+
+    def test_oracle_module_is_imported_and_loads_numpy_on_use(self, capsys):
+        """``import eqloc`` binds eqloc.oracle and the names the benchmark's
+        tracer rebinds, without numpy; the oracle then loads it on use."""
+        names = ("oracle_comparison", "atlas_integrand", "adaptive_quadrature")
+        probe = _fresh_python(
+            [
+                "-c",
+                "import sys, eqloc; oracle = sys.modules['eqloc.oracle']; "
+                f"print([callable(getattr(oracle, n)) for n in {names!r}], "
+                "'numpy' in sys.modules)",
+            ]
+        )
+        assert probe.stdout == "[True, True, True] False\n", probe.stderr
+        argv = ["reduce", "builtin:mirror_pair(7)", "--mode", "symplectic", "--oracle"]
+        proc = _fresh_python(["-m", "eqloc.cli", *argv])
+        assert proc.returncode == 0, proc.stderr
+        doc = run_json(capsys, argv)
+        assert doc["oracle_comparison"]["rel_err"] < 1e-6
+        assert proc.stdout == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+# -- mutated goldens -----------------------------------------------------
+
+GOLDEN_FILES = sorted(GOLDEN_DIR.glob("*.json"))
+# a wrong type or an out-of-range value for any node; huge ints overflow a
+# double, the floats and strings are numbers in the wrong form
+_REPLACEMENTS = ("x", "", "1", 2.5, -0.5, 1e308, True, False, None, 10**400, -(10**400), [], {})
+
+
+def _json_paths(node, path=()):
+    """The path of every node below the root of a JSON document."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, child in items:
+        yield path + (key,)
+        yield from _json_paths(child, path + (key,))
+
+
+@st.composite
+def golden_mutants(draw):
+    """(document text, --mode) for a golden file with one node dropped or
+    replaced."""
+    doc = json.loads(draw(st.sampled_from(GOLDEN_FILES)).read_text())
+    mode = "hk" if doc.get("geometry") == "hyperkahler" else "symplectic"
+    *parents, last = draw(st.sampled_from(list(_json_paths(doc))))
+    parent = doc
+    for key in parents:
+        parent = parent[key]
+    mutation = draw(st.sampled_from(("drop",) + _REPLACEMENTS))
+    if mutation == "drop":
+        del parent[last]
+    else:
+        parent[last] = mutation
+    return json.dumps(doc), mode
+
+
+class TestGoldenMutations:
+    @given(golden_mutants())
+    @settings(
+        max_examples=150,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    def test_exit_code_is_zero_or_one(self, capsys, tmp_path, case):
+        text, mode = case
+        path = tmp_path / "mutant.json"
+        path.write_text(text)
+        for argv in (["check", str(path)], ["reduce", str(path), "--mode", mode]):
+            code = cli.run(argv)
+            err = capsys.readouterr().err
+            assert code in (0, 1), (argv, err)
+            assert "Traceback" not in err

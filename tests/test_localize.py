@@ -5,6 +5,7 @@ phase-weighted sum telescopes to (e^{iy} - e^{-iy}) / y = 2i sin(y)/y, whose
 Taylor coefficients at y^0, y^2, y^4, y^6 are 2i, -i/3, i/60, -i/2520.
 """
 
+import importlib
 from dataclasses import replace
 from fractions import Fraction
 
@@ -25,11 +26,13 @@ from eqloc.atlas import (
 from eqloc.errors import NonInvertibleError, ValidationError
 from eqloc.exact import ComplexRational, LaurentSeries
 from eqloc.localize import (
+    SERIES_WORK_BUDGET,
     euler_class,
     localize,
     phase_covector,
     phase_factory,
     restriction_factory,
+    series_work,
 )
 
 
@@ -169,3 +172,28 @@ def test_localization_is_additive_over_points(s1, s2):
     fb = localize(b, phase_factory(), 3).total
     fm = localize(merged, phase_factory(), 3).total
     assert fm == fa + fb
+
+
+@pytest.mark.parametrize(
+    "atlas",
+    [sphere_atlas(), hk_point_atlas(), hk_torus_rank2_atlas()],
+    ids=["sphere_S2", "hk_point", "hk_torus_rank2"],
+)
+def test_work_budget_refuses_before_any_series(atlas, monkeypatch):
+    """A refused request builds no series; the order named in the refusal
+    fits the budget and the next one does not."""
+
+    def no_series(*args):
+        raise AssertionError("series work started")
+
+    # the package binds the name localize to the function, not the module
+    module = importlib.import_module("eqloc.localize")
+    monkeypatch.setattr(module, "exp_series", no_series)
+    monkeypatch.setattr(module, "invert_series", no_series)
+    k = atlas.group.rank
+    with pytest.raises(ValidationError, match=str(SERIES_WORK_BUDGET)) as exc:
+        localize(atlas, phase_factory(), 10**6)
+    top = exc.value.context["max_order"]
+    assert series_work(atlas, (top,) * k) <= SERIES_WORK_BUDGET < series_work(atlas, (top + 1,) * k)
+    with pytest.raises(ValidationError):
+        localize(atlas, phase_factory(), top + 1)

@@ -3,6 +3,7 @@ import math
 import re
 import subprocess
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -19,8 +20,8 @@ from eqloc.atlas import (
     sphere_atlas,
     validate_atlas,
 )
-from eqloc.engines import reduce_symplectic_circle
-from eqloc.errors import QuadratureError, ValidationError
+from eqloc.engines import reduce_hk_circle, reduce_hk_circle_viaP, reduce_symplectic_circle
+from eqloc.errors import InsufficientTruncationError, QuadratureError, ValidationError
 from eqloc.exact import ComplexRational, LaurentSeries, exp_series
 from eqloc.localize import localize, phase_covector, phase_factory
 from eqloc.oracle import (
@@ -234,6 +235,29 @@ class TestHyperkahlerOracle:
         with pytest.raises(QuadratureError, match="pole at the origin"):
             atlas_integrand(hk_point_atlas())
 
+    def test_short_raw_truncation_is_refused(self):
+        """An empty raw point trusted only through y^-5 would hide the
+        poles at y^-4 and y^-2 from the gate; the engines refuse the same
+        atlas for the same reason."""
+        atlas = hk_point_atlas()
+        (fp,) = atlas.fixed_points
+        raw = replace(
+            fp,
+            name="cut",
+            weights=(),
+            eta=LaurentSeries.const(("y",), 1),
+            mode="raw",
+            raw_contribution=LaurentSeries(("y",), {}, (-5,)),
+        )
+        atlas = replace(atlas, fixed_points=(fp, raw))
+        validate_atlas(atlas)
+        with pytest.raises(InsufficientTruncationError, match="'cut'.*y\\^-5") as exc:
+            atlas_integrand(atlas)
+        assert (exc.value.required, exc.value.context["point"]) == (-1, "cut")
+        for engine in (reduce_hk_circle, reduce_hk_circle_viaP):
+            with pytest.raises(InsufficientTruncationError):
+                engine(atlas)
+
 
 def cmath_exp_3pi4() -> complex:
     return complex(-1.0, 1.0) / math.sqrt(2.0)
@@ -426,13 +450,13 @@ class TestAtlasIntegrand:
 
 
 @st.composite
-def gated_atlases(draw, max_rank=3, pole_free=None):
+def gated_atlases(draw, max_rank=3, pole_free=None, min_trunc=-3):
     """(atlas, eta_mode) for rank 1..max_rank, either geometry: structured
     points with several signed weights, each involving one variable, moments
     of either sign and eta terms up to past the pole order; raw points with
-    random terms and truncation orders; and, when pole_free (drawn if None),
-    one more raw point holding the negated principal part of the localized
-    sum, so that the sum has no pole."""
+    random terms and truncation orders from min_trunc up; and, when
+    pole_free (drawn if None), one more raw point holding the negated
+    principal part of the localized sum, so that the sum has no pole."""
     k = draw(st.integers(1, max_rank))
     hk = draw(st.booleans())
     eta_mode = draw(st.sampled_from(["atlas", "one"]))
@@ -489,7 +513,9 @@ def gated_atlases(draw, max_rank=3, pole_free=None):
             tuple(draw(st.integers(-3, 3)) for _ in range(k)): draw(coeff)
             for _ in range(draw(st.integers(0, 3)))
         }
-        trunc = tuple(draw(st.one_of(st.none(), st.integers(-3, 3))) for _ in range(k))
+        trunc = tuple(
+            draw(st.one_of(st.none(), st.integers(min_trunc, 3))) for _ in range(k)
+        )
         points.append(raw_point(f"raw{j}", terms, trunc))
 
     def make(pts):
@@ -544,6 +570,17 @@ class TestPoleGate:
         k = atlas.group.rank
         want = localize(atlas, phase_factory(eta_mode), (-1,) * k).total.principal_terms()
         assert _principal_part(atlas, eta_mode) == want
+        short = [
+            fp.name
+            for fp in atlas.fixed_points
+            if fp.mode == "raw"
+            and any(t is not None and t < -1 for t in fp.raw_contribution.trunc)
+        ]
+        if short:
+            # such a series could hide a pole below its truncation order
+            with pytest.raises(InsufficientTruncationError, match=re.escape(repr(short[0]))):
+                atlas_integrand(atlas, eta_mode=eta_mode)
+            return
         if want:
             with pytest.raises(QuadratureError, match=re.escape(str(sorted(want)))):
                 atlas_integrand(atlas, eta_mode=eta_mode)
@@ -566,7 +603,7 @@ def _split(a, b, idx):
 
 class TestPanelEvaluation:
     @given(
-        gated_atlases(max_rank=1, pole_free=True),
+        gated_atlases(max_rank=1, pole_free=True, min_trunc=-1),
         st.sampled_from([0.0, 0.3, -0.7]),
         st.sampled_from([0.5, 2.0, 50.0]),
     )
