@@ -241,7 +241,8 @@ def _cmd_oracle(args) -> int:
     if args.suptsq is not None:
         x_text, n_text = args.suptsq
         try:
-            x, n = float(x_text), int(n_text)
+            (x,) = _numbers(x_text, "--suptsq X")
+            n = int(n_text)
         except ValueError:
             raise ValidationError("--suptsq expects a float X and an integer N")
         ladder = _ladder(args.t_ladder)

@@ -14,6 +14,15 @@ what makes coefficient extraction downstream exact rather than approximately
 truncated: a caller who needs the coefficient at exponent -m of N(y)/y^p
 expands N to degree p - m, and multiplication by the monomial y^{-p} then
 records that the result is trusted exactly through y^{-m}.
+
+A ComplexRational stores its value (p + i q) / d as three ints (p, q, d)
+with d > 0 and gcd(p, q, d) = 1, one denominator per coefficient; ``re``
+and ``im`` hand out Fractions.  Series arithmetic builds its results from
+terms that are already canonical and wraps them without validating them
+again (``LaurentSeries._canonical``); the public constructor keeps every
+check for data from outside.  ``exp_series`` and ``invert_series`` sum
+their powers into one dictionary, so their cost grows linearly with the
+number of powers.
 """
 
 from __future__ import annotations
@@ -21,6 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add, le
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
 from .errors import (
@@ -43,86 +53,161 @@ def _frac(x: RationalLike) -> Fraction:
     raise TypeError(f"expected an integer or Fraction, got {type(x).__name__}")
 
 
-@dataclass(frozen=True)
 class ComplexRational:
-    """A complex number with exact rational real and imaginary parts."""
+    """A complex number with exact rational real and imaginary parts.
 
-    re: Fraction
-    im: Fraction
+    The value (p + i q) / d is stored as one tuple of three ints in normal
+    form: d > 0 and gcd(p, q, d) = 1, so zero is (0, 0, 1) and equal values
+    have equal representations.  ``re`` and ``im`` are read-only and return
+    Fractions.  Each arithmetic result costs a few integer products and one
+    gcd.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "re", _frac(self.re))
-        object.__setattr__(self, "im", _frac(self.im))
+    __slots__ = ("_v",)
+
+    def __init__(self, re: RationalLike, im: RationalLike):
+        re, im = _frac(re), _frac(im)
+        a, b = re.denominator, im.denominator
+        g = math.gcd(a, b)
+        # over the lcm of two reduced denominators, gcd(p, q, d) is already 1
+        _set_v(self, (re.numerator * (b // g), im.numerator * (a // g), a // g * b))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"ComplexRational is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"ComplexRational is immutable; cannot delete {name!r}")
+
+    def __reduce__(self):
+        return (ComplexRational, (self.re, self.im))
+
+    @property
+    def re(self) -> Fraction:
+        p, _, d = self._v
+        return Fraction(p, d)
+
+    @property
+    def im(self) -> Fraction:
+        _, q, d = self._v
+        return Fraction(q, d)
 
     @classmethod
     def zero(cls) -> "ComplexRational":
-        return cls(Fraction(0), Fraction(0))
+        return _ZERO
 
     @classmethod
     def one(cls) -> "ComplexRational":
-        return cls(Fraction(1), Fraction(0))
+        return _ONE
 
     @classmethod
     def i(cls) -> "ComplexRational":
-        return cls(Fraction(0), Fraction(1))
+        return _I
 
     @classmethod
     def of(cls, re: RationalLike, im: RationalLike = 0) -> "ComplexRational":
-        return cls(_frac(re), _frac(im))
+        return cls(re, im)
 
     def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
+        return not self
 
     def __bool__(self) -> bool:
-        return not self.is_zero()
+        v = self._v
+        return v[0] != 0 or v[1] != 0
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not ComplexRational:
+            return NotImplemented
+        return self._v == other._v
+
+    def __hash__(self) -> int:
+        return hash(self._v)
 
     def __add__(self, other: "ComplexRational") -> "ComplexRational":
-        other = _coerce_cr(other)
-        return ComplexRational(self.re + other.re, self.im + other.im)
+        if type(other) is not ComplexRational:
+            other = _coerce_cr(other)
+        p1, q1, d1 = self._v
+        p2, q2, d2 = other._v
+        if d1 == d2:
+            return _normal(p1 + p2, q1 + q2, d1)
+        return _normal(p1 * d2 + p2 * d1, q1 * d2 + q2 * d1, d1 * d2)
 
     __radd__ = __add__
 
     def __sub__(self, other: "ComplexRational") -> "ComplexRational":
-        other = _coerce_cr(other)
-        return ComplexRational(self.re - other.re, self.im - other.im)
+        return self + -_coerce_cr(other)
 
     def __neg__(self) -> "ComplexRational":
-        return ComplexRational(-self.re, -self.im)
+        p, q, d = self._v
+        return _make((-p, -q, d))
 
     def __mul__(self, other) -> "ComplexRational":
-        other = _coerce_cr(other)
-        return ComplexRational(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        if type(other) is not ComplexRational:
+            other = _coerce_cr(other)
+        p1, q1, d1 = self._v
+        p2, q2, d2 = other._v
+        return _normal(p1 * p2 - q1 * q2, p1 * q2 + q1 * p2, d1 * d2)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "ComplexRational":
-        other = _coerce_cr(other)
-        den = other.re * other.re + other.im * other.im
-        if den == 0:
+        if type(other) is not ComplexRational:
+            other = _coerce_cr(other)
+        p1, q1, d1 = self._v
+        p2, q2, d2 = other._v
+        norm = p2 * p2 + q2 * q2
+        if norm == 0:
             raise ZeroDivisionError("division by zero ComplexRational")
-        return ComplexRational(
-            (self.re * other.re + self.im * other.im) / den,
-            (self.im * other.re - self.re * other.im) / den,
+        # (p1 + i q1)/d1 * d2 (p2 - i q2) / (p2^2 + q2^2)
+        return _normal(
+            (p1 * p2 + q1 * q2) * d2, (q1 * p2 - p1 * q2) * d2, d1 * norm
         )
 
     def conjugate(self) -> "ComplexRational":
-        return ComplexRational(self.re, -self.im)
+        p, q, d = self._v
+        return _make((p, -q, d))
 
     def __complex__(self) -> complex:
-        return complex(float(self.re), float(self.im))
+        # int true division is correctly rounded, as float(Fraction) is
+        p, q, d = self._v
+        return complex(p / d, q / d)
 
     def __str__(self) -> str:
         return f"({self.re},{self.im})"
+
+    def __repr__(self) -> str:
+        return f"ComplexRational(re={self.re!r}, im={self.im!r})"
+
+
+_set_v = ComplexRational._v.__set__
+_new_object = object.__new__
+
+
+def _make(v: tuple) -> ComplexRational:
+    """A ComplexRational from a (p, q, d) tuple already in normal form."""
+    out = _new_object(ComplexRational)
+    _set_v(out, v)
+    return out
+
+
+def _normal(p: int, q: int, d: int) -> ComplexRational:
+    """(p + i q) / d for d > 0, reduced to normal form; gcd(0, 0, d) = d
+    sends every zero to (0, 0, 1)."""
+    g = math.gcd(p, q, d)
+    if g != 1:
+        return _make((p // g, q // g, d // g))
+    return _make((p, q, d))
+
+
+_ZERO = _make((0, 0, 1))
+_ONE = _make((1, 0, 1))
+_I = _make((0, 1, 1))
 
 
 def _coerce_cr(x) -> ComplexRational:
     if isinstance(x, ComplexRational):
         return x
     if isinstance(x, (int, Fraction)):
-        return ComplexRational(_frac(x), Fraction(0))
+        return _make((int(x.numerator), 0, x.denominator))
     raise TypeError(f"cannot interpret {type(x).__name__} as ComplexRational")
 
 
@@ -250,6 +335,35 @@ def _add_none(a: Optional[int], b: int) -> Optional[int]:
     return None if a is None else a + b
 
 
+def _limits(trunc: Trunc) -> tuple:
+    """Per-variable upper bound on a kept exponent: the truncation order,
+    or infinity where the series is exact."""
+    return tuple(math.inf if t is None else t for t in trunc)
+
+
+def _clip(f: "LaurentSeries", trunc: Trunc) -> "LaurentSeries":
+    """f declared trusted through trunc instead, keeping only the terms
+    within it, as the validating constructor would."""
+    lim = _limits(trunc)
+    return LaurentSeries._canonical(
+        f.vars, {e: c for e, c in f.terms.items() if all(map(le, e, lim))}, trunc
+    )
+
+
+def _accumulate(acc: dict, terms: Mapping) -> None:
+    """acc += terms, coefficient by coefficient, in place."""
+    for e, c in terms.items():
+        prev = acc.get(e)
+        if prev is None:
+            acc[e] = c
+        else:
+            c = prev + c
+            if c:
+                acc[e] = c
+            else:
+                del acc[e]
+
+
 class LaurentSeries:
     """Multivariate Laurent series: finitely many terms, each a ComplexRational
     coefficient attached to an integer exponent vector, with a per-variable
@@ -279,6 +393,7 @@ class LaurentSeries:
                 f"truncation vector length {len(tr)} does not match {len(vs)} variables"
             )
         clean: dict = {}
+        repeated = False
         if terms:
             for exps, coeff in terms.items():
                 exps = tuple(int(e) for e in exps)
@@ -292,10 +407,26 @@ class LaurentSeries:
                     continue
                 if any(t is not None and e > t for e, t in zip(exps, tr)):
                     continue  # beyond declared accuracy: not representable
-                clean[exps] = clean.get(exps, ComplexRational.zero()) + coeff
+                if exps in clean:  # two keys that name the same exponents
+                    coeff = clean[exps] + coeff
+                    repeated = True
+                clean[exps] = coeff
+        if repeated:
+            clean = {e: c for e, c in clean.items() if c}
         self.vars = vs
-        self.terms = {e: c for e, c in clean.items() if not c.is_zero()}
+        self.terms = clean
         self.trunc = tr
+
+    @classmethod
+    def _canonical(cls, variables: tuple, terms: dict, trunc: tuple) -> "LaurentSeries":
+        """Wrap terms that are already canonical (int-tuple exponents of the
+        right length, nonzero ComplexRational coefficients, nothing beyond
+        trunc) without checking them again."""
+        out = object.__new__(cls)
+        out.vars = variables
+        out.terms = terms
+        out.trunc = trunc
+        return out
 
     # -- constructors ----------------------------------------------------
 
@@ -345,9 +476,7 @@ class LaurentSeries:
         """Per-variable minimum exponent present (0 for the empty series)."""
         if not self.terms:
             return (0,) * len(self.vars)
-        return tuple(
-            min(e[v] for e in self.terms) for v in range(len(self.vars))
-        )
+        return tuple(map(min, zip(*self.terms)))
 
     def has_negative_exponents(self) -> bool:
         return any(any(x < 0 for x in e) for e in self.terms)
@@ -396,7 +525,7 @@ class LaurentSeries:
         return self + (-other)
 
     def __neg__(self) -> "LaurentSeries":
-        return LaurentSeries(
+        return LaurentSeries._canonical(
             self.vars, {e: -c for e, c in self.terms.items()}, self.trunc
         )
 
@@ -404,7 +533,8 @@ class LaurentSeries:
         c = _coerce_cr(c)
         if c.is_zero():
             return LaurentSeries.zero(self.vars, self.trunc)
-        return LaurentSeries(
+        # a product of nonzero coefficients is nonzero
+        return LaurentSeries._canonical(
             self.vars, {e: c * v for e, v in self.terms.items()}, self.trunc
         )
 
@@ -420,16 +550,20 @@ class LaurentSeries:
             _min_none(_add_none(tb, a_min), _add_none(ta, b_min))
             for ta, tb, a_min, b_min in zip(self.trunc, other.trunc, ma, mb)
         )
+        lim = _limits(tr)
         terms: dict = {}
+        other_terms = other.terms.items()
         for ea, ca in self.terms.items():
-            for eb, cb in other.terms.items():
-                e = tuple(x + y for x, y in zip(ea, eb))
-                if any(t is not None and x > t for x, t in zip(e, tr)):
+            for eb, cb in other_terms:
+                e = tuple(map(add, ea, eb))
+                if not all(map(le, e, lim)):
                     continue
                 prev = terms.get(e)
-                prod = ca * cb
-                terms[e] = prod if prev is None else prev + prod
-        return LaurentSeries(self.vars, terms, tr)
+                terms[e] = ca * cb if prev is None else prev + ca * cb
+        # sums can cancel; a product of nonzero coefficients cannot
+        return LaurentSeries._canonical(
+            self.vars, {e: c for e, c in terms.items() if c}, tr
+        )
 
     __rmul__ = __mul__
 
@@ -651,19 +785,19 @@ def exp_series(p: LaurentSeries, order) -> LaurentSeries:
             raise NegativeExponentError(
                 "exp needs a finite truncation order in every involved variable"
             )
-    acc = LaurentSeries.const(p.vars, 1, tr)
-    term = acc
+    term = LaurentSeries.const(p.vars, 1, tr)
+    acc = dict(term.terms)
     n = 0
     while True:
         n += 1
         term = (term * p).scale(Fraction(1, n))
         # Clip to the target orders: the product rule can report more trust
         # than we asked for, which would keep dead high-degree terms alive.
-        term = LaurentSeries(term.vars, term.terms, tr)
+        term = _clip(term, tr)
         if term.is_zero():
             break
-        acc = acc + term
-    return acc
+        _accumulate(acc, term.terms)
+    return LaurentSeries._canonical(p.vars, acc, tr)
 
 
 def invert_series(f: LaurentSeries, order) -> LaurentSeries:
@@ -726,16 +860,17 @@ def invert_series(f: LaurentSeries, order) -> LaurentSeries:
                     )
         # rest has strictly positive minimal total degree, so the geometric
         # series terminates under truncation.
-        rest = LaurentSeries(rest.vars, rest.terms, u_orders)
-        acc = LaurentSeries.const(f.vars, 1, u_orders)
-        term = acc
+        neg_rest = -LaurentSeries(rest.vars, rest.terms, u_orders)
+        term = LaurentSeries.const(f.vars, 1, u_orders)
+        acc = dict(term.terms)
         while True:
-            term = term * (-rest)
-            term = LaurentSeries(term.vars, term.terms, u_orders)
+            term = _clip(term * neg_rest, u_orders)
             if term.is_zero():
                 break
-            acc = acc + term
-        inv_u = acc.scale(ComplexRational.one() / c0)
+            _accumulate(acc, term.terms)
+        inv_u = LaurentSeries._canonical(f.vars, acc, u_orders).scale(
+            ComplexRational.one() / c0
+        )
     inv_mono = LaurentSeries.monomial(
         f.vars, tuple(-x for x in m), 1
     )

@@ -28,7 +28,8 @@ IntegrandFactory = Callable[[FixedPointAtlas, FixedPointDatum, Orders], LaurentS
 #: its numerator through w_v = o_v + n_v in each variable v: a box of
 #: prod_v (w_v + 1) coefficients, updated once per order, sum_v w_v times.
 #: Summed over the points, that estimate may not exceed this; at the limit
-#: a rank-1 request takes a few seconds.
+#: a whole ``eqloc localize`` call on a builtin atlas takes 0.24-0.47 s on a
+#: 2-core Xeon VM, about 0.2 s of it interpreter start-up.
 SERIES_WORK_BUDGET = 500_000
 
 

@@ -36,6 +36,7 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -662,6 +663,32 @@ class DecayTable:
         }
 
 
+#: panel budget of each ladder rung of suptsq_check
+SUPTSQ_MAX_PANELS = 300_000
+
+
+def _max_finite_power(base: float) -> Optional[int]:
+    """The largest p with base**p finite in double precision, or None when
+    base <= 1 and no power overflows."""
+    if base <= 1:
+        return None
+
+    def fits(p: int) -> bool:
+        try:
+            base**p  # float ** int raises instead of returning inf
+        except OverflowError:
+            return False
+        return True
+
+    p = int(math.log(sys.float_info.max) / math.log(base))
+    # the logarithms are rounded; step to the exact boundary
+    while not fits(p):
+        p -= 1
+    while fits(p + 1):
+        p += 1
+    return p
+
+
 def suptsq_check(
     x: float,
     n: int,
@@ -675,21 +702,46 @@ def suptsq_check(
     constant is calibrated on the first ladder point and the remaining rows
     are checked against it (with slack for the quadrature noise floor).  For
     x = 0 the integral grows like sqrt(t) and no decay claim is made.
+
+    The widest window is at the top of the ladder.  An x whose panels there
+    exceed the panel budget, or an n whose y^(n/2) overflows a double at
+    that window's edge, is refused, naming the largest value that fits.
     """
     if n < 0 or n % 2 != 0:
         raise ValidationError("n must be an even nonnegative integer")
     power = n // 2
     ladder = tuple(float(t) for t in t_ladder)
-    if len(ladder) < 1 or any(t <= 0 for t in ladder) or any(
+    # written so that NaN fails every test
+    if len(ladder) < 1 or not all(0 < t < math.inf for t in ladder) or any(
         a >= b for a, b in zip(ladder, ladder[1:])
     ):
-        raise ValidationError("t ladder must be positive and strictly increasing")
+        raise ValidationError("t ladder must be finite, positive and strictly increasing")
+    if not math.isfinite(x):
+        raise ValidationError(f"x must be a finite number, got {x!r}")
+    top = window_sigmas * math.sqrt(2.0 * ladder[-1])
+    # _panel_edges lays about 8 |x| top / pi panels over the widest window
+    # (and divides by 0 once 4 |x| overflows), so refuse before building it
+    x_max = SUPTSQ_MAX_PANELS / 8 * math.pi / top
+    if abs(x) > x_max:
+        raise ValidationError(
+            f"|x| = {abs(x):g} needs more than the {SUPTSQ_MAX_PANELS} panels "
+            f"of the budget at t = {ladder[-1]:g}; |x| up to {x_max:g} fits",
+            max_abs_x=x_max,
+        )
+    edge = float(_panel_edges(top, abs(x))[-1])
+    max_power = _max_finite_power(edge)
+    if max_power is not None and power > max_power:
+        raise ValidationError(
+            f"y^{power} overflows a double at the window edge |y| = {edge:g} "
+            f"of t = {ladder[-1]:g}; it stays finite there for n up to {2 * max_power}",
+            max_n=2 * max_power,
+        )
 
     values = []
     for t in ladder:
         window = window_sigmas * math.sqrt(2.0 * t)
         edges = _panel_edges(window, abs(x))
-        budget = _Budget(300_000)
+        budget = _Budget(SUPTSQ_MAX_PANELS)
 
         def fn(y: np.ndarray, t=t) -> np.ndarray:
             base = np.exp(-(y * y) / (4.0 * t) + 1j * x * y)

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import time
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -378,6 +379,22 @@ def _value_beyond_double(tmp_path):
     return ["reduce", str(p), "--mode", "hk"]
 
 
+def _suptsq_infinite_x(tmp_path):
+    return ["oracle", "--suptsq", "inf", "2"]
+
+
+def _suptsq_nan_x(tmp_path):
+    return ["oracle", "--suptsq", "nan", "2"]
+
+
+def _suptsq_x_near_double_max(tmp_path):
+    return ["oracle", "--suptsq", "1e308", "2"]
+
+
+def _suptsq_power_past_double(tmp_path):
+    return ["oracle", "--suptsq", "0", "1000"]
+
+
 class TestErrorMapping:
     def test_unexpected_exception_is_internal(self, capsys, monkeypatch):
         def boom(args):
@@ -399,10 +416,16 @@ class TestErrorMapping:
             _string_volume_power,
             _huge_volume_power,
             _value_beyond_double,
+            _suptsq_infinite_x,
+            _suptsq_nan_x,
+            _suptsq_x_near_double_max,
+            _suptsq_power_past_double,
         ],
     )
     def test_bad_user_input_is_validation(self, capsys, tmp_path, argv):
-        rc = cli.run(argv(tmp_path))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a warning would reach stderr
+            rc = cli.run(argv(tmp_path))
         err = capsys.readouterr().err
         assert rc == 1
         assert "Traceback" not in err

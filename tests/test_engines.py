@@ -371,6 +371,22 @@ def test_even_part_route_on_quartic_point():
     assert direct.canonical_json() == via.canonical_json()
 
 
+@pytest.mark.parametrize("name", ["hk_point", "hk_synthetic(1)", "hk_synthetic(7)"])
+def test_even_part_route_at_the_series_budget_matches_direct(name):
+    """The deepest depth the exact series budget allows (its refusal names
+    the largest order that fits; depth = order + 2 at the y^-2 read)."""
+    a = builtin_atlas(name)
+    with pytest.raises(ValidationError) as exc:
+        reduce_hk_circle_viaP(a, order=10**6)
+    depth = exc.value.context["max_order"] + 2
+    assert depth > 100
+    with pytest.raises(ValidationError):
+        reduce_hk_circle_viaP(a, order=depth + 1)
+    via = reduce_hk_circle_viaP(a, order=depth)
+    assert via.canonical_json() == reduce_hk_circle(a, order=depth).canonical_json()
+    assert via.canonical_json() == reduce_hk_circle_viaP(a).canonical_json()
+
+
 def test_odd_eta_killed_by_even_projector_both_routes():
     a = hk_circle_atlas([hk_point("p", (1, 0, 0), [1, 1], {(1,): cr(4)})])
     assert reduce_hk_circle(a).raw_coefficient == cr(0)

@@ -7,7 +7,9 @@ behaviour is additionally checked against an independent naive convolution
 written directly in this file.
 """
 
+import copy
 import math
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -64,6 +66,109 @@ def test_complex_rational_field_ops():
 def test_complex_rational_division_by_zero():
     with pytest.raises(ZeroDivisionError):
         cr(1) / cr(0)
+
+
+# Reference arithmetic on (re, im) pairs of Fractions, independent of the
+# (p, q, d) representation.  Values mix small fractions (zeros, repeated
+# denominators, cancellation) with wide ones.
+ref_rationals = st.one_of(
+    st.fractions(min_value=-4, max_value=4, max_denominator=8),
+    st.builds(Fraction, st.integers(-(10**15), 10**15), st.integers(1, 10**9)),
+)
+ref_pairs = st.tuples(ref_rationals, ref_rationals)
+
+
+def normal_form(re: Fraction, im: Fraction) -> tuple:
+    """(p, q, d) of (p + iq)/d over the lcm d of the two denominators."""
+    d = math.lcm(re.denominator, im.denominator)
+    return (re.numerator * (d // re.denominator), im.numerator * (d // im.denominator), d)
+
+
+def assert_value(x: ComplexRational, ref: tuple) -> None:
+    assert (x.re, x.im) == ref
+    p, q, d = x._v
+    assert d > 0 and math.gcd(p, q, d) == 1
+    assert x._v == normal_form(*ref)
+
+
+@given(ref_pairs, ref_pairs)
+@settings(max_examples=300)
+def test_complex_rational_matches_fraction_pairs(a, b):
+    x, y = ComplexRational(*a), ComplexRational(*b)
+    (ar, ai), (br, bi) = a, b
+    cases = [
+        (x, a),
+        (x + y, (ar + br, ai + bi)),
+        (x - y, (ar - br, ai - bi)),
+        (x * y, (ar * br - ai * bi, ar * bi + ai * br)),
+        (-x, (-ar, -ai)),
+        (x.conjugate(), (ar, -ai)),
+    ]
+    norm = br * br + bi * bi
+    if norm:
+        cases.append((x / y, ((ar * br + ai * bi) / norm, (ai * br - ar * bi) / norm)))
+    else:
+        with pytest.raises(ZeroDivisionError):
+            x / y
+    for got, ref in cases:
+        assert_value(got, ref)
+
+
+def test_zero_has_one_representation():
+    zeros = [cr(0), ComplexRational.zero(), cr(1, 2) - cr(1, 2), cr(0, 1) * cr(0),
+             -cr(0), cr(Fraction(1, 3), Fraction(-5, 7)) * cr(0, 0)]
+    for z in zeros:
+        assert z._v == (0, 0, 1)
+        assert z == ComplexRational.zero() and hash(z) == hash(ComplexRational.zero())
+        assert z.is_zero() and not z
+
+
+@given(ref_pairs, ref_pairs.filter(lambda b: b != (0, 0)), st.integers(1, 10**6))
+def test_equal_values_are_equal_and_hash_equal(a, b, k):
+    x, y = ComplexRational(*a), ComplexRational(*b)
+    for other in (x * y / y, (x + y) - y, (x - y) + y, x * k / k, -(-x),
+                  x.conjugate().conjugate(), ComplexRational(x.re, x.im)):
+        assert other == x
+        assert hash(other) == hash(x)
+        assert other._v == x._v
+
+
+def test_equal_values_from_different_routes():
+    half = cr(Fraction(1, 2))
+    assert cr(2) / cr(4) == half and hash(cr(2) / cr(4)) == hash(half)
+    assert cr(1, 1) * cr(1, -1) == cr(2)
+    assert cr(3, 3) / cr(6) == cr(Fraction(1, 2), Fraction(1, 2))
+    assert cr(1, 1) / cr(1, 1) == ComplexRational.one()
+    assert {cr(2) / cr(4), half, cr(1) - half} == {half}
+
+
+@given(ref_pairs)
+def test_re_im_str_round_trip(a):
+    x = ComplexRational(*a)
+    assert type(x.re) is Fraction and type(x.im) is Fraction
+    assert ComplexRational(x.re, x.im) == x
+    assert str(x) == f"({a[0]},{a[1]})"
+    re_text, im_text = str(x)[1:-1].split(",")
+    assert ComplexRational(Fraction(re_text), Fraction(im_text)) == x
+    assert complex(x) == complex(float(a[0]), float(a[1]))
+
+
+def test_complex_rational_refuses_floats_and_stays_immutable():
+    for bad in (lambda: ComplexRational(0.5, 0), lambda: ComplexRational(0, 1.0),
+                lambda: ComplexRational.of(0.25), lambda: cr(1) + 0.5,
+                lambda: cr(1) * 2.0):
+        with pytest.raises(TypeError):
+            bad()
+    x = cr(Fraction(1, 2), 3)
+    with pytest.raises(AttributeError):
+        x.re = Fraction(1)
+    with pytest.raises(AttributeError):
+        x._v = (1, 0, 1)
+    with pytest.raises(AttributeError):
+        del x._v
+    assert x == cr(Fraction(1, 2), 3)
+    assert pickle.loads(pickle.dumps(x)) == x
+    assert copy.deepcopy(x) == x
 
 
 # -- SymbolicConstant -----------------------------------------------------
@@ -475,3 +580,132 @@ def unit_series(max_deg=4):
 def test_invert_is_right_inverse(f, order):
     inv = invert_series(f, order)
     assert (f * inv).terms == {(0,): cr(1)}
+
+
+# -- canonical results from the trusted construction path -----------------
+
+VARS = ("y", "z", "w")
+
+
+def assert_canonical(r: LaurentSeries) -> None:
+    """r is what the validating constructor makes of its own terms, stores
+    no zero coefficient and nothing beyond its truncation order."""
+    assert r == LaurentSeries(r.vars, dict(r.terms), r.trunc)
+    for e, c in r.terms.items():
+        assert type(e) is tuple and len(e) == len(r.vars)
+        assert all(type(x) is int for x in e)
+        assert type(c) is ComplexRational and not c.is_zero()
+        assert all(t is None or x <= t for x, t in zip(e, r.trunc))
+
+
+@st.composite
+def truncated_pairs(draw):
+    k = draw(st.integers(1, 3))
+    exps = st.tuples(*([st.integers(-3, 4)] * k))
+    truncs = st.tuples(*([st.none() | st.integers(-2, 5)] * k))
+
+    def one():
+        return LaurentSeries(
+            VARS[:k], draw(st.dictionaries(exps, complex_rationals, max_size=5)), draw(truncs)
+        )
+
+    return one(), one()
+
+
+@st.composite
+def positive_polynomials(draw):
+    """A rank 1-3 polynomial without constant term and an exp order."""
+    k = draw(st.integers(1, 3))
+    exps = st.tuples(*([st.integers(0, 2)] * k)).filter(any)
+    terms = draw(st.dictionaries(exps, complex_rationals, max_size=3))
+    return LaurentSeries(VARS[:k], terms), draw(st.integers(0, 6 - k))
+
+
+@st.composite
+def invertible_series(draw):
+    """monomial * unit at rank 1-3, and an inversion order."""
+    k = draw(st.integers(1, 3))
+    exps = st.tuples(*([st.integers(0, 2)] * k)).filter(any)
+    body = draw(st.dictionaries(exps, complex_rationals, max_size=3))
+    lead = draw(complex_rationals.filter(bool))
+    unit = LaurentSeries(VARS[:k], {**body, (0,) * k: lead})
+    shift = draw(st.tuples(*([st.integers(-2, 2)] * k)))
+    return unit * LaurentSeries.monomial(VARS[:k], shift), draw(st.integers(-2, 6 - k))
+
+
+@given(truncated_pairs(), complex_rationals)
+@settings(max_examples=150)
+def test_products_and_scalings_are_canonical(ab, c):
+    a, b = ab
+    for r in (a * b, b * a, a.scale(c), -a, a * c):
+        assert_canonical(r)
+
+
+@given(positive_polynomials())
+@settings(max_examples=60, deadline=None)
+def test_exp_series_is_canonical(case):
+    p, order = case
+    assert_canonical(exp_series(p, order))
+    assert_canonical(exp_series(-p, order))
+
+
+@given(invertible_series())
+@settings(max_examples=60, deadline=None)
+def test_invert_series_is_canonical(case):
+    f, order = case
+    inv = invert_series(f, order)
+    assert_canonical(inv)
+    assert_canonical(f * inv)
+
+
+def test_cancelling_product_stores_no_zero():
+    # (1 + iy)(1 - iy) = 1 + y^2: the y coefficients cancel
+    r = univar({0: cr(1), 1: cr(0, 1)}) * univar({0: cr(1), 1: cr(0, -1)})
+    assert r.terms == {(0,): cr(1), (2,): cr(1)}
+    assert_canonical(r)
+    # the same with z along for the ride, truncated past the y^2 z term
+    a = LaurentSeries(("y", "z"), {(0, 0): cr(1), (1, 0): cr(0, 1), (0, 1): cr(2)}, (3, 1))
+    b = LaurentSeries(("y", "z"), {(0, 0): cr(1), (1, 0): cr(0, -1)}, (3, 1))
+    r = a * b
+    assert r.terms == {(0, 0): cr(1), (2, 0): cr(1), (0, 1): cr(2), (1, 1): cr(0, -2)}
+    assert_canonical(r)
+
+
+def test_cancelling_sums_in_exp_and_inverse_store_no_zero():
+    # exp(y - y^2/2) = sum_n He_n(1) y^n / n!, and He_2(1) = 0: the y^2
+    # contributions of the first and second powers cancel
+    r = exp_series(univar({1: cr(1), 2: cr(Fraction(-1, 2))}), 4)
+    assert r.terms == {(0,): cr(1), (1,): cr(1), (3,): cr(Fraction(-1, 3)),
+                       (4,): cr(Fraction(-1, 12))}
+    assert_canonical(r)
+    # 1 / (1 + y + y^2) = (1 - y) / (1 - y^3): no y^2 or y^5 term
+    r = invert_series(univar({0: cr(1), 1: cr(1), 2: cr(1)}), 6)
+    assert r.terms == {(0,): cr(1), (1,): cr(-1), (3,): cr(1), (4,): cr(-1), (6,): cr(1)}
+    assert_canonical(r)
+
+
+# -- deep closed forms ------------------------------------------------------
+
+
+def test_exp_of_iy_through_order_300():
+    got = exp_series(univar({1: cr(0, 1)}), 300)
+    i_powers = [(1, 0), (0, 1), (-1, 0), (0, -1)]
+    expected = {}
+    for n in range(301):
+        re, im = i_powers[n % 4]
+        expected[(n,)] = cr(Fraction(re, math.factorial(n)), Fraction(im, math.factorial(n)))
+    assert got.terms == expected
+    assert got.trunc == (300,)
+
+
+def test_invert_geometric_series_through_order_300():
+    # 1 / (1 - a y) = sum_n a^n y^n, a^n from (Fraction, Fraction) pairs
+    ar, ai = Fraction(2, 3), Fraction(-5, 7)
+    got = invert_series(univar({0: cr(1), 1: -cr(ar, ai)}), 300)
+    expected = {}
+    re, im = Fraction(1), Fraction(0)
+    for n in range(301):
+        expected[(n,)] = cr(re, im)
+        re, im = re * ar - im * ai, re * ai + im * ar
+    assert got.terms == expected
+    assert got.trunc == (300,)

@@ -383,8 +383,43 @@ class TestSuptsq:
             suptsq_check(1.0, -2)
 
     def test_bad_ladder_rejected(self):
+        for ladder in ((3.0, 1.0), (1.0, math.nan), (1.0, math.inf)):
+            with pytest.raises(ValidationError):
+                suptsq_check(1.0, 0, t_ladder=ladder)
+
+    def test_non_finite_x_rejected(self):
+        for x in (math.inf, -math.inf, math.nan):
+            with pytest.raises(ValidationError):
+                suptsq_check(x, 2)
+
+    def test_x_past_the_panel_budget_names_the_largest_fit(self):
+        with pytest.raises(ValidationError) as exc:
+            suptsq_check(1e308, 2)
+        x_max = exc.value.context["max_abs_x"]
+        assert 1000 < x_max < 2000
         with pytest.raises(ValidationError):
-            suptsq_check(1.0, 0, t_ladder=(3.0, 1.0))
+            suptsq_check(-1.001 * x_max, 2)
+        # the outer grid of the largest x fits the budget, at every rung
+        for t in (1.0, 3.0, 10.0, 30.0):
+            edges = _panel_edges(12.0 * math.sqrt(2.0 * t), 0.999 * x_max)
+            assert len(edges) - 1 <= 300_000
+
+    @pytest.mark.parametrize("ladder", [(1.0, 3.0, 10.0, 30.0), (0.5, 1000.0)])
+    def test_power_past_double_names_the_largest_fit(self, ladder):
+        with pytest.raises(ValidationError) as exc:
+            suptsq_check(0.0, 10**6, t_ladder=ladder)
+        max_n = exc.value.context["max_n"]
+        edge = float(_panel_edges(12.0 * math.sqrt(2.0 * ladder[-1]), 0.0)[-1])
+        assert math.isfinite(edge ** (max_n // 2))
+        with pytest.raises(OverflowError):
+            edge ** (max_n // 2 + 1)
+        with pytest.raises(ValidationError):
+            suptsq_check(0.0, max_n + 2, t_ladder=ladder)
+
+    def test_narrow_window_takes_any_power(self):
+        # |y| <= 12 sqrt(2t) < 1 at t = 0.001: no power overflows
+        table = suptsq_check(0.0, 2000, t_ladder=(0.001,))
+        assert abs(table.rows[0].value) < 1e-300
 
     def test_json_shape(self):
         d = suptsq_check(1.0, 0, t_ladder=(1.0, 3.0)).to_json_dict()
