@@ -485,11 +485,6 @@ class LaurentSeries:
         """Terms with at least one negative exponent."""
         return {e: c for e, c in self.terms.items() if any(x < 0 for x in e)}
 
-    def total_degree_min(self) -> int:
-        if not self.terms:
-            return 0
-        return min(sum(e) for e in self.terms)
-
     def constant_term(self) -> ComplexRational:
         return self.terms.get((0,) * len(self.vars), ComplexRational.zero())
 
@@ -636,10 +631,6 @@ class LaurentSeries:
             ne[v] = e[v] // 2
             terms[tuple(ne)] = c
         return LaurentSeries(new_vars, terms, new_tr)
-
-    def rename(self, mapping: Mapping[str, str]) -> "LaurentSeries":
-        new_vars = tuple(mapping.get(v, v) for v in self.vars)
-        return LaurentSeries(new_vars, dict(self.terms), self.trunc)
 
     # -- rendering and numeric evaluation -------------------------------
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, Optional, Sequence, Tuple
+from typing import Callable, Optional, Sequence, Tuple
 
 from .atlas import FixedPointAtlas, FixedPointDatum
 from .errors import NonInvertibleError, ValidationError
@@ -248,9 +248,6 @@ class LocalizationResult:
             if n == name:
                 return c
         raise KeyError(name)
-
-    def as_dict(self) -> Dict[str, LaurentSeries]:
-        return dict(self.contributions)
 
 
 def localize(

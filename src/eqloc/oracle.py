@@ -17,13 +17,13 @@ Laurent arithmetic; the exact closed-form read only gates atlas integrands,
 refusing data whose summed series has a pole at the origin.
 
 An atlas integrand is a sum of per-point terms amp(y) * exp(i phase(y)),
-amp a Laurent polynomial evaluated by Horner's rule in real arithmetic.  On
-a circle the mollified quadrature evaluates it a Kronrod panel at a time:
-on a panel the nodes are c + h * xi_k, so a linear phase separates as
-exp(i f c) * exp(i f h xi_k), taken once per panel centre and once per
-distinct half-width, and the Gaussian is folded into the real factor y^lo
-of each amplitude.  A hyperkahler phase exp(i f y^2) does not separate and
-is taken per node.
+amp a Laurent polynomial.  On a circle the mollified quadrature sums each
+adaptive round of Kronrod panels with one real matrix product: the
+Gaussian times the powers of y at every node form the basis, and on a
+panel c + h * xi_k a linear phase separates as exp(i f c) * exp(i f h xi_k),
+so the second factor joins the rule weights and the terms' coefficients in
+one small matrix per half-width.  A hyperkahler phase exp(i f y^2) does not
+separate and is taken per node.
 
 numpy is imported when a numeric routine here first uses it, not when this
 module is imported: ``import eqloc`` and the exact-only CLI commands never
@@ -76,13 +76,13 @@ _WG = (
     0.417959183673469,
 )
 
-_RULE_ARRAYS = ("KRONROD_NODES", "KRONROD_WEIGHTS", "GAUSS_INDEX", "GAUSS_WEIGHTS")
+_RULE_ARRAYS = ("KRONROD_NODES", "KRONROD_WEIGHTS", "GAUSS_INDEX", "GAUSS_WEIGHTS", "RULES")
 
 
 def _load_numpy():
     """Import numpy and build the rule arrays, binding both as module
     globals, so that later reads are plain global lookups."""
-    global np, KRONROD_NODES, KRONROD_WEIGHTS, GAUSS_INDEX, GAUSS_WEIGHTS
+    global np, KRONROD_NODES, KRONROD_WEIGHTS, GAUSS_INDEX, GAUSS_WEIGHTS, RULES
     import numpy as np
 
     # full 15-node layout, ascending
@@ -91,6 +91,10 @@ def _load_numpy():
     # the embedded Gauss rule lives on nodes 1, 3, 5, ... of the Kronrod grid
     GAUSS_INDEX = np.arange(1, 15, 2)
     GAUSS_WEIGHTS = np.array(list(_WG[:-1]) + [_WG[-1]] + list(reversed(_WG[:-1])))
+    # node values @ RULES: a panel's Kronrod and Gauss sums
+    RULES = np.zeros((15, 2))
+    RULES[:, 0] = KRONROD_WEIGHTS
+    RULES[GAUSS_INDEX, 1] = GAUSS_WEIGHTS
     return np
 
 
@@ -127,14 +131,19 @@ class _Budget:
             )
 
 
-def _panel_edges(window: float, max_freq: float) -> np.ndarray:
+def _panel_edges(window: float, max_freq: float, max_panels: int = sys.maxsize) -> np.ndarray:
     """Symmetric uniform edges covering [-window, window]: an even number of
     panels with 0 always an edge (so integrands with a removable singularity
-    at the origin are never sampled there), sized to resolve oscillation."""
+    at the origin are never sampled there), sized to resolve oscillation.
+
+    The panels are counted before any array is built, and more than
+    max_panels, or a width that is not positive (4 max_freq overflows near
+    1e308), is refused as an exhausted budget."""
     h = window / 8
     if max_freq > 0:
         h = min(h, math.pi / (4 * max_freq))
-    m = max(4, int(math.ceil(window / h)))
+    m = max(4, math.ceil(window / h)) if h > 0 and window / h < math.inf else math.inf
+    _Budget(max_panels).spend(2 * m)
     return np.linspace(-m * h, m * h, 2 * m + 1)
 
 
@@ -142,13 +151,12 @@ def _eval_panels(fn, a: np.ndarray, b: np.ndarray):
     half = (b - a) / 2
     centers = (a + b) / 2
     if isinstance(fn, _MollifiedPanels):
-        f = fn.panels(centers, half)
+        sums = fn.sums(centers, half)
     else:
         x = centers[:, None] + half[:, None] * KRONROD_NODES[None, :]
-        f = np.asarray(fn(x.ravel()), dtype=complex).reshape(len(a), 15)
-    i15 = (f @ KRONROD_WEIGHTS) * half
-    i7 = (f[:, GAUSS_INDEX] @ GAUSS_WEIGHTS) * half
-    return i15, np.abs(i15 - i7)
+        sums = np.asarray(fn(x.ravel()), dtype=complex).reshape(len(a), 15) @ RULES
+    i15 = sums[:, 0] * half
+    return i15, np.abs(i15 - sums[:, 1] * half)
 
 
 def _fsum(values: np.ndarray) -> complex:
@@ -305,7 +313,7 @@ def _mollified_single_t(
     g: OracleIntegrand, t: float, cfg: MollifierConfig, budget: _Budget
 ) -> Tuple[complex, float]:
     window = cfg.window_sigmas * math.sqrt(2.0 * t)
-    edges = _panel_edges(window, g.max_frequency(window))
+    edges = _panel_edges(window, g.max_frequency(window), budget.left)
 
     if g.k == 1:
         if isinstance(g.fn, _PointSum):
@@ -416,13 +424,15 @@ def _horner(coeffs: np.ndarray, ys: Sequence[np.ndarray]):
     return acc
 
 
-def _amplitude(term: _Term, ys: Sequence[np.ndarray], scale):
-    """scale * (re(y) + i im(y)): the caller passes y^lo, times any real
-    weight it wants folded in."""
-    re = _horner(term.re, ys) * scale
-    if term.im is None:
-        return re
-    return re + 1j * (_horner(term.im, ys) * scale)
+def _powers(x: np.ndarray, first, e: int, out=None):
+    """first * x^e by |e| multiplies with x or 1/x, each step first * x^(+-j)
+    written to out[..., j] when out is given.  numpy's x**e calls libm pow
+    per element for an integer e outside {-1, 0, 1, 2}, ~90 times slower."""
+    if e:
+        step = x if e > 0 else 1.0 / x
+        for j in range(1, abs(e) + 1):
+            first = np.multiply(first, step, out=None if out is None else out[..., j])
+    return first
 
 
 class _PointSum:
@@ -439,9 +449,10 @@ class _PointSum:
         for term in self.terms:
             scale = 1.0
             for y, e in zip(ys, term.lo):
-                if e:
-                    scale = scale * y**e
-            v = _amplitude(term, ys, scale)
+                scale = _powers(y, scale, e)
+            v = _horner(term.re, ys) * scale
+            if term.im is not None:
+                v = v + 1j * (_horner(term.im, ys) * scale)
             if any(term.freqs):
                 v = v * np.exp(1j * sum(f * y**power for f, y in zip(term.freqs, ys)))
             acc = acc + v
@@ -449,42 +460,65 @@ class _PointSum:
 
 
 class _MollifiedPanels:
-    """exp(-y^2/4t) times a rank-1 _PointSum, evaluated a panel at a time.
+    """exp(-y^2/4t) times a rank-1 _PointSum, integrated a round of panels
+    at a time.  Its terms, gathered by frequency f, are the columns of a
+    coefficient matrix C[e, f] over the exponents lo..hi.  On a panel
+    x = c + h xi_k a linear phase separates, with g the Gaussian:
 
-    On a panel x = c + h xi_k, so a linear phase separates:
-    exp(i f x) = exp(i f c) * exp(i f h xi_k).  The first factor is taken
-    once per panel, the second once per distinct half-width, and each node
-    costs one complex multiply.  The Gaussian is folded into the real
-    factor x^lo of every amplitude.  Hyperkahler phases exp(i f x^2) do not
-    separate and are taken per node.
+        sum_k w_k g x^e exp(i f x) = exp(i f c) sum_k [w_k exp(i f h xi_k)] [g x^e]
+
+    so a round is one real basis B[p, (k, e)] = g x^e, one product with
+    V[(k, e), (f, r)] = RULES[k, r] exp(i f h xi_k) C[e, f] per run of equal
+    half-widths (the panels are sorted by h, whose few values on a grid
+    differ in the last bits), and a centre phase exp(i f c) per panel and
+    frequency.  A hyperkahler phase exp(i f x^2) does not separate: it
+    multiplies the amplitudes B C per node, and RULES contracts the nodes.
     """
 
     def __init__(self, point_sum: _PointSum, t: float):
-        self.terms = point_sum.terms
-        self.quadratic = point_sum.quadratic
-        self.t = t
+        terms = point_sum.terms
+        self.quadratic, self.t = point_sum.quadratic, t
+        self.lo = min([0] + [term.lo[0] for term in terms])
+        self.hi = max([0] + [term.lo[0] + len(term.re) - 1 for term in terms])
+        freqs = sorted({term.freqs[0] for term in terms})
+        self.freqs = np.array(freqs)
+        self.coeffs = np.zeros((self.hi - self.lo + 1, len(freqs)), dtype=complex)
+        for term in terms:
+            start = term.lo[0] - self.lo
+            col = self.coeffs[start : start + len(term.re), freqs.index(term.freqs[0])]
+            col += term.re[::-1] if term.im is None else term.re[::-1] + 1j * term.im[::-1]
 
-    def panels(self, centers: np.ndarray, half: np.ndarray) -> np.ndarray:
-        x = centers[:, None] + half[:, None] * KRONROD_NODES[None, :]
-        gauss = np.exp(-(x * x) / (4.0 * self.t))
-        scales = {0: gauss}
-        if not self.quadratic:
-            widths, which = np.unique(half, return_inverse=True)
-            offsets = widths[:, None] * KRONROD_NODES[None, :]
-        acc = np.zeros(x.shape, dtype=complex)
-        for term in self.terms:
-            (lo,) = term.lo
-            if lo not in scales:
-                scales[lo] = gauss * x**lo
-            v = _amplitude(term, [x], scales[lo])
-            (f,) = term.freqs
-            if f and self.quadratic:
-                v = v * np.exp(1j * f * (x * x))
-            elif f:
-                node = np.exp(1j * f * offsets)[which]
-                v = v * (np.exp(1j * f * centers)[:, None] * node)
-            acc += v
-        return acc
+    def _basis(self, x: np.ndarray) -> np.ndarray:
+        """g(x) x^e for e = lo..hi, on a last axis."""
+        basis = np.empty(x.shape + (self.hi - self.lo + 1,))
+        gauss = basis[..., -self.lo]
+        np.exp(-(x * x) / (4.0 * self.t), out=gauss)
+        _powers(x, gauss, self.hi, basis[..., -self.lo :])
+        _powers(x, gauss, self.lo, basis[..., -self.lo :: -1])
+        return basis
+
+    def sums(self, centers: np.ndarray, half: np.ndarray) -> np.ndarray:
+        """Each panel's Kronrod and Gauss sums of exp(-x^2/4t) fn(x) over its
+        nodes: a (panels, 2) array.  B is real, so every product takes the
+        complex right-hand side viewed as pairs of reals."""
+        if self.quadratic:
+            x = centers[:, None] + half[:, None] * KRONROD_NODES
+            basis = self._basis(x).reshape(x.size, -1)
+            amp = (basis @ self.coeffs.view(float)).view(complex).reshape(*x.shape, -1)
+            return (amp * np.exp(1j * (x * x)[..., None] * self.freqs)).sum(axis=-1) @ RULES
+        order = np.argsort(half, kind="stable")
+        c, h = centers[order], half[order]
+        basis = self._basis(c[:, None] + h[:, None] * KRONROD_NODES).reshape(len(c), -1)
+        out = np.empty((len(c), len(self.freqs), 2), dtype=complex)
+        cuts = [0, *(np.flatnonzero(h[1:] != h[:-1]) + 1), len(c)]
+        for s, e in zip(cuts, cuts[1:]):
+            node = np.exp(1j * h[s] * np.multiply.outer(KRONROD_NODES, self.freqs))
+            v = RULES[:, None, None] * node[:, None, :, None] * self.coeffs[:, :, None]
+            v = v.reshape(basis.shape[1], -1).view(float)
+            np.matmul(basis[s:e], v, out=out[s:e].reshape(e - s, -1).view(float))
+        sums = np.empty((len(c), 2), dtype=complex)
+        sums[order] = np.einsum("pf,pfr->pr", np.exp(1j * np.multiply.outer(c, self.freqs)), out)
+        return sums
 
 
 def _principal_part(
@@ -824,7 +858,7 @@ def shift_smoothness_check(
     gap = moment_gap(atlas)
     zmax = max((abs(z) for z in zeta_list), default=0.0)
     window = cfg.window_sigmas * math.sqrt(2.0 * t)
-    edges = _panel_edges(window, g0.max_frequency(window) + zmax)
+    edges = _panel_edges(window, g0.max_frequency(window) + zmax, cfg.max_panels)
 
     def base_fn(y: np.ndarray) -> np.ndarray:
         return np.exp(-(y * y) / (4.0 * t)) * g0.fn([y])

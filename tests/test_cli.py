@@ -395,6 +395,34 @@ def _suptsq_power_past_double(tmp_path):
     return ["oracle", "--suptsq", "0", "1000"]
 
 
+@pytest.mark.parametrize(
+    "moment, tail",
+    [
+        (10**308, ["oracle", "--mode", "symplectic"]),
+        (10**308, ["reduce", "--mode", "symplectic", "--oracle"]),
+        (10**5, ["oracle", "--mode", "symplectic", "--t", "10000,20000"]),
+        (10**5, ["reduce", "--mode", "symplectic", "--oracle"]),
+    ],
+)
+def test_oversize_oracle_grid_exits_1(capsys, tmp_path, monkeypatch, moment, tail):
+    """A moment whose grid would not fit the panel budget is refused before
+    the grid is built (a built grid fails the test instead of allocating)."""
+    import numpy
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a grid was built")
+
+    monkeypatch.setattr(numpy, "linspace", refuse)
+    doc = json.loads((GOLDEN_DIR / "sphere_s2.json").read_text())
+    for fp in doc["fixed_points"]:
+        fp["moment"] = [[moment if fp["moment"][0][0] > 0 else -moment, 1]]
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(doc))
+    err = run_err(capsys, [tail[0], str(path)] + tail[1:])
+    assert err["error"] == "quadrature"
+    assert "panel budget exhausted" in err["message"]
+
+
 class TestErrorMapping:
     def test_unexpected_exception_is_internal(self, capsys, monkeypatch):
         def boom(args):

@@ -15,6 +15,7 @@ from eqloc.atlas import (
     FixedPointAtlas,
     FixedPointDatum,
     GroupSpec,
+    builtin_atlas,
     hk_point_atlas,
     mirror_pair_atlas,
     sphere_atlas,
@@ -29,6 +30,7 @@ from eqloc.oracle import (
     GAUSS_WEIGHTS,
     KRONROD_NODES,
     KRONROD_WEIGHTS,
+    RULES,
     MollifierConfig,
     OracleIntegrand,
     _Budget,
@@ -116,6 +118,11 @@ class TestGaussKronrod:
     def test_gauss_not_exact_at_degree_14(self):
         x = KRONROD_NODES[GAUSS_INDEX]
         assert abs(float(GAUSS_WEIGHTS @ x**14) - 2.0 / 15) > 1e-8
+
+    def test_rules_matrix(self):
+        assert np.array_equal(RULES[:, 0], KRONROD_WEIGHTS)
+        assert np.array_equal(RULES[GAUSS_INDEX, 1], GAUSS_WEIGHTS)
+        assert np.count_nonzero(RULES[:, 1]) == 7
 
     def test_adaptive_gaussian(self):
         edges = np.linspace(-12.0, 12.0, 25)
@@ -216,6 +223,62 @@ class TestMollified:
         assert set(d) == {"rows", "estimate", "extrapolation", "ladder_monotone"}
         assert len(d["rows"]) == 2
         assert set(d["rows"][0]) == {"t", "value", "err_estimate"}
+
+
+def _sphere_with_moment(m):
+    """sphere_S2 with its moments scaled from +-1 to +-m."""
+    atlas = sphere_atlas()
+    points = tuple(replace(fp, moment=(fp.moment[0] * m,)) for fp in atlas.fixed_points)
+    return replace(atlas, fixed_points=points)
+
+
+@pytest.fixture
+def no_grid(monkeypatch):
+    """Make building any grid fail, so that a refusal is seen to come
+    before the allocation it guards against."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a grid was built")
+
+    monkeypatch.setattr(np, "linspace", refuse)
+
+
+class TestGridRefusal:
+    def test_panel_edges_counts_first(self, no_grid):
+        for args in (
+            (10.0, 2.0, 51),  # 52 panels
+            (1.0e3, 1.0e308),  # 4 max_freq overflows: h = 0
+            (1.0e155, 1.0e307),  # window / h overflows
+        ):
+            with pytest.raises(QuadratureError, match="budget exhausted"):
+                _panel_edges(*args)
+
+    def test_panel_edges_at_the_budget(self):
+        assert len(_panel_edges(10.0, 2.0, 52)) == 53
+
+    @pytest.mark.parametrize(
+        "moment, ladder",
+        [(10**308, (1.0, 10.0, 100.0, 1000.0, 10000.0)), (10**5, (10000.0, 20000.0))],
+    )
+    def test_oversize_grid_is_refused(self, no_grid, moment, ladder):
+        atlas = _sphere_with_moment(moment)
+        cfg = MollifierConfig(t_ladder=ladder)
+        with pytest.raises(QuadratureError, match="budget exhausted"):
+            mollified_oint(atlas_integrand(atlas), atlas.group, cfg)
+        report = reduce_symplectic_circle(atlas)
+        with pytest.raises(QuadratureError, match="budget exhausted"):
+            oracle_comparison(report, atlas, cfg)
+
+    def test_large_shift_is_refused(self, no_grid):
+        # ~8 |zeta| window / pi = 4.3e7 panels at the default top rung
+        with pytest.raises(QuadratureError, match="budget exhausted"):
+            shift_smoothness_check(sphere_atlas(), [1.0e4])
+
+    def test_shift_grid_within_the_budget_runs(self):
+        cfg = MollifierConfig(t_ladder=(0.5, 1.0), max_panels=1000)
+        assert shift_smoothness_check(sphere_atlas(), [0.01], cfg).linear_ok
+        with pytest.raises(QuadratureError, match="budget exhausted"):
+            shift_smoothness_check(sphere_atlas(), [0.01], replace(cfg, max_panels=16))
 
 
 class TestHyperkahlerOracle:
@@ -644,11 +707,13 @@ class TestPanelEvaluation:
     )
     @settings(max_examples=60, deadline=None)
     def test_matches_node_evaluation(self, case, zeta, t):
-        """A panel at a time equals exp(-y^2/4t) * fn(y) at the same nodes,
-        on a uniform grid and on one with mixed half-widths, as left by
-        splitting.  The error is measured against the summed magnitudes of
-        the point terms, the scale of either route's rounding: near a
-        cancelled pole the sum itself is far smaller."""
+        """Each panel's Kronrod and Gauss sums equal the rules applied to
+        exp(-y^2/4t) * fn(y) at the same nodes: on a uniform grid, on one
+        with mixed half-widths, as left by splitting, and on panels of a
+        real grid at t = 1e4, whose half-widths differ in the last bits.
+        The error is measured against the summed magnitudes of the point
+        terms, the scale of either route's rounding: near a cancelled pole
+        the sum itself is far smaller."""
         atlas, eta_mode = case
         if atlas.geometry == "hyperkahler":
             zeta = 0.0
@@ -658,18 +723,36 @@ class TestPanelEvaluation:
         uniform = (edges[:-1], edges[1:])
         mixed = _split(*uniform, np.arange(0, len(edges) - 1, 2))
         mixed = _split(*mixed, np.arange(0, len(mixed[0]), 3))
-        panels = _MollifiedPanels(g.fn, t)
-        for a, b in (uniform, mixed):
+        assert len(np.unique(mixed[1] - mixed[0])) > 1
+        big = _panel_edges(12.0 * math.sqrt(2.0e4), 3.0)
+        mid = len(big) // 2
+        real = (big[mid - 64 : mid + 64], big[mid - 63 : mid + 65])
+        assert len(np.unique((real[1] - real[0]) / 2)) > 1
+        for (a, b), t_grid in ((uniform, t), (mixed, t), (real, 1.0e4)):
             half, centers = (b - a) / 2, (a + b) / 2
             x = centers[:, None] + half[:, None] * KRONROD_NODES
-            gauss = np.exp(-(x * x) / (4.0 * t))
+            gauss = np.exp(-(x * x) / (4.0 * t_grid))
             scale = sum(np.abs(_PointSum([p], g.fn.quadratic)([x])) for p in g.fn.terms)
-            got = panels.panels(centers, half)
-            assert np.all(np.abs(got - gauss * g.fn([x])) <= 1e-12 * gauss * scale)
-        assert len(np.unique(mixed[1] - mixed[0])) > 1
+            got = _MollifiedPanels(g.fn, t_grid).sums(centers, half)
+            want = (gauss * g.fn([x])) @ RULES
+            assert got.shape == (len(a), 2)
+            assert np.all(np.abs(got - want) <= 1e-12 * ((gauss * scale) @ RULES))
         # the shift is a global phase, raw points included
         unshifted = atlas_integrand(atlas, eta_mode=eta_mode).fn([x])
         assert np.all(np.abs(g.fn([x]) - np.exp(-1j * zeta * x) * unshifted) <= 1e-12 * scale)
+
+    @pytest.mark.parametrize("name", [f"mirror_pair({n})" for n in range(6)] + ["sphere_S2"])
+    def test_panel_route_matches_node_route_over_the_ladder(self, name):
+        """The whole default ladder by the panel route and by a plain node
+        callable on the same edges."""
+        atlas = builtin_atlas(name)
+        g = atlas_integrand(atlas)
+        node = replace(g, fn=lambda ys: g.fn(ys))
+        panels = mollified_oint(g, atlas.group)
+        nodes = mollified_oint(node, atlas.group)
+        assert [r.t for r in panels.rows] == list(MollifierConfig().t_ladder)
+        for p, n in zip(panels.rows, nodes.rows):
+            assert abs(p.value - n.value) <= 1e-12 * abs(n.value)
 
     def test_split_panels_sum_like_left_edge_ordered_fsum(self):
         fn = _MollifiedPanels(atlas_integrand(mirror_pair_atlas(7)).fn, 1.0)
