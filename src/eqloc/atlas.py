@@ -17,9 +17,11 @@ add those series verbatim.
 from __future__ import annotations
 
 import json
+import math
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _encode_str
 from typing import Mapping, Optional, Sequence, Tuple
 
 from .errors import ValidationError
@@ -335,6 +337,80 @@ def _parse_int(doc, where: str) -> int:
     return doc
 
 
+def canonical_dumps(doc) -> str:
+    """``json.dumps(doc, sort_keys=True, indent=2) + "\\n"``, written directly.
+
+    The canonical form of every pretty-printed document (atlases, reports,
+    CLI output): keys sorted, two-space indent, strings with ASCII escapes
+    (json's C ``encode_basestring_ascii``), ints and floats by their
+    ``repr`` with NaN and +-Infinity as json writes them, and empty
+    containers on one line.  dicts, lists and tuples nest; any other type,
+    and any dict key that is not a str, raises TypeError.  With an indent,
+    json falls back to its pure-Python encoder, which takes about twice as
+    long.
+    """
+    parts: list = []
+    _dump(doc, parts, "\n")
+    parts.append("\n")
+    return "".join(parts)
+
+
+def _dump(o, parts: list, nl: str) -> None:
+    """Append o's canonical text to parts; nl is a newline plus the indent
+    of o's own line.  int leaves skip the recursion, as they are most of a
+    document."""
+    if isinstance(o, dict):
+        if not o:
+            parts.append("{}")
+            return
+        inner = nl + "  "
+        sep = "{" + inner
+        for key in sorted(o):
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            v = o[key]
+            if type(v) is int:
+                parts.append(sep + _encode_str(key) + ": " + int.__repr__(v))
+            else:
+                parts.append(sep + _encode_str(key) + ": ")
+                _dump(v, parts, inner)
+            sep = "," + inner
+        parts.append(nl + "}")
+    elif isinstance(o, (list, tuple)):
+        if not o:
+            parts.append("[]")
+            return
+        inner = nl + "  "
+        sep = "[" + inner
+        for v in o:
+            if type(v) is int:
+                parts.append(sep + int.__repr__(v))
+            else:
+                parts.append(sep)
+                _dump(v, parts, inner)
+            sep = "," + inner
+        parts.append(nl + "]")
+    elif isinstance(o, str):
+        parts.append(_encode_str(o))
+    elif o is None:
+        parts.append("null")
+    elif o is True:
+        parts.append("true")
+    elif o is False:
+        parts.append("false")
+    elif isinstance(o, int):
+        parts.append(int.__repr__(o))
+    elif isinstance(o, float):
+        if o != o:
+            parts.append("NaN")
+        elif o in (math.inf, -math.inf):
+            parts.append("Infinity" if o > 0 else "-Infinity")
+        else:
+            parts.append(float.__repr__(o))
+    else:
+        raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+
+
 def serialize_atlas(atlas: FixedPointAtlas) -> str:
     g = atlas.group
     group_doc = {
@@ -375,7 +451,7 @@ def serialize_atlas(atlas: FixedPointAtlas) -> str:
     }
     if atlas.submanifold is not None:
         doc["submanifold"] = {"codim_L": atlas.submanifold.codim}
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    return canonical_dumps(doc)
 
 
 def parse_atlas(document) -> FixedPointAtlas:

@@ -25,6 +25,7 @@ from pathlib import Path
 
 from .atlas import (
     builtin_atlas,
+    canonical_dumps,
     parse_atlas,
     parse_series_terms,
     permute_atlas_variables,
@@ -62,7 +63,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _emit(doc) -> None:
-    sys.stdout.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+    sys.stdout.write(canonical_dumps(doc))
 
 
 def _load_atlas(spec: str):
@@ -315,7 +316,7 @@ def example_file_text(name: str) -> str:
     if name == "hk_torus_rank2.json":
         return serialize_atlas(builtin_atlas("hk_torus_rank2"))
     if name == "su2_roots.json":
-        return json.dumps(table_json_dict("SU(2)"), sort_keys=True, indent=2) + "\n"
+        return canonical_dumps(table_json_dict("SU(2)"))
     raise ValidationError(f"unknown example {name!r}")
 
 

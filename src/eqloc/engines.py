@@ -35,12 +35,11 @@ exact coefficient, which the report always exposes raw.
 from __future__ import annotations
 
 import cmath
-import json
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Dict, Optional, Sequence, Tuple
 
-from .atlas import FixedPointAtlas, FixedPointDatum, RootSystemData
+from .atlas import FixedPointAtlas, FixedPointDatum, RootSystemData, canonical_dumps
 from .errors import (
     InternalError,
     OddExponentError,
@@ -228,7 +227,7 @@ class ReductionReport:
     def canonical_json(self) -> str:
         """Deterministic serialized form.  The computing path is excluded so
         that different routes to the same numbers serialize identically."""
-        return json.dumps(self.to_json_dict(include_path=False), sort_keys=True, indent=2) + "\n"
+        return canonical_dumps(self.to_json_dict(include_path=False))
 
     def with_oracle(self, comparison: dict) -> "ReductionReport":
         return replace(self, oracle_comparison=comparison)

@@ -20,9 +20,11 @@ with d > 0 and gcd(p, q, d) = 1, one denominator per coefficient; ``re``
 and ``im`` hand out Fractions.  Series arithmetic builds its results from
 terms that are already canonical and wraps them without validating them
 again (``LaurentSeries._canonical``); the public constructor keeps every
-check for data from outside.  ``exp_series`` and ``invert_series`` sum
-their powers into one dictionary, so their cost grows linearly with the
-number of powers.
+check for data from outside.  One term product, ``_mul_terms``, serves the
+series product and the power loops of ``exp_series`` and
+``invert_series``, which work on term dictionaries and sum their powers
+into one dictionary, so their cost grows linearly with the number of
+powers.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add, le
+from operator import add, le, sub
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
 from .errors import (
@@ -341,13 +343,20 @@ def _limits(trunc: Trunc) -> tuple:
     return tuple(math.inf if t is None else t for t in trunc)
 
 
-def _clip(f: "LaurentSeries", trunc: Trunc) -> "LaurentSeries":
-    """f declared trusted through trunc instead, keeping only the terms
-    within it, as the validating constructor would."""
-    lim = _limits(trunc)
-    return LaurentSeries._canonical(
-        f.vars, {e: c for e, c in f.terms.items() if all(map(le, e, lim))}, trunc
-    )
+def _mul_terms(a_terms: Mapping, b_terms: Mapping, lim: tuple) -> dict:
+    """The nonzero terms of the product of two term dictionaries whose
+    exponents stay within lim in every variable."""
+    terms: dict = {}
+    b_items = b_terms.items()
+    for ea, ca in a_terms.items():
+        for eb, cb in b_items:
+            e = tuple(map(add, ea, eb))
+            if not all(map(le, e, lim)):
+                continue
+            prev = terms.get(e)
+            terms[e] = ca * cb if prev is None else prev + ca * cb
+    # sums can cancel; a product of nonzero coefficients cannot
+    return {e: c for e, c in terms.items() if c}
 
 
 def _accumulate(acc: dict, terms: Mapping) -> None:
@@ -545,19 +554,8 @@ class LaurentSeries:
             _min_none(_add_none(tb, a_min), _add_none(ta, b_min))
             for ta, tb, a_min, b_min in zip(self.trunc, other.trunc, ma, mb)
         )
-        lim = _limits(tr)
-        terms: dict = {}
-        other_terms = other.terms.items()
-        for ea, ca in self.terms.items():
-            for eb, cb in other_terms:
-                e = tuple(map(add, ea, eb))
-                if not all(map(le, e, lim)):
-                    continue
-                prev = terms.get(e)
-                terms[e] = ca * cb if prev is None else prev + ca * cb
-        # sums can cancel; a product of nonzero coefficients cannot
         return LaurentSeries._canonical(
-            self.vars, {e: c for e, c in terms.items() if c}, tr
+            self.vars, _mul_terms(self.terms, other.terms, _limits(tr)), tr
         )
 
     __rmul__ = __mul__
@@ -604,7 +602,7 @@ class LaurentSeries:
         terms of even exponent in var, kills the odd ones."""
         v = self._var_index(var)
         terms = {e: c for e, c in self.terms.items() if e[v] % 2 == 0}
-        return LaurentSeries(self.vars, terms, self.trunc)
+        return LaurentSeries._canonical(self.vars, terms, self.trunc)
 
     def substitute_sqrt(self, var: str, new_name: Optional[str] = None) -> "LaurentSeries":
         """Replace var^2 by a fresh variable: exponents of var are halved.
@@ -625,11 +623,7 @@ class LaurentSeries:
         t = self.trunc[v]
         new_tr = list(self.trunc)
         new_tr[v] = None if t is None else t // 2
-        terms = {}
-        for e, c in self.terms.items():
-            ne = list(e)
-            ne[v] = e[v] // 2
-            terms[tuple(ne)] = c
+        terms = {e[:v] + (e[v] // 2,) + e[v + 1 :]: c for e, c in self.terms.items()}
         return LaurentSeries(new_vars, terms, new_tr)
 
     # -- rendering and numeric evaluation -------------------------------
@@ -742,7 +736,9 @@ def exp_series(p: LaurentSeries, order) -> LaurentSeries:
     not a rational (callers split constants off first).  The partial sums
     sum_n p^n / n! are accumulated until p^n can no longer contribute below
     the truncation order, so for a single variable this is exactly the sum
-    through n = order.
+    through n = order.  Each power is built from the last as term
+    dictionaries, in one pass that multiplies by p / n and keeps only the
+    exponents within the target orders; no series object is made per power.
     """
     k = len(p.vars)
     orders = _order_tuple(order, k)
@@ -776,18 +772,19 @@ def exp_series(p: LaurentSeries, order) -> LaurentSeries:
             raise NegativeExponentError(
                 "exp needs a finite truncation order in every involved variable"
             )
-    term = LaurentSeries.const(p.vars, 1, tr)
-    acc = dict(term.terms)
+    # p^n / n! = (p^(n-1) / (n-1)!) * (p / n), clipped to the target orders:
+    # the product rule can report more trust than asked for, which would
+    # keep dead high-degree terms alive
+    lim = _limits(tr)
+    p_items = p.terms.items()
+    term = LaurentSeries.const(p.vars, 1, tr).terms
+    acc = dict(term)
     n = 0
-    while True:
+    while term:
         n += 1
-        term = (term * p).scale(Fraction(1, n))
-        # Clip to the target orders: the product rule can report more trust
-        # than we asked for, which would keep dead high-degree terms alive.
-        term = _clip(term, tr)
-        if term.is_zero():
-            break
-        _accumulate(acc, term.terms)
+        inv_n = _make((1, 0, n))
+        term = _mul_terms(term, {e: c * inv_n for e, c in p_items}, lim)
+        _accumulate(acc, term)
     return LaurentSeries._canonical(p.vars, acc, tr)
 
 
@@ -806,12 +803,11 @@ def invert_series(f: LaurentSeries, order) -> LaurentSeries:
     k = len(f.vars)
     orders = _order_tuple(order, k)
     m = f.min_exponent()
-    shifted = {
-        tuple(x - y for x, y in zip(e, m)): c for e, c in f.terms.items()
-    }
-    u = LaurentSeries(f.vars, shifted, tuple(_add_none(t, -mm) for t, mm in zip(f.trunc, m)))
-    c0 = u.constant_term()
-    if c0.is_zero():
+    u_terms = {tuple(map(sub, e, m)): c for e, c in f.terms.items()}
+    u_trunc = tuple(_add_none(t, -mm) for t, mm in zip(f.trunc, m))
+    zero = (0,) * k
+    c0 = u_terms.pop(zero, None)
+    if c0 is None:
         raise NonInvertibleError(
             "series is not a monomial times a unit; its inverse has "
             "unbounded negative exponents and cannot be represented",
@@ -822,7 +818,7 @@ def invert_series(f: LaurentSeries, order) -> LaurentSeries:
     u_orders = tuple(
         None if o is None else o + mm for o, mm in zip(orders, m)
     )
-    for v, (t, o) in enumerate(zip(u.trunc, u_orders)):
+    for v, (t, o) in enumerate(zip(u_trunc, u_orders)):
         if t is not None and (o is None or o > t):
             need = "unbounded" if o is None else str(o)
             raise InsufficientTruncationError(
@@ -832,41 +828,33 @@ def invert_series(f: LaurentSeries, order) -> LaurentSeries:
                 requested=-1 if o is None else o,
                 required=-1 if o is None else o,
             )
-    if len(u.terms) == 1:
-        inv_u = LaurentSeries.const(f.vars, ComplexRational.one() / c0, u_orders if any(
-            t is not None for t in u.trunc) else None)
-    else:
-        rest = (u - LaurentSeries.const(f.vars, c0, u.trunc)).scale(
-            ComplexRational.one() / c0
-        )
-        for e in rest.terms:
-            for v, x in enumerate(e):
-                if x != 0 and u_orders[v] is None:
-                    raise InsufficientTruncationError(
-                        f"inverting a non-monomial series needs a finite order in "
-                        f"{f.vars[v]}",
-                        variable=f.vars[v],
-                        requested=-1,
-                        required=-1,
-                    )
-        # rest has strictly positive minimal total degree, so the geometric
-        # series terminates under truncation.
-        neg_rest = -LaurentSeries(rest.vars, rest.terms, u_orders)
-        term = LaurentSeries.const(f.vars, 1, u_orders)
-        acc = dict(term.terms)
-        while True:
-            term = _clip(term * neg_rest, u_orders)
-            if term.is_zero():
-                break
-            _accumulate(acc, term.terms)
-        inv_u = LaurentSeries._canonical(f.vars, acc, u_orders).scale(
-            ComplexRational.one() / c0
-        )
-    inv_mono = LaurentSeries.monomial(
-        f.vars, tuple(-x for x in m), 1
-    )
-    out = inv_u * inv_mono
-    # The construction above already yields trust through `orders`; record it.
-    return LaurentSeries(out.vars, out.terms, tuple(
-        _min_none(o, t) for o, t in zip(orders, out.trunc)
-    ))
+    for e in u_terms:
+        for v, x in enumerate(e):
+            if x != 0 and u_orders[v] is None:
+                raise InsufficientTruncationError(
+                    f"inverting a non-monomial series needs a finite order in "
+                    f"{f.vars[v]}",
+                    variable=f.vars[v],
+                    requested=-1,
+                    required=-1,
+                )
+    # 1/u = sum_n (-rest)^n with rest = u/c0 - 1, whose exponents are
+    # nonnegative and not all zero, so the geometric series terminates under
+    # truncation; a monomial f has no rest and takes no step.
+    inv_c0 = _ONE / c0
+    neg_rest = {e: -(c * inv_c0) for e, c in u_terms.items()}
+    lim = _limits(u_orders)
+    term = {zero: _ONE}
+    acc = dict(term)
+    while term:
+        term = _mul_terms(term, neg_rest, lim)
+        _accumulate(acc, term)
+    # divide by c0 y^m: scale and shift, keeping what the requested orders
+    # trust
+    lim = _limits(orders)
+    terms = {}
+    for e, c in acc.items():
+        e = tuple(map(sub, e, m))
+        if all(map(le, e, lim)):
+            terms[e] = c * inv_c0
+    return LaurentSeries._canonical(f.vars, terms, orders)

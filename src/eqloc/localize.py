@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Callable, Optional, Sequence, Tuple
 
 from .atlas import FixedPointAtlas, FixedPointDatum
-from .errors import NonInvertibleError, ValidationError
+from .errors import NonInvertibleError, ValidationError, VariableMismatchError
 from .exact import ComplexRational, LaurentSeries, exp_series, invert_series
 
 Orders = Tuple[Optional[int], ...]
@@ -80,19 +80,36 @@ def check_series_budget(atlas: FixedPointAtlas, orders: Orders) -> None:
 def euler_class(fp: FixedPointDatum, variables: Sequence[str]) -> LaurentSeries:
     """Product of the tangent weight forms at a fixed point.
 
-    Exact polynomial; the empty weight list gives 1 (a zero-dimensional
-    tangent space).  Zero weight vectors are rejected because they make the
-    product a zero divisor.
+    Exact polynomial with integer coefficients, multiplied out in a plain
+    {exponents: int} dictionary and wrapped as a series once; any rank and
+    mixed weights such as (1, -1) are allowed.  The empty weight list gives 1
+    (a zero-dimensional tangent space).  Zero weight vectors are rejected
+    because they make the product a zero divisor, and a weight whose length
+    is not the number of variables is rejected as LaurentSeries.linear_form
+    rejects it.
     """
     variables = tuple(variables)
-    e = LaurentSeries.const(variables, 1)
+    k = len(variables)
+    e: dict = {(0,) * k: 1}
     for w in fp.weights:
         if all(x == 0 for x in w):
             raise ValidationError(
                 f"e(y) is a zero divisor at {fp.name!r}: zero tangent weight"
             )
-        e = e * LaurentSeries.linear_form(variables, w)
-    return e
+        if len(w) != k:
+            raise VariableMismatchError(
+                f"covector length {len(w)} does not match variables {variables}"
+            )
+        # multiply by sum_v w_v y_v
+        out: dict = {}
+        for v, w_v in enumerate(w):
+            if w_v == 0:
+                continue
+            for exps, c in e.items():
+                exps = exps[:v] + (exps[v] + 1,) + exps[v + 1 :]
+                out[exps] = out.get(exps, 0) + c * w_v
+        e = out
+    return LaurentSeries(variables, e)
 
 
 def phase_covector(atlas: FixedPointAtlas, fp: FixedPointDatum) -> Tuple[Fraction, ...]:

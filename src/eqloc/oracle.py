@@ -38,9 +38,10 @@ import itertools
 import math
 import sys
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from .atlas import FixedPointAtlas
+from .atlas import FixedPointAtlas, FixedPointDatum
 from .errors import InsufficientTruncationError, QuadratureError, ValidationError
 from .exact import ComplexRational, LaurentSeries
 from .localize import check_eta_mode, monomial_euler_class, phase_covector, point_coeff
@@ -398,7 +399,9 @@ class _Term(NamedTuple):
     freqs: Tuple[float, ...]
 
 
-def _term(coeffs: Dict[Tuple[int, ...], ComplexRational], freqs) -> Optional[_Term]:
+def _term(
+    fp: FixedPointDatum, coeffs: Dict[Tuple[int, ...], ComplexRational], freqs
+) -> Optional[_Term]:
     if not coeffs:
         return None
     exps = list(coeffs)
@@ -408,8 +411,8 @@ def _term(coeffs: Dict[Tuple[int, ...], ComplexRational], freqs) -> Optional[_Te
     im = np.zeros_like(re)
     for e, c in coeffs.items():
         idx = tuple(h - x for h, x in zip(hi, e))
-        re[idx] = float(c.re)
-        im[idx] = float(c.im)
+        re[idx] = _double(c.re, fp, "series coefficient")
+        im[idx] = _double(c.im, fp, "series coefficient")
     return _Term(lo, re, im if im.any() else None, tuple(freqs))
 
 
@@ -575,9 +578,16 @@ def atlas_integrand(
     if zeta and (k != 1 or atlas.geometry != "symplectic"):
         raise ValidationError("moment shifts are a symplectic circle diagnostic")
 
-    # a raw series cut below y^-1 would hide poles from the gate
+    # refuse, before any exact work, a raw series cut below y^-1 (it would
+    # hide poles from the gate) and a phase frequency without a double
+    hk = atlas.geometry == "hyperkahler"
+    point_freqs = []
     for fp in atlas.fixed_points:
         if fp.mode != "raw":
+            what = "squared moment length" if hk else "moment"
+            point_freqs.append(
+                tuple(_double(f, fp, what) for f in phase_covector(atlas, fp))
+            )
             continue
         for var, t in zip(atlas.variable_order, fp.raw_contribution.trunc):
             if t is not None and t < -1:
@@ -590,6 +600,7 @@ def atlas_integrand(
                     required=-1,
                     point=fp.name,
                 )
+        point_freqs.append((0.0,) * k)
     principal = _principal_part(atlas, eta_mode)
     if principal:
         raise QuadratureError(
@@ -597,14 +608,12 @@ def atlas_integrand(
             f"{sorted(principal)}); the mollified integral does not exist for this data"
         )
 
-    hk = atlas.geometry == "hyperkahler"
     terms = []
     lin = abs(zeta)
     quad = 0.0
-    for fp in atlas.fixed_points:
+    for fp, freqs in zip(atlas.fixed_points, point_freqs):
         if fp.mode == "raw":
             coeffs = fp.raw_contribution.terms
-            freqs = (0.0,) * k
         else:
             c, n = monomial_euler_class(fp, k)
             eta = {(0,) * k: ComplexRational.one()} if eta_mode == "one" else fp.eta.terms
@@ -612,14 +621,13 @@ def atlas_integrand(
                 tuple(x - y for x, y in zip(j, n)): eta_j / c
                 for j, eta_j in eta.items()
             }
-            freqs = tuple(float(f) for f in phase_covector(atlas, fp))
             if hk:
                 quad = max(quad, max(freqs))
             else:
                 lin = max(lin, sum(abs(f) for f in freqs))
         if zeta:
             freqs = (freqs[0] - zeta,)
-        term = _term(coeffs, freqs)
+        term = _term(fp, coeffs, freqs)
         if term is not None:
             terms.append(term)
     return OracleIntegrand(
@@ -632,8 +640,22 @@ def moment_gap(atlas: FixedPointAtlas) -> float:
     gap = math.inf
     for fp in atlas.fixed_points:
         for m in fp.moment:
-            gap = min(gap, abs(float(m)))
+            gap = min(gap, abs(_double(m, fp, "moment")))
     return gap
+
+
+def _double(x: Fraction, fp: FixedPointDatum, what: str) -> float:
+    """float(x) for an atlas value of fixed point fp; a value beyond double
+    range is refused with ValidationError naming the point and the value."""
+    try:
+        return float(x)
+    except OverflowError:
+        raise ValidationError(
+            f"{what} at {fp.name!r} is beyond the range of a double, so the "
+            "oracle cannot evaluate it; rescale the atlas data",
+            point=fp.name,
+            value=x,
+        ) from None
 
 
 # -- numeric residue vs exact coefficient -------------------------------

@@ -1,6 +1,7 @@
 """Atlas model: validation invariants, canonical JSON round trips, builtins."""
 
 import json
+import math
 from dataclasses import replace
 from fractions import Fraction
 
@@ -15,6 +16,7 @@ from eqloc.atlas import (
     RootSystemData,
     SubmanifoldRestriction,
     builtin_atlas,
+    canonical_dumps,
     hk_point_atlas,
     hk_torus_rank2_atlas,
     mirror_pair_atlas,
@@ -336,3 +338,63 @@ def test_parse_runs_semantic_validation():
     with pytest.raises(ValidationError) as err:
         parse_atlas(doc)
     assert "regular value" in str(err.value)
+
+
+# -- the canonical writer against json's own encoder ----------------------
+
+
+def reference(doc) -> str:
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+# quotes, backslashes, control characters, non-ASCII and non-BMP characters
+awkward_text = st.text(
+    st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f aZé ퟿\U0001f600\U0010ffff')
+)
+scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=-(2**200), max_value=2**200),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([0.0, -0.0, 5e-324, 1e16, 1e-7, 2.5, math.inf, -math.inf, math.nan]),
+    st.text(),
+    awkward_text,
+)
+documents = st.recursive(
+    scalars,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(st.text() | awkward_text, inner, max_size=4),
+    ),
+    max_leaves=30,
+)
+
+
+@given(documents)
+@settings(max_examples=400, deadline=None)
+def test_writer_matches_json_dumps(doc):
+    assert canonical_dumps(doc) == reference(doc)
+
+
+def test_writer_edge_cases():
+    doc = {
+        "empty": [{}, [], ()],
+        "floats": [-0.0, 5e-324, 1e16, math.inf, -math.inf, math.nan],
+        "ints": [2**64, -(2**100), True, False, None],
+        "text": ['q"b\\c\x01\n', "\U0001f600", ""],
+        "": {"nested": {"deeper": [[], {}]}},
+    }
+    assert canonical_dumps(doc) == reference(doc)
+    for leaf in ({}, [], (), 0, "", None):
+        assert canonical_dumps(leaf) == reference(leaf)
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [Fraction(1, 2), {1, 2}, {1: "a"}, [{"a": 1, 2: "b"}], {"a": [Fraction(1)]}, object()],
+)
+def test_writer_refuses_what_json_cannot_write_canonically(doc):
+    with pytest.raises(TypeError):
+        canonical_dumps(doc)

@@ -379,6 +379,49 @@ def _value_beyond_double(tmp_path):
     return ["reduce", str(p), "--mode", "hk"]
 
 
+def _golden_variant(tmp_path, name, edit, argv):
+    doc = json.loads((GOLDEN_DIR / name).read_text())
+    edit(doc)
+    p = tmp_path / "a.json"
+    p.write_text(json.dumps(doc))
+    return [argv[0], str(p), *argv[1:]]
+
+
+def _set_moment(doc):
+    doc["fixed_points"][0]["moment"] = [[10**400, 1]]
+
+
+def _set_moment_hk(doc):
+    doc["fixed_points"][0]["moment_hk"][0][0] = [10**200, 1]
+
+
+def _set_both_eta(doc):
+    for fp in doc["fixed_points"]:
+        fp["eta"]["terms"][0]["re"] = [10**400, 1]
+
+
+def _oracle_moment_beyond_double(tmp_path):
+    return _golden_variant(
+        tmp_path, "sphere_s2.json", _set_moment, ["oracle", "--mode", "symplectic"]
+    )
+
+
+def _reduce_oracle_moment_beyond_double(tmp_path):
+    return _golden_variant(
+        tmp_path, "sphere_s2.json", _set_moment, ["reduce", "--mode", "symplectic", "--oracle"]
+    )
+
+
+def _oracle_hk_moment_beyond_double(tmp_path):
+    return _golden_variant(tmp_path, "hk_point.json", _set_moment_hk, ["oracle", "--mode", "hk"])
+
+
+def _oracle_coefficient_beyond_double(tmp_path):
+    return _golden_variant(
+        tmp_path, "sphere_s2.json", _set_both_eta, ["oracle", "--mode", "symplectic"]
+    )
+
+
 def _suptsq_infinite_x(tmp_path):
     return ["oracle", "--suptsq", "inf", "2"]
 
@@ -444,6 +487,10 @@ class TestErrorMapping:
             _string_volume_power,
             _huge_volume_power,
             _value_beyond_double,
+            _oracle_moment_beyond_double,
+            _reduce_oracle_moment_beyond_double,
+            _oracle_hk_moment_beyond_double,
+            _oracle_coefficient_beyond_double,
             _suptsq_infinite_x,
             _suptsq_nan_x,
             _suptsq_x_near_double_max,
@@ -461,6 +508,19 @@ class TestErrorMapping:
         doc = json.loads(err)
         assert doc["error"] == "validation"
         assert doc["slug"] == "validation"
+
+    @pytest.mark.parametrize(
+        "argv, point",
+        [
+            (_oracle_moment_beyond_double, "'north'"),
+            (_reduce_oracle_moment_beyond_double, "'north'"),
+            (_oracle_hk_moment_beyond_double, "'origin'"),
+        ],
+    )
+    def test_value_beyond_double_names_point_and_value(self, capsys, tmp_path, argv, point):
+        err = run_err(capsys, argv(tmp_path))
+        assert err["context"]["point"] == point
+        assert err["context"]["value"].startswith("Fraction(1000")
 
     def test_mixed_weight_reduce_carries_slug_and_context(self, capsys, tmp_path):
         doc = json.loads((GOLDEN_DIR / "hk_torus_rank2.json").read_text())

@@ -709,3 +709,131 @@ def test_invert_geometric_series_through_order_300():
         re, im = re * ar - im * ai, re * ai + im * ar
     assert got.terms == expected
     assert got.trunc == (300,)
+
+
+# -- reference: the series-object loops exp_series and invert_series replaced
+
+
+def _min_none(a, b):
+    return b if a is None else a if b is None else min(a, b)
+
+
+def reference_exp_series(p: LaurentSeries, orders: tuple) -> LaurentSeries:
+    """sum_n p^n / n! as one series product, scaling and clip per order, for
+    orders finite in every variable p involves."""
+    tr = tuple(_min_none(o, t) for o, t in zip(orders, p.trunc))
+    term = LaurentSeries.const(p.vars, 1, tr)
+    acc = term
+    n = 0
+    while True:
+        n += 1
+        term = LaurentSeries(p.vars, (term * p).scale(Fraction(1, n)).terms, tr)
+        if term.is_zero():
+            return acc
+        acc = acc + term
+
+
+def reference_invert_series(f: LaurentSeries, orders: tuple) -> LaurentSeries:
+    """1 / f for f = c y^m (1 + rest): the geometric series in -rest as one
+    series product and clip per power, then a product with y^-m."""
+    m = f.min_exponent()
+    u = LaurentSeries(
+        f.vars,
+        {tuple(x - y for x, y in zip(e, m)): c for e, c in f.terms.items()},
+        tuple(None if t is None else t - mm for t, mm in zip(f.trunc, m)),
+    )
+    c0 = u.constant_term()
+    if c0.is_zero():
+        raise NonInvertibleError("not a monomial times a unit")
+    u_orders = tuple(None if o is None else o + mm for o, mm in zip(orders, m))
+    for t, o in zip(u.trunc, u_orders):
+        if t is not None and (o is None or o > t):
+            raise InsufficientTruncationError("short", variable="y", requested=0, required=0)
+    if len(u.terms) == 1:
+        exact = all(t is None for t in u.trunc)
+        inv_u = LaurentSeries.const(f.vars, cr(1) / c0, None if exact else u_orders)
+    else:
+        rest = (u - LaurentSeries.const(f.vars, c0, u.trunc)).scale(cr(1) / c0)
+        for e in rest.terms:
+            if any(x != 0 and o is None for x, o in zip(e, u_orders)):
+                raise InsufficientTruncationError(
+                    "unbounded", variable="y", requested=0, required=0
+                )
+        neg_rest = -LaurentSeries(f.vars, rest.terms, u_orders)
+        term = LaurentSeries.const(f.vars, 1, u_orders)
+        acc = term
+        while True:
+            term = LaurentSeries(f.vars, (term * neg_rest).terms, u_orders)
+            if term.is_zero():
+                break
+            acc = acc + term
+        inv_u = acc.scale(cr(1) / c0)
+    out = inv_u * LaurentSeries.monomial(f.vars, tuple(-x for x in m))
+    return LaurentSeries(
+        f.vars, out.terms, tuple(_min_none(o, t) for o, t in zip(orders, out.trunc))
+    )
+
+
+def _orders(draw, involved):
+    """One order per variable, None only where the series does not involve
+    the variable."""
+    return tuple(
+        draw(st.integers(-3, 5) if v else st.none() | st.integers(-3, 5)) for v in involved
+    )
+
+
+@st.composite
+def exp_cases(draw):
+    k = draw(st.integers(1, 3))
+    exps = st.tuples(*([st.integers(0, 2)] * k)).filter(any)
+    terms = draw(st.dictionaries(exps, complex_rationals, max_size=3))
+    trunc = draw(st.tuples(*([st.none() | st.integers(0, 5)] * k)))
+    p = LaurentSeries(VARS[:k], terms, trunc)
+    involved = [any(e[v] for e in p.terms) for v in range(k)]
+    orders = tuple(None if o is None else abs(o) for o in _orders(draw, involved))
+    return p, orders
+
+
+@st.composite
+def invert_cases(draw):
+    """monomial * unit at rank 1-3, with mixed signs in the unit, and
+    truncations that are sometimes too short."""
+    k = draw(st.integers(1, 3))
+    exps = st.tuples(*([st.integers(0, 2)] * k)).filter(any)
+    body = draw(st.dictionaries(exps, complex_rationals, max_size=3))
+    lead = draw(complex_rationals.filter(bool) | st.just(cr(0)))
+    shift = draw(st.tuples(*([st.integers(-3, 3)] * k)))
+    f = LaurentSeries(VARS[:k], {**body, (0,) * k: lead}) * LaurentSeries.monomial(
+        VARS[:k], shift
+    )
+    trunc = draw(st.tuples(*([st.none() | st.integers(-3, 8)] * k)))
+    f = LaurentSeries(f.vars, f.terms, trunc)
+    involved = [any(e[v] for e in body) for v in range(k)]
+    return f, draw(st.sampled_from([_orders(draw, involved), (None,) * k]))
+
+
+@given(exp_cases())
+@settings(max_examples=200, deadline=None)
+def test_exp_series_matches_series_loop(case):
+    p, orders = case
+    got = exp_series(p, orders)
+    expected = reference_exp_series(p, orders)
+    assert got.terms == expected.terms
+    assert got.trunc == expected.trunc
+
+
+@given(invert_cases())
+@settings(max_examples=300, deadline=None)
+def test_invert_series_matches_series_loop(case):
+    f, orders = case
+    if f.is_zero():
+        return
+    try:
+        expected = reference_invert_series(f, orders)
+    except (NonInvertibleError, InsufficientTruncationError) as exc:
+        with pytest.raises(type(exc)):
+            invert_series(f, orders)
+        return
+    got = invert_series(f, orders)
+    assert got.terms == expected.terms
+    assert got.trunc == expected.trunc

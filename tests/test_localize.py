@@ -23,7 +23,7 @@ from eqloc.atlas import (
     sphere_atlas,
     validate_atlas,
 )
-from eqloc.errors import NonInvertibleError, ValidationError
+from eqloc.errors import NonInvertibleError, ValidationError, VariableMismatchError
 from eqloc.exact import ComplexRational, LaurentSeries
 from eqloc.localize import (
     SERIES_WORK_BUDGET,
@@ -49,6 +49,48 @@ def test_euler_class_products():
     assert euler_class(none, ("y",)) == LaurentSeries.const(("y",), 1)
     with pytest.raises(ValidationError):
         euler_class(replace(fp, weights=((0,),)), ("y",))
+
+
+def reference_euler_class(fp, variables) -> LaurentSeries:
+    """The product of series objects that euler_class multiplies out in
+    integers: one general product per linear form."""
+    e = LaurentSeries.const(variables, 1)
+    for w in fp.weights:
+        if all(x == 0 for x in w):
+            raise ValidationError("zero tangent weight")
+        e = e * LaurentSeries.linear_form(variables, w)
+    return e
+
+
+@st.composite
+def weight_lists(draw):
+    """Rank 1-3 tangent weights with entries in -3..3, mixed ones such as
+    (1, -1) included; now and then a zero or wrong-length weight."""
+    k = draw(st.integers(1, 3))
+    weight = st.tuples(*([st.integers(-3, 3)] * k))
+    weights = draw(st.lists(weight.filter(any), max_size=6))
+    bad = draw(st.sampled_from([None, None, None, (0,) * k, (1,) * (k + 1)]))
+    if bad is not None:
+        weights.insert(draw(st.integers(0, len(weights))), bad)
+    return k, tuple(weights)
+
+
+@given(weight_lists())
+@settings(max_examples=200, deadline=None)
+def test_euler_class_matches_series_product(case):
+    k, weights = case
+    fp = replace(sphere_atlas().fixed_points[0], weights=weights)
+    variables = ("y", "z", "w")[:k]
+    try:
+        expected = reference_euler_class(fp, variables)
+    except (ValidationError, VariableMismatchError) as exc:
+        with pytest.raises(type(exc)):
+            euler_class(fp, variables)
+        return
+    got = euler_class(fp, variables)
+    assert got == expected
+    assert got.trunc == (None,) * k
+    assert all(type(c) is ComplexRational and c for c in got.terms.values())
 
 
 def test_phase_covector_by_geometry():

@@ -525,6 +525,13 @@ class TestShiftSmoothness:
         assert moment_gap(sphere_atlas()) == 1.0
         assert moment_gap(mirror_pair_atlas(3)) >= 1.0
 
+    def test_moment_beyond_double_is_refused(self):
+        atlas = sphere_atlas()
+        south = replace(atlas.fixed_points[1], moment=(Fraction(-(10**400)),))
+        with pytest.raises(ValidationError) as err:
+            moment_gap(replace(atlas, fixed_points=(atlas.fixed_points[0], south)))
+        assert err.value.context == {"point": "south", "value": Fraction(-(10**400))}
+
 
 class TestAtlasIntegrand:
     def test_sphere_values_are_sinc(self):
