@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """t-ladder convergence study for the mollified oracle.
 
-Prints the ladder value, successive difference, and quadrature error
-estimate per t, the extrapolated limits under both rules, and (for
+Prints the ladder value, successive difference, quadrature error estimate
+and panels spent per t, the extrapolated limits under both rules, and (for
 symplectic circle data) the exact engine value the ladder should approach.
 
 Usage:
@@ -53,13 +53,16 @@ def main() -> int:
         return 1
 
     print(f"atlas: {args.atlas} ({atlas.geometry}, rank {atlas.group.rank})")
-    print(f"{'t':>10}  {'value':>44}  {'|delta|':>10}  {'err est':>10}")
+    print(f"{'t':>10}  {'value':>44}  {'|delta|':>10}  {'err est':>10}  {'panels':>8}")
     prev = None
     for row in res.rows:
         delta = "" if prev is None else f"{abs(row.value - prev):.3e}"
         val = f"{row.value.real:+.15e} {row.value.imag:+.15e}i"
-        print(f"{row.t:>10.1f}  {val:>44}  {delta:>10}  {row.err_estimate:>10.2e}")
+        print(
+            f"{row.t:>10.1f}  {val:>44}  {delta:>10}  {row.err_estimate:>10.2e}  {row.panels:>8}"
+        )
         prev = row.value
+    print(f"panel budget: {res.max_panels} per rung")
     print(f"last value:  {res.estimate.real:+.15e} {res.estimate.imag:+.15e}i")
 
     rich = mollified_oint(

@@ -255,6 +255,8 @@ class ReductionReport:
                 f"oracle:          {oc['oracle_value']} "
                 f"(abs err {oc['abs_err']:.3e}, rel err {oc['rel_err']:.3e})"
             )
+            panels = ", ".join(str(r["panels"]) for r in oc["ladder"])
+            lines.append(f"oracle panels:   {panels} (of {oc['max_panels']} per rung)")
         return "\n".join(lines) + "\n"
 
 

@@ -33,7 +33,6 @@ that moment too, and reading one of them from outside loads numpy.
 
 from __future__ import annotations
 
-import cmath
 import itertools
 import math
 import sys
@@ -160,10 +159,72 @@ def _eval_panels(fn, a: np.ndarray, b: np.ndarray):
     return i15, np.abs(i15 - sums[:, 1] * half)
 
 
+# The exact sum is a superaccumulator (Neal, "Fast exact summation using
+# small and large superaccumulators", 2015) held in numpy.  frexp writes a
+# finite double as v = m 2^e with 1/2 <= |m| < 1 and e >= -1073; with
+# k = e + 1073, L = k // 16 and s = k % 16,
+#
+#     v = x 2^(16 (L + 2) - 1126),   x = m 2^(21 + s),   |x| < 2^36,
+#
+# and x, a multiple of 2^-32, is a = floor(x) plus f = x - a in [0, 1).  So
+# v puts the integer 2^32 f on limb L and the integer a on limb L + 2, limb
+# j counting multiples of 2^(16 j - 1126).  One chunk's limb sums are sums
+# of integers of magnitude at most 2^36, exact in doubles for up to 2^17 of
+# them.
+_LIMBS = 134  # per part; limb 133 holds the top piece of any finite double
+_CHUNK = 1 << 17
+_LIMB0 = 1 << 1126  # limb 0 counts multiples of 1 / _LIMB0
+
+
+def _limb_sums(parts: np.ndarray) -> np.ndarray:
+    """The exact per-limb sums of at most _CHUNK rows of finite (real,
+    imag) parts: int64, shape (2, _LIMBS)."""
+    m, k = np.frexp(parts)
+    k += 1073
+    k[:, 1] += 16 * _LIMBS
+    np.ldexp(m, (k & 15) + 21, out=m)
+    limb = np.right_shift(k, 4, out=np.empty(k.shape, dtype=np.intp)).ravel()
+    a = np.floor(m)
+    m -= a
+    sums = (np.bincount(limb, m.ravel(), minlength=2 * _LIMBS) * 2.0**32).astype(np.int64)
+    sums[2:] += np.bincount(limb, a.ravel(), minlength=2 * _LIMBS)[:-2].astype(np.int64)
+    return sums.reshape(2, _LIMBS)
+
+
+def _carry(limbs: np.ndarray) -> int:
+    """sum_j limbs[j] 2^(16 j) as one Python int."""
+    nz = np.flatnonzero(limbs)
+    if not len(nz):
+        return 0
+    total = 0
+    for limb in limbs[nz[0] : nz[-1] + 1][::-1].tolist():
+        total = (total << 16) + limb
+    return total << (16 * int(nz[0]))
+
+
 def _fsum(values: np.ndarray) -> complex:
     """Correctly rounded sum of complex values, so independent of their
-    order."""
-    return complex(math.fsum(values.real.tolist()), math.fsum(values.imag.tolist()))
+    order: the same double, part by part, as math.fsum.
+
+    The limbs of the superaccumulator above carry into one Python int N per
+    part, and the part is N / 2^1126, which CPython's int division rounds
+    once, half to even, as fsum does.  Values with a NaN or infinite part,
+    or a part large enough that a partial sum could overflow, are left to
+    math.fsum whole, and so is a part whose exact sum is zero (fsum chooses
+    the sign of that zero).
+    """
+    parts = np.ascontiguousarray(values, dtype=complex).view(float).reshape(-1, 2)
+    n = len(parts)
+    # written so that NaN fails the test
+    if not np.abs(parts).max(initial=0.0) < 2.0 ** (1020 - n.bit_length()):
+        return complex(*(math.fsum(p.tolist()) for p in parts.T))
+    totals = [0, 0]
+    for start in range(0, n, _CHUNK):
+        for c, limbs in enumerate(_limb_sums(parts[start : start + _CHUNK])):
+            totals[c] += _carry(limbs)
+    return complex(
+        *(t / _LIMB0 if t else math.fsum(p.tolist()) for t, p in zip(totals, parts.T))
+    )
 
 
 def adaptive_quadrature(
@@ -177,8 +238,9 @@ def adaptive_quadrature(
     fn is a function of an array of nodes, or a _MollifiedPanels evaluated a
     panel at a time.  Panels whose Kronrod-minus-Gauss estimate exceeds
     tol_panel are halved, all of them, each round.  Accepted panels are
-    summed with fsum, which rounds the exact sum once, so the result does
-    not depend on the splitting history.
+    summed by _fsum, which rounds their exact sum once, to the double
+    math.fsum gives, so the result does not depend on the splitting
+    history.
     """
     # through np first, so that the rule arrays _eval_panels reads are bound
     edges = np.asarray(edges, dtype=float)
@@ -243,8 +305,12 @@ class MollifierConfig:
             raise ValidationError(
                 f"unknown extrapolation rule {self.extrapolation!r}"
             )
-        if self.max_panels < 16:
-            raise ValidationError("max_panels is too small to integrate anything")
+        # NaN or inf would switch the panel budget off
+        panels = self.max_panels
+        if not isinstance(panels, int) or isinstance(panels, bool) or panels < 16:
+            raise ValidationError(
+                f"max_panels must be an integer of at least 16, got {panels!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -268,15 +334,20 @@ class OracleIntegrand:
 
 @dataclass(frozen=True)
 class LadderRow:
+    """One rung of the t ladder; panels counts the panels it evaluated,
+    against the rung's budget of MollifierConfig.max_panels."""
+
     t: float
     value: complex
     err_estimate: float
+    panels: int
 
     def to_json_dict(self) -> dict:
         return {
             "t": self.t,
             "value": [self.value.real, self.value.imag],
             "err_estimate": self.err_estimate,
+            "panels": self.panels,
         }
 
 
@@ -285,6 +356,7 @@ class OracleResult:
     rows: Tuple[LadderRow, ...]
     estimate: complex
     extrapolation: str
+    max_panels: int
 
     def deltas(self) -> List[float]:
         return [
@@ -301,6 +373,7 @@ class OracleResult:
             "estimate": [self.estimate.real, self.estimate.imag],
             "extrapolation": self.extrapolation,
             "ladder_monotone": self.ladder_monotone(),
+            "max_panels": self.max_panels,
         }
 
 
@@ -371,14 +444,20 @@ def mollified_oint(
     for t in cfg.t_ladder:
         budget = _Budget(cfg.max_panels)
         val, err = _mollified_single_t(g, t, cfg, budget)
-        rows.append(LadderRow(t=t, value=val / vol, err_estimate=err / vol))
+        panels = cfg.max_panels - budget.left
+        rows.append(LadderRow(t=t, value=val / vol, err_estimate=err / vol, panels=panels))
     if cfg.extrapolation == "richardson":
         t1, t2 = cfg.t_ladder[-2], cfg.t_ladder[-1]
         v1, v2 = rows[-2].value, rows[-1].value
         estimate = (t2 * v2 - t1 * v1) / (t2 - t1)
     else:
         estimate = rows[-1].value
-    return OracleResult(rows=tuple(rows), estimate=estimate, extrapolation=cfg.extrapolation)
+    return OracleResult(
+        rows=tuple(rows),
+        estimate=estimate,
+        extrapolation=cfg.extrapolation,
+        max_panels=cfg.max_panels,
+    )
 
 
 # -- atlas integrands ----------------------------------------------------
@@ -462,6 +541,16 @@ class _PointSum:
         return acc
 
 
+def _unit(theta: np.ndarray) -> np.ndarray:
+    """exp(i theta) for real theta, with cos and sin written straight into
+    the parts of the result: the values of np.exp(1j * theta) without the
+    complex exponential's work."""
+    out = np.empty(theta.shape, dtype=complex)
+    np.cos(theta, out=out.real)
+    np.sin(theta, out=out.imag)
+    return out
+
+
 class _MollifiedPanels:
     """exp(-y^2/4t) times a rank-1 _PointSum, integrated a round of panels
     at a time.  Its terms, gathered by frequency f, are the columns of a
@@ -476,6 +565,7 @@ class _MollifiedPanels:
     differ in the last bits), and a centre phase exp(i f c) per panel and
     frequency.  A hyperkahler phase exp(i f x^2) does not separate: it
     multiplies the amplitudes B C per node, and RULES contracts the nodes.
+    Every phase is taken by _unit from its real angle.
     """
 
     def __init__(self, point_sum: _PointSum, t: float):
@@ -508,19 +598,19 @@ class _MollifiedPanels:
             x = centers[:, None] + half[:, None] * KRONROD_NODES
             basis = self._basis(x).reshape(x.size, -1)
             amp = (basis @ self.coeffs.view(float)).view(complex).reshape(*x.shape, -1)
-            return (amp * np.exp(1j * (x * x)[..., None] * self.freqs)).sum(axis=-1) @ RULES
+            return (amp * _unit((x * x)[..., None] * self.freqs)).sum(axis=-1) @ RULES
         order = np.argsort(half, kind="stable")
         c, h = centers[order], half[order]
         basis = self._basis(c[:, None] + h[:, None] * KRONROD_NODES).reshape(len(c), -1)
         out = np.empty((len(c), len(self.freqs), 2), dtype=complex)
         cuts = [0, *(np.flatnonzero(h[1:] != h[:-1]) + 1), len(c)]
         for s, e in zip(cuts, cuts[1:]):
-            node = np.exp(1j * h[s] * np.multiply.outer(KRONROD_NODES, self.freqs))
+            node = _unit(h[s] * np.multiply.outer(KRONROD_NODES, self.freqs))
             v = RULES[:, None, None] * node[:, None, :, None] * self.coeffs[:, :, None]
             v = v.reshape(basis.shape[1], -1).view(float)
             np.matmul(basis[s:e], v, out=out[s:e].reshape(e - s, -1).view(float))
         sums = np.empty((len(c), 2), dtype=complex)
-        sums[order] = np.einsum("pf,pfr->pr", np.exp(1j * np.multiply.outer(c, self.freqs)), out)
+        sums[order] = np.einsum("pf,pfr->pr", _unit(np.multiply.outer(c, self.freqs)), out)
         return sums
 
 
@@ -663,25 +753,32 @@ def _double(x: Fraction, fp: FixedPointDatum, what: str) -> float:
 
 def contour_coeff(f: LaurentSeries, m: int, var: str) -> complex:
     """Numeric estimate of the coefficient at var^-m by a contour average:
-    (1/2pi) integral_0^2pi f(r e^(i theta)) r^m e^(i m theta) d theta at
-    r = 1/2, trapezoid rule with 4096 nodes."""
+    (1/2pi) integral_0^2pi f(z) z^m d theta over z = r e^(i theta) at
+    r = 1/2, trapezoid rule with 4096 nodes.
+
+    f is evaluated at every node at once by Horner's rule over its
+    exponents, highest first.  At node z_j = r w^j, w = exp(2 pi i / n),
+    a power z_j^g is r^g w^(g j mod n), read from one table of the n-th
+    roots of unity, so no angle grows with g."""
     if len(f.vars) != 1:
         raise ValidationError("contour extraction works on one-variable series")
     if f.vars[0] != var:
         raise ValidationError(f"series has variable {f.vars[0]!r}, not {var!r}")
     r = 0.5
     n = 4096
-    data = [(complex(c), e[0]) for e, c in sorted(f.terms.items())]
-    vals_re = []
-    vals_im = []
-    for j in range(n):
-        theta = 2.0 * math.pi * j / n
-        z = r * cmath.exp(1j * theta)
-        fz = sum(c * z**e for c, e in data)
-        v = fz * (r**m) * cmath.exp(1j * m * theta)
-        vals_re.append(v.real)
-        vals_im.append(v.imag)
-    return complex(math.fsum(vals_re) / n, math.fsum(vals_im) / n)
+    terms = sorted(((e, complex(c)) for (e,), c in f.terms.items()), reverse=True)
+    if not terms:
+        return 0j
+    j = np.arange(n)
+    roots = _unit(2.0 * math.pi / n * j)
+
+    def power(g: int) -> np.ndarray:
+        return r**g * roots[g % n * j % n]
+
+    acc = np.full(n, terms[0][1])
+    for (above, _), (e, c) in zip(terms, terms[1:]):
+        acc = acc * power(above - e) + c
+    return _fsum(acc * power(terms[-1][0] + m)) / n
 
 
 # -- decay and smoothness diagnostics ------------------------------------
@@ -954,5 +1051,6 @@ def oracle_comparison(
         "rel_err": rel_err,
         "t_ladder": list(cfg.t_ladder),
         "extrapolation": cfg.extrapolation,
+        "max_panels": cfg.max_panels,
         "ladder": [r.to_json_dict() for r in res.rows],
     }

@@ -187,7 +187,19 @@ class TestReduce:
         doc = run_json(
             capsys, ["reduce", "builtin:sphere_S2", "--mode", "symplectic", "--oracle"]
         )
-        assert doc["oracle_comparison"]["rel_err"] < 1e-8
+        cmp = doc["oracle_comparison"]
+        assert cmp["rel_err"] < 1e-8
+        assert cmp["max_panels"] == 300_000
+        panels = [row["panels"] for row in cmp["ladder"]]
+        assert len(panels) == len(cmp["t_ladder"])
+        assert all(0 < p <= cmp["max_panels"] for p in panels)
+
+    def test_oracle_table_prints_panels(self, capsys):
+        argv = ["reduce", "builtin:sphere_S2", "--mode", "symplectic", "--oracle"]
+        panels = [row["panels"] for row in run_json(capsys, argv)["oracle_comparison"]["ladder"]]
+        assert cli.run(argv + ["--table"]) == 0
+        line = ", ".join(map(str, panels))
+        assert f"oracle panels:   {line} (of 300000 per rung)" in capsys.readouterr().out
 
     def test_oracle_on_hk_refused(self, capsys):
         err = run_err(capsys, ["reduce", "builtin:hk_point", "--mode", "hk", "--oracle"])
@@ -251,6 +263,8 @@ class TestOracleCommand:
         )
         rows = doc["mollified"]["rows"]
         assert len(rows) == 2
+        assert doc["mollified"]["max_panels"] == 300_000
+        assert 0 < rows[0]["panels"] < rows[1]["panels"]
         assert abs(rows[0]["value"][1] - math.erf(1.0)) < 1e-10
 
     def test_shift_table(self, capsys):

@@ -35,6 +35,7 @@ from eqloc.oracle import (
     OracleIntegrand,
     _Budget,
     _eval_panels,
+    _fsum,
     _MollifiedPanels,
     _PointSum,
     _panel_edges,
@@ -142,6 +143,133 @@ class TestGaussKronrod:
         assert abs((e2[1] - e2[0]) - 2.0) < 1e-12
 
 
+# -- exact sums ----------------------------------------------------------
+
+#: m 2^j with |m| < 2^53, so exactly a double: subnormals from 2^-1074 up
+#: to magnitudes near 2^1000
+_DOUBLES = st.builds(
+    math.ldexp, st.integers(-(2**53 - 1), 2**53 - 1), st.integers(-1074, 1000 - 53)
+)
+
+
+@st.composite
+def _summands(draw):
+    """Mixed signs and exponents, some values cancelled exactly, sometimes
+    all of them, and signed zeros."""
+    xs = draw(st.lists(_DOUBLES, max_size=30))
+    if xs and draw(st.booleans()):
+        cancelled = xs if draw(st.booleans()) else draw(st.lists(st.sampled_from(xs)))
+        xs = xs + [-x for x in cancelled]
+    xs += draw(st.lists(st.sampled_from([0.0, -0.0]), max_size=2))
+    return draw(st.permutations(xs))
+
+
+def _complex_array(re, im):
+    """re + i im part by part, so that signed zeros survive."""
+    out = np.empty(len(re), dtype=complex)
+    out.real, out.imag = re, im
+    return out
+
+
+def _bits(z: complex):
+    # hex tells -0.0 from 0.0
+    return z.real.hex(), z.imag.hex()
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except (ValueError, OverflowError) as exc:
+        return type(exc)
+
+
+class TestExactSum:
+    """_fsum returns math.fsum's double for each part, bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_summands(), _summands())
+    def test_matches_fsum(self, re, im):
+        n = max(len(re), len(im))
+        re, im = re + [-0.0] * (n - len(re)), im + [-0.0] * (n - len(im))
+        got = _fsum(_complex_array(re, im))
+        assert _bits(got) == _bits(complex(math.fsum(re), math.fsum(im)))
+
+    @settings(max_examples=200, deadline=None)
+    @given(_DOUBLES, st.sampled_from([1, -1]), st.sampled_from([0.0, 2.0**-60, -(2.0**-60)]))
+    def test_half_ulp_ties(self, x, sign, nudge):
+        """x plus half its ulp is a tie, broken by a far smaller third term
+        when there is one."""
+        half = sign * math.ulp(x) / 2
+        xs = [x, half] + ([half * nudge] if nudge else [])
+        got = _fsum(_complex_array(xs, xs[::-1]))
+        assert _bits(got) == _bits(complex(math.fsum(xs), math.fsum(xs[::-1])))
+
+    @pytest.mark.parametrize(
+        "xs",
+        [
+            [1.0, 2.0**-53],
+            [1.0, 2.0**-53, 2.0**-106],
+            [1.0, -(2.0**-54)],
+            [1.0 + 2.0**-52, 2.0**-53],
+            [2.0**-1074] * 3,
+            [2.0**-1074, -(2.0**-1074)],
+            [2.0**-1022, -(2.0**-1074)],
+            [1e300, 1.0, -1e300],
+            [2.0**1000, 2.0**1000, -(2.0**1000)],
+            [-0.0],
+            [-0.0, -0.0],
+            [0.0, -0.0],
+            [],
+        ],
+    )
+    def test_edge_cases(self, xs):
+        got = _fsum(_complex_array(xs, [-x for x in xs]))
+        assert _bits(got) == _bits(complex(math.fsum(xs), math.fsum([-x for x in xs])))
+
+    def test_longer_than_one_chunk(self):
+        """2^17 + 1 copies of a value whose integer part in the accumulator
+        is odd and of 36 bits, so that their sum passes 2^53 where a double
+        would round, and a far smaller term that makes such a rounding show
+        in the total."""
+        xs = [-(2.0**36 - 1) * 2.0**-22] * (2**17 + 1) + [2.0**-40]
+        got = _fsum(_complex_array(xs, xs[::-1]))
+        assert _bits(got) == _bits(complex(math.fsum(xs), math.fsum(xs)))
+
+    def test_many_chunks(self):
+        rng = np.random.default_rng(7)
+        n = 3 * 2**17 + 5
+        x = np.ldexp(rng.uniform(-1, 1, n), rng.integers(-80, 80, n))
+        values = _complex_array(x, -x[::-1] * 3)
+        got = _fsum(values)
+        want = complex(math.fsum(values.real.tolist()), math.fsum(values.imag.tolist()))
+        assert _bits(got) == _bits(want)
+
+    @pytest.mark.parametrize(
+        "xs",
+        [
+            [math.inf, 1.0],
+            [-math.inf, -math.inf, 2.0],
+            [-math.inf, math.inf],
+            [math.nan, 1.0],
+            [1e308, 1e308],
+            [1e308, 1e308, -1e308],
+            [sys.float_info.max, math.ulp(sys.float_info.max) / 2],
+        ],
+    )
+    def test_specials_as_fsum(self, xs):
+        """Non-finite values and overflowing sums give fsum's value or
+        exception type, in either part."""
+        other = [1.0] * len(xs)
+        for re, im in ((xs, other), (other, xs)):
+            got = _outcome(_fsum, _complex_array(re, im))
+            want = _outcome(lambda: complex(math.fsum(re), math.fsum(im)))
+            if isinstance(want, complex):
+                assert isinstance(got, complex)
+                assert np.array_equal([got], [want], equal_nan=True)
+            else:
+                assert got is want
+
+
 # -- mollified limits ----------------------------------------------------
 
 
@@ -211,6 +339,13 @@ class TestMollified:
             dict(window_sigmas=math.inf),
             dict(extrapolation="pade"),
             dict(max_panels=2),
+            dict(max_panels=15),
+            dict(max_panels=math.nan),
+            dict(max_panels=math.inf),
+            dict(max_panels=16.5),
+            dict(max_panels=300_000.0),
+            dict(max_panels=True),
+            dict(max_panels="300000"),
         ):
             with pytest.raises(ValidationError):
                 MollifierConfig(**bad)
@@ -220,9 +355,25 @@ class TestMollified:
             lambda y: np.exp(-y * y), CIRCLE, MollifierConfig(t_ladder=(1.0, 10.0))
         )
         d = res.to_json_dict()
-        assert set(d) == {"rows", "estimate", "extrapolation", "ladder_monotone"}
+        assert set(d) == {"rows", "estimate", "extrapolation", "ladder_monotone", "max_panels"}
+        assert d["max_panels"] == MollifierConfig().max_panels
         assert len(d["rows"]) == 2
-        assert set(d["rows"][0]) == {"t", "value", "err_estimate"}
+        assert set(d["rows"][0]) == {"t", "value", "err_estimate", "panels"}
+        assert all(type(r["panels"]) is int and 16 <= r["panels"] for r in d["rows"])
+
+    def test_rung_panels_are_the_budget_spent(self):
+        """A rung's panels, as max_panels, is just enough for that rung,
+        and one fewer exhausts the budget."""
+        atlas = mirror_pair_atlas(3)
+        g = atlas_integrand(atlas)
+        cfg = MollifierConfig(t_ladder=(1.0, 100.0))
+        rows = mollified_oint(g, atlas.group, cfg).rows
+        assert rows[0].panels < rows[1].panels
+        top = replace(cfg, max_panels=rows[1].panels)
+        again = mollified_oint(g, atlas.group, top).rows
+        assert [r.panels for r in again] == [r.panels for r in rows]
+        with pytest.raises(QuadratureError):
+            mollified_oint(g, atlas.group, replace(top, max_panels=rows[1].panels - 1))
 
 
 def _sphere_with_moment(m):
@@ -403,6 +554,33 @@ class TestContour:
         f = LaurentSeries(("y",), terms)
         exact = complex(f.coefficient((-m,)))
         assert abs(contour_coeff(f, m, "y") - exact) < 1e-9
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.dictionaries(
+            st.integers(min_value=-6, max_value=20),
+            st.tuples(
+                st.fractions(min_value=-10, max_value=10, max_denominator=60),
+                st.fractions(min_value=-10, max_value=10, max_denominator=60),
+            ),
+            min_size=1,
+            max_size=27,
+        ),
+        st.integers(min_value=-20, max_value=6),
+    )
+    def test_matches_exact_coefficient_of_long_series(self, coeffs, m):
+        """Every coefficient of a series with exponents -6..20, relative to
+        the terms' sizes on the circle |y| = 1/2, where a term of the
+        average is c_e (1/2)^(e + m)."""
+        terms = {
+            (e,): ComplexRational.of(re, im) for e, (re, im) in coeffs.items() if re or im
+        }
+        if not terms:
+            terms = {(0,): ComplexRational.one()}
+        f = LaurentSeries(("y",), terms)
+        exact = complex(f.coefficient((-m,)))
+        size = sum(abs(complex(c)) * 0.5 ** (e + m) for (e,), c in terms.items())
+        assert abs(contour_coeff(f, m, "y") - exact) <= 1e-13 * size
 
 
 # -- decay and smoothness diagnostics ------------------------------------
@@ -797,3 +975,4 @@ def test_convergence_script_runs():
     )
     assert out.returncode == 0, out.stderr
     assert "exact limit:" in out.stdout
+    assert "panels" in out.stdout and "panel budget: 300000 per rung" in out.stdout
