@@ -19,13 +19,14 @@ from __future__ import annotations
 import json
 import math
 import random
+from collections.abc import Mapping
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _encode_str
-from typing import Mapping, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 from .errors import ValidationError
-from .exact import ComplexRational, LaurentSeries, SymbolicConstant
+from .exact import ComplexRational, LaurentSeries, SymbolicConstant, _normal
 
 GEOMETRIES = ("symplectic", "hyperkahler")
 GROUP_KINDS = ("circle", "torus", "compact_with_torus")
@@ -79,8 +80,12 @@ class FixedPointDatum:
             raise ValidationError(
                 f"fixed point {self.name!r} carries no three-component moment data"
             )
-        v = self.moment_hk[factor]
-        return v[0] * v[0] + v[1] * v[1] + v[2] * v[2]
+        # sum n^2 / d^2 over one running denominator, reduced once
+        num, den = 0, 1
+        for x in self.moment_hk[factor]:
+            d2 = x.denominator * x.denominator
+            num, den = num * d2 + x.numerator * x.numerator * den, den * d2
+        return Fraction(num, den)
 
 
 @dataclass(frozen=True)
@@ -266,16 +271,35 @@ def _frac_pair(x: Fraction) -> list:
     return [x.numerator, x.denominator]
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _parse_pair(doc, where: str) -> tuple:
+    """The ints (n, d) of a [numerator, denominator] pair, d nonzero."""
+    if isinstance(doc, (list, tuple)) and len(doc) == 2:
+        n, d = doc
+        if _is_int(n) and _is_int(d):
+            if d == 0:
+                raise ValidationError(f"{where}: zero denominator")
+            return n, d
+    raise ValidationError(f"{where}: rational values are [numerator, denominator] integer pairs")
+
+
 def _parse_frac(doc, where: str) -> Fraction:
-    if (
-        not isinstance(doc, (list, tuple))
-        or len(doc) != 2
-        or not all(isinstance(v, int) and not isinstance(v, bool) for v in doc)
-    ):
-        raise ValidationError(f"{where}: rational values are [numerator, denominator] integer pairs")
-    if doc[1] == 0:
-        raise ValidationError(f"{where}: zero denominator")
-    return Fraction(doc[0], doc[1])
+    return Fraction(*_parse_pair(doc, where))
+
+
+def _parse_coeff(re_doc, im_doc, where: str) -> ComplexRational:
+    """a/b + i c/e from two pairs, as one (p, q, d) triple: the signs of the
+    denominators go onto the numerators and one gcd reduces the whole."""
+    a, b = _parse_pair(re_doc, f"{where} re")
+    c, e = _parse_pair(im_doc, f"{where} im")
+    if b < 0:
+        a, b = -a, -b
+    if e < 0:
+        c, e = -c, -e
+    return _normal(a * e, c * b, b * e)
 
 
 def _series_doc(series: LaurentSeries) -> dict:
@@ -301,7 +325,7 @@ def parse_series_terms(terms, variables, where: str, trunc=None) -> LaurentSerie
             )
         exps = entry["exp"]
         if not isinstance(exps, list) or len(exps) != len(variables) or not all(
-            isinstance(e, int) and not isinstance(e, bool) for e in exps
+            map(_is_int, exps)
         ):
             raise ValidationError(
                 f"{where}: term {n} exponent vector must list one integer per variable"
@@ -309,10 +333,7 @@ def parse_series_terms(terms, variables, where: str, trunc=None) -> LaurentSerie
         key = tuple(exps)
         if key in parsed:
             raise ValidationError(f"{where}: duplicate exponent vector {key}")
-        parsed[key] = ComplexRational(
-            _parse_frac(entry["re"], f"{where}: term {n} re"),
-            _parse_frac(entry["im"], f"{where}: term {n} im"),
-        )
+        parsed[key] = _parse_coeff(entry["re"], entry["im"], f"{where}: term {n}")
     return LaurentSeries(variables, parsed, trunc)
 
 
@@ -332,7 +353,7 @@ MAX_VOLUME_POWER = 64
 
 
 def _parse_int(doc, where: str) -> int:
-    if not isinstance(doc, int) or isinstance(doc, bool):
+    if not _is_int(doc):
         raise ValidationError(f"{where}: expected an integer")
     return doc
 
@@ -492,9 +513,7 @@ def parse_atlas(document) -> FixedPointAtlas:
             raise ValidationError("positive roots must be a list of covectors")
         parsed_roots = []
         for a in pos:
-            if not isinstance(a, list) or not all(
-                isinstance(x, int) and not isinstance(x, bool) for x in a
-            ):
+            if not isinstance(a, list) or not all(map(_is_int, a)):
                 raise ValidationError("each positive root is a list of integers")
             parsed_roots.append(tuple(a))
         roots = RootSystemData(tuple(parsed_roots), _parse_int(rdoc["weyl_order"], "weyl_order"))
@@ -550,9 +569,7 @@ def parse_atlas(document) -> FixedPointAtlas:
             raise ValidationError(f"{where}: weights must be a list")
         weights = []
         for w in wdoc:
-            if not isinstance(w, list) or not all(
-                isinstance(x, int) and not isinstance(x, bool) for x in w
-            ):
+            if not isinstance(w, list) or not all(map(_is_int, w)):
                 raise ValidationError(f"{where}: each weight is a list of integers")
             weights.append(tuple(w))
         moment_hk = None

@@ -137,10 +137,8 @@ def resolve_profile(profile=None) -> ConventionProfile:
 
 
 def _cr_json(c: ComplexRational) -> dict:
-    return {
-        "re": [c.re.numerator, c.re.denominator],
-        "im": [c.im.numerator, c.im.denominator],
-    }
+    re, im = c.json_pairs()
+    return {"re": re, "im": im}
 
 
 @dataclass(frozen=True)
@@ -266,10 +264,6 @@ def _check_order(order: int) -> int:
     return order
 
 
-def _fraction_scale(c: ComplexRational, f: Fraction) -> ComplexRational:
-    return ComplexRational(c.re * f, c.im * f)
-
-
 def _run(
     atlas: FixedPointAtlas,
     profile,
@@ -325,7 +319,7 @@ def _run(
     if degree_factor < 1:
         raise InternalError(f"degree factor {degree_factor} escaped validation")
     prefactor = profile.prefactor(geometry, k)
-    quotient = ExactValue(prefactor, _fraction_scale(raw, Fraction(1, degree_factor)))
+    quotient = ExactValue(prefactor, raw * Fraction(1, degree_factor))
     return ReductionReport(
         path=path,
         geometry=geometry,
@@ -535,13 +529,13 @@ def weyl_wrap(
         rep,
         eta_mode=eta_mode,
         contributions=tuple(
-            replace(p, coefficient=_fraction_scale(p.coefficient, inv_w))
+            replace(p, coefficient=p.coefficient * inv_w)
             for p in rep.contributions
         ),
-        raw_coefficient=_fraction_scale(rep.raw_coefficient, inv_w),
+        raw_coefficient=rep.raw_coefficient * inv_w,
         quotient_integral=ExactValue(
             rep.quotient_integral.unit,
-            _fraction_scale(rep.quotient_integral.coeff, inv_w),
+            rep.quotient_integral.coeff * inv_w,
         ),
         inserted_polynomial=w4.canonical_text(),
         weyl_divisor=roots.weyl_order,

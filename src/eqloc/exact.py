@@ -16,15 +16,21 @@ expands N to degree p - m, and multiplication by the monomial y^{-p} then
 records that the result is trusted exactly through y^{-m}.
 
 A ComplexRational stores its value (p + i q) / d as three ints (p, q, d)
-with d > 0 and gcd(p, q, d) = 1, one denominator per coefficient; ``re``
-and ``im`` hand out Fractions.  Series arithmetic builds its results from
-terms that are already canonical and wraps them without validating them
-again (``LaurentSeries._canonical``); the public constructor keeps every
-check for data from outside.  One term product, ``_mul_terms``, serves the
-series product and the power loops of ``exp_series`` and
-``invert_series``, which work on term dictionaries and sum their powers
-into one dictionary, so their cost grows linearly with the number of
-powers.
+with d > 0 and gcd(p, q, d) = 1, one denominator per coefficient.  On the
+reduce path a coefficient stays such a triple end to end: the atlas parser
+builds it from the [numerator, denominator] pairs of the text, the closed
+form read sums in ints, and ``json_pairs`` writes the pairs back with one
+gcd per part.  Fractions remain where values are not series coefficients
+(moment values and the ``q`` of a SymbolicConstant) and in the public
+``re`` and ``im``, which hand out Fractions.
+
+Series arithmetic builds its results from terms that are already canonical
+and wraps them without validating them again (``LaurentSeries._canonical``);
+the public constructor keeps every check for data from outside.  One term
+product, ``_mul_terms``, serves the series product and the power loops of
+``exp_series`` and ``invert_series``, which work on term dictionaries and
+sum their powers into one dictionary, so their cost grows linearly with the
+number of powers.
 """
 
 from __future__ import annotations
@@ -33,7 +39,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, le, sub
-from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
+from typing import Mapping, Optional, Sequence, Union
 
 from .errors import (
     ConstantTermError,
@@ -92,6 +98,15 @@ class ComplexRational:
     def im(self) -> Fraction:
         _, q, d = self._v
         return Fraction(q, d)
+
+    def json_pairs(self) -> tuple:
+        """([re numerator, re denominator], [im numerator, im denominator]),
+        each in lowest terms as ``re`` and ``im`` give them, read from the
+        triple with one gcd per part and no Fraction."""
+        p, q, d = self._v
+        g = math.gcd(p, d)
+        h = math.gcd(q, d)
+        return [p // g, d // g], [q // h, d // h]
 
     @classmethod
     def zero(cls) -> "ComplexRational":
@@ -660,30 +675,9 @@ class LaurentSeries:
     def to_json_terms(self) -> list:
         out = []
         for exps in sorted(self.terms):
-            c = self.terms[exps]
-            out.append(
-                {
-                    "exp": list(exps),
-                    "re": [c.re.numerator, c.re.denominator],
-                    "im": [c.im.numerator, c.im.denominator],
-                }
-            )
+            re, im = self.terms[exps].json_pairs()
+            out.append({"exp": list(exps), "re": re, "im": im})
         return out
-
-    @classmethod
-    def from_json_terms(
-        cls, variables: Sequence[str], terms_doc: Iterable[Mapping], trunc=None
-    ) -> "LaurentSeries":
-        terms = {}
-        for entry in terms_doc:
-            exps = tuple(int(e) for e in entry["exp"])
-            re_n, re_d = entry["re"]
-            im_n, im_d = entry["im"]
-            c = ComplexRational(Fraction(re_n, re_d), Fraction(im_n, im_d))
-            if exps in terms:
-                raise VariableMismatchError(f"duplicate exponent vector {exps}")
-            terms[exps] = c
-        return cls(variables, terms, trunc)
 
     def __repr__(self) -> str:
         return f"LaurentSeries({self.vars}, {self.canonical_text()!r}, trunc={self.trunc})"

@@ -13,12 +13,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Optional, Sequence, Tuple
 
 from .atlas import FixedPointAtlas, FixedPointDatum
 from .errors import NonInvertibleError, ValidationError, VariableMismatchError
-from .exact import ComplexRational, LaurentSeries, exp_series, invert_series
+from .exact import (
+    ComplexRational,
+    LaurentSeries,
+    RationalLike,
+    _normal,
+    exp_series,
+    invert_series,
+)
 
 Orders = Tuple[Optional[int], ...]
 IntegrandFactory = Callable[[FixedPointAtlas, FixedPointDatum, Orders], LaurentSeries]
@@ -112,7 +118,7 @@ def euler_class(fp: FixedPointDatum, variables: Sequence[str]) -> LaurentSeries:
     return LaurentSeries(variables, e)
 
 
-def phase_covector(atlas: FixedPointAtlas, fp: FixedPointDatum) -> Tuple[Fraction, ...]:
+def phase_covector(atlas: FixedPointAtlas, fp: FixedPointDatum) -> Tuple[RationalLike, ...]:
     """The frequency covector of a fixed point: the moment value itself in
     the symplectic case, the squared length of each circle factor's
     three-component moment vector in the hyperkahler one."""
@@ -165,37 +171,47 @@ def point_coeff(
     coefficient is a finite sum over the eta terms eta_j y^j: each term
     needs y_v^d_v from the phase, d_v = n_v + target_v - j_v, which is
     (i f_v)^m / m! with s * m = d_v, and nothing when d_v is negative or not
-    a multiple of s.  The sum is exact; it equals the coefficient that
+    a multiple of s.  The sum is exact and in ints: each eta term's (p, q, d)
+    triple times f^m / m! as an int numerator and denominator, turned by
+    i^m, added over a running common denominator; the Euler constant c and
+    its sign go into one final normal form.  It equals the coefficient that
     ``localize`` with ``phase_factory(eta_mode)`` produces.
     """
     if fp.mode == "raw":
         return fp.raw_contribution.coefficient(target)
     c, n = monomial_euler_class(fp, len(target))
-    freqs = phase_covector(atlas, fp)
+    freqs = [(f.numerator, f.denominator) for f in phase_covector(atlas, fp)]
     if eta_mode == "one":
         eta_terms = {(0,) * len(target): ComplexRational.one()}
     else:
         eta_terms = fp.eta.terms
     s = 2 if atlas.geometry == "hyperkahler" else 1
-    re = im = Fraction(0)
+    re, im, den = 0, 0, 1  # the sum so far is (re + i im) / den
     for j, eta_j in eta_terms.items():
-        q = Fraction(1)
+        num = term_den = 1
         i_pow = 0
-        for n_v, e_v, j_v, f in zip(n, target, j, freqs):
+        for n_v, e_v, j_v, (f_num, f_den) in zip(n, target, j, freqs):
             d = n_v + e_v - j_v
             if d < 0 or d % s:
                 break
             m = d // s
-            q = q * f**m / math.factorial(m)
+            num *= f_num**m
+            term_den *= f_den**m * math.factorial(m)
             i_pow += m
         else:
-            # eta_j * q * i^i_pow
-            a, b = eta_j.re * q, eta_j.im * q
+            # eta_j * num / term_den * i^i_pow
+            p, q, eta_den = eta_j._v
+            a, b = p * num, q * num
             for _ in range(i_pow % 4):
                 a, b = -b, a
-            re += a
-            im += b
-    return ComplexRational(re / c, im / c)
+            term_den *= eta_den
+            lcm = math.lcm(den, term_den)
+            re = re * (lcm // den) + a * (lcm // term_den)
+            im = im * (lcm // den) + b * (lcm // term_den)
+            den = lcm
+    if c < 0:
+        re, im, c = -re, -im, -c
+    return _normal(re, im, den * c)
 
 
 def restriction_factory(eta_mode: str = "atlas") -> IntegrandFactory:

@@ -751,6 +751,22 @@ def _double(x: Fraction, fp: FixedPointDatum, what: str) -> float:
 # -- numeric residue vs exact coefficient -------------------------------
 
 
+def _contour_size(e: int, c, what: str = "series term") -> complex:
+    """complex(c), refused with ValidationError naming the exponent when c
+    or the size |c| 2^-e of c y^e on the contour |y| = 1/2 is beyond double
+    range (ldexp raises where it overflows)."""
+    try:
+        value = complex(c)
+        math.ldexp(abs(value), -e)
+        return value
+    except OverflowError:
+        raise ValidationError(
+            f"{what} y^{e} is beyond the range of a double on |y| = 1/2, "
+            "so the contour average cannot evaluate it",
+            exponent=e,
+        ) from None
+
+
 def contour_coeff(f: LaurentSeries, m: int, var: str) -> complex:
     """Numeric estimate of the coefficient at var^-m by a contour average:
     (1/2pi) integral_0^2pi f(z) z^m d theta over z = r e^(i theta) at
@@ -766,9 +782,13 @@ def contour_coeff(f: LaurentSeries, m: int, var: str) -> complex:
         raise ValidationError(f"series has variable {f.vars[0]!r}, not {var!r}")
     r = 0.5
     n = 4096
-    terms = sorted(((e, complex(c)) for (e,), c in f.terms.items()), reverse=True)
+    terms = sorted(
+        ((e, _contour_size(e, c)) for (e,), c in f.terms.items()), reverse=True
+    )
     if not terms:
         return 0j
+    # the last Horner step multiplies by y^(lowest + m), a double too
+    _contour_size(terms[-1][0] + m, 1, f"with M = {m}, the integrand term")
     j = np.arange(n)
     roots = _unit(2.0 * math.pi / n * j)
 

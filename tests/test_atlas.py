@@ -21,11 +21,13 @@ from eqloc.atlas import (
     hk_torus_rank2_atlas,
     mirror_pair_atlas,
     parse_atlas,
+    parse_series_terms,
     serialize_atlas,
     sphere_atlas,
     validate_atlas,
     validate_respected,
 )
+from eqloc.engines import _cr_json
 from eqloc.errors import ValidationError
 from eqloc.exact import ComplexRational, LaurentSeries, SymbolicConstant
 
@@ -322,6 +324,44 @@ def test_parse_rejects_duplicate_exponents_and_bad_terms():
     doc["fixed_points"][0]["eta"]["terms"] = [{"exp": [0], "re": [1, 1]}]
     with pytest.raises(ValidationError):
         parse_atlas(doc)
+
+
+big_ints = st.integers(-(2**200), 2**200)
+pairs = st.tuples(st.one_of(st.just(0), big_ints), big_ints.filter(bool)).map(list)
+SHAPE = "rational values are [numerator, denominator] integer pairs"
+bad_pairs = st.one_of(
+    st.tuples(st.tuples(st.booleans(), big_ints).map(list), st.just(SHAPE)),
+    st.tuples(st.tuples(big_ints, st.booleans()).map(list), st.just(SHAPE)),
+    st.tuples(st.tuples(st.floats(), big_ints).map(list), st.just(SHAPE)),
+    st.tuples(st.tuples(big_ints, st.floats()).map(list), st.just(SHAPE)),
+    st.tuples(st.lists(big_ints, min_size=1, max_size=1), st.just(SHAPE)),
+    st.tuples(st.lists(big_ints, min_size=3, max_size=3), st.just(SHAPE)),
+    st.tuples(st.tuples(big_ints, st.just(0)).map(list), st.just("zero denominator")),
+)
+
+
+@given(pairs, pairs)
+@settings(max_examples=200)
+def test_parsed_pairs_read_as_fractions(re_pair, im_pair):
+    """A term parsed from two [n, d] pairs (negative denominators, zero
+    numerators, ints up to 2^200) holds the value of the two Fractions, and
+    both JSON writers give back their lowest-terms pairs."""
+    series = parse_series_terms([{"exp": [1], "re": re_pair, "im": im_pair}], ("y",), "s")
+    re, im = Fraction(*re_pair), Fraction(*im_pair)
+    c = series.coefficient((1,))
+    assert c == ComplexRational(re, im)
+    want = {"re": [re.numerator, re.denominator], "im": [im.numerator, im.denominator]}
+    assert _cr_json(c) == want
+    assert series.to_json_terms() == ([{"exp": [1], **want}] if c else [])
+
+
+@given(bad_pairs, st.sampled_from(["re", "im"]))
+def test_bad_pairs_keep_their_messages(bad, part):
+    pair, reason = bad
+    term = {"exp": [0], "re": [1, 2], "im": [3, 4], part: pair}
+    with pytest.raises(ValidationError) as err:
+        parse_series_terms([term], ("y",), "series")
+    assert err.value.message == f"series: term 0 {part}: {reason}"
 
 
 def test_parse_rejects_non_json_and_non_object():

@@ -357,6 +357,19 @@ def _series_fractional_trunc(tmp_path):
     return ["oracle", "--contour", str(p), "1"]
 
 
+def _contour_term_beyond_double(tmp_path):
+    p = tmp_path / "s.json"
+    terms = [{"exp": [e], "re": [1, 1], "im": [0, 1]} for e in (-1100, 3)]
+    p.write_text(json.dumps({"variables": ["y"], "terms": terms}))
+    return ["oracle", "--contour", str(p), "1"]
+
+
+def _contour_index_beyond_double(tmp_path):
+    p = tmp_path / "s.json"
+    p.write_text(json.dumps({"variables": ["y"], "terms": [{"exp": [-1], "re": [1, 1], "im": [0, 1]}]}))
+    return ["oracle", "--contour", str(p), "-2000"]
+
+
 def _unparsable_shift(tmp_path):
     return ["oracle", "builtin:mirror_pair(5)", "--mode", "symplectic", "--shift", "a,b"]
 
@@ -495,6 +508,8 @@ class TestErrorMapping:
         [
             _series_missing_re,
             _series_fractional_trunc,
+            _contour_term_beyond_double,
+            _contour_index_beyond_double,
             _unparsable_shift,
             _nonfinite_shift,
             _nonfinite_ladder,

@@ -11,6 +11,7 @@ Hand-derived values used below:
     halved by the Weyl order to 3.
 """
 
+import itertools
 import json
 import math
 from dataclasses import replace
@@ -28,7 +29,9 @@ from eqloc.atlas import (
     builtin_atlas,
     hk_point_atlas,
     hk_torus_rank2_atlas,
+    parse_atlas,
     permute_atlas_variables,
+    serialize_atlas,
     sphere_atlas,
     validate_atlas,
 )
@@ -48,7 +51,7 @@ from eqloc.engines import (
 )
 from eqloc.errors import NonInvertibleError, ValidationError
 from eqloc.exact import ComplexRational, LaurentSeries, SymbolicConstant
-from eqloc.localize import localize, phase_factory
+from eqloc.localize import localize, monomial_euler_class, phase_factory, point_coeff
 from eqloc.roots import SU2_ROOTS, U2_ROOTS, group_spec
 
 
@@ -509,6 +512,162 @@ def test_closed_form_read_matches_series_path(atlas, eta_mode):
     for p in rep.contributions:
         want = series.contribution(p.name).coefficient(target)
         assert p.coefficient == (want if p.selected else cr(0))
+
+
+@st.composite
+def wide_product_atlases(draw):
+    """Rank 1-3 atlases with an odd number of negative weights at every point
+    (Euler constant c < 0), moment values with denominators up to 9 and
+    numerators up to 10^20, eta coefficients whose parts have unlike
+    denominators, and now and then a weight involving two variables."""
+    k = draw(st.integers(1, 3))
+    geometry = draw(st.sampled_from(["symplectic", "hyperkahler"]))
+    hk = geometry == "hyperkahler"
+    variables = tuple(f"y{v + 1}" for v in range(k))
+    n_weights = 2 * draw(st.integers(k, 4)) if hk else draw(st.integers(k, 7))
+    big = st.integers(-(10**20), 10**20)
+    rational = st.builds(Fraction, big, st.integers(1, 9))
+    nonzero = st.builds(Fraction, big.filter(bool), st.integers(1, 9))
+    points = []
+    for j in range(draw(st.integers(1, 3))):
+        weights = []
+        for i in range(n_weights):
+            w = [0] * k
+            v = i if i < k else draw(st.integers(0, k - 1))
+            w[v] = draw(st.integers(1, 3)) * draw(st.sampled_from([1, -1]))
+            weights.append(w)
+        if sum(x < 0 for w in weights for x in w) % 2 == 0:
+            v = next(v for v, x in enumerate(weights[0]) if x)
+            weights[0][v] = -weights[0][v]
+        if k > 1 and draw(st.integers(0, 9)) == 0:
+            weights[-1][weights[-1].index(0)] = 1  # no monomial e(y)
+        # mostly exponents j that meet the target, pole + target - j a
+        # multiple of the phase degree, so that several terms add up over
+        # unlike denominators; else any exponent up to one past the pole
+        poles = [sum(1 for w in weights if w[v]) for v in range(k)]
+        step = 2 if hk else 1
+        terms = {}
+        for _ in range(draw(st.integers(0, 5))):
+            exps = []
+            for pole in poles:
+                j_v = pole - step - step * draw(st.integers(0, 2))
+                if j_v < 0 or draw(st.integers(0, 4)) == 0:
+                    j_v = draw(st.integers(0, pole + 1))
+                exps.append(j_v)
+            terms[tuple(exps)] = ComplexRational(
+                Fraction(draw(big), draw(st.integers(1, 9))),
+                Fraction(draw(big), draw(st.integers(1, 9))),
+            )
+        if hk:
+            moment = (Fraction(0),) * k
+            moment_hk = tuple(
+                draw(st.tuples(rational, rational, rational).filter(any))
+                for _ in range(k)
+            )
+        else:
+            moment = tuple(draw(nonzero) for _ in range(k))
+            moment_hk = None
+        points.append(
+            FixedPointDatum(
+                name=f"fp{j}",
+                moment=moment,
+                weights=tuple(map(tuple, weights)),
+                eta=LaurentSeries(variables, terms),
+                moment_hk=moment_hk,
+            )
+        )
+    dim_m = 2 * n_weights
+    dim_quotient = dim_m - (4 if hk else 2) * k
+    a = FixedPointAtlas(
+        group=GroupSpec.torus(k),
+        geometry=geometry,
+        dim_m=dim_m,
+        dim_quotient=dim_quotient,
+        deg_eta0=draw(st.integers(0, dim_quotient)),
+        variable_order=variables,
+        fixed_points=tuple(points),
+    )
+    validate_atlas(a)
+    return a
+
+
+def fraction_point_coeff(atlas, fp, eta_mode, target):
+    """The closed-form read summed in Fraction arithmetic, with its own
+    squared moment lengths: the reference for the int-triple sum."""
+    c, n = monomial_euler_class(fp, len(target))
+    if atlas.geometry == "hyperkahler":
+        freqs = [sum(x * x for x in vec) for vec in fp.moment_hk]
+    else:
+        freqs = fp.moment
+    if eta_mode == "one":
+        eta_terms = {(0,) * len(target): ComplexRational.one()}
+    else:
+        eta_terms = fp.eta.terms
+    s = 2 if atlas.geometry == "hyperkahler" else 1
+    re = im = Fraction(0)
+    for j, eta_j in eta_terms.items():
+        q = Fraction(1)
+        i_pow = 0
+        for n_v, e_v, j_v, f in zip(n, target, j, freqs):
+            d = n_v + e_v - j_v
+            if d < 0 or d % s:
+                break
+            m = d // s
+            q = q * f**m / math.factorial(m)
+            i_pow += m
+        else:
+            a, b = eta_j.re * q, eta_j.im * q
+            for _ in range(i_pow % 4):
+                a, b = -b, a
+            re += a
+            im += b
+    return ComplexRational(re / c, im / c)
+
+
+def outcome(fn, *args):
+    """("value", fn(*args)), or ("error", the class of what it raised)."""
+    try:
+        return "value", fn(*args)
+    except Exception as exc:
+        return "error", type(exc)
+
+
+@given(wide_product_atlases())
+@settings(max_examples=80, deadline=None)
+def test_closed_form_read_matches_series_and_fraction_reference(atlas):
+    hk = atlas.geometry == "hyperkahler"
+    target = (-2 if hk else -1,) * atlas.group.rank
+    for eta_mode, fp in itertools.product(("atlas", "one"), atlas.fixed_points):
+        got = outcome(point_coeff, atlas, fp, eta_mode, target)
+        assert got == outcome(fraction_point_coeff, atlas, fp, eta_mode, target)
+        if got[0] == "value":
+            single = replace(atlas, fixed_points=(fp,))
+            series = localize(single, phase_factory(eta_mode), target)
+            assert got[1] == series.contribution(fp.name).coefficient(target)
+        else:
+            assert got[1] is NonInvertibleError
+
+
+def test_reduce_path_reads_no_fraction_parts(monkeypatch):
+    """Parse, reduce and write on the reduce path keep coefficients as int
+    triples: none of them reads ComplexRational.re or .im."""
+    cases = [
+        (builtin_atlas("hk_synthetic", 1), (reduce_hk_circle, reduce_hk_circle_viaP)),
+        (builtin_atlas("hk_torus_rank2"), (reduce_hk_torus,)),
+        (builtin_atlas("mirror_pair", 3), (reduce_symplectic_torus,)),
+    ]
+    texts = [serialize_atlas(a) for a, _ in cases]
+
+    def refuse(self):
+        raise AssertionError("a Fraction part of a coefficient was read")
+
+    monkeypatch.setattr(ComplexRational, "re", property(refuse))
+    monkeypatch.setattr(ComplexRational, "im", property(refuse))
+    for text, (_, reducers) in zip(texts, cases):
+        atlas = parse_atlas(text)
+        assert serialize_atlas(atlas) == text
+        for reduce in reducers:
+            assert reduce(atlas).canonical_json()
 
 
 # -- variable-order permutation -----------------------------------------

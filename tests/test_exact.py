@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from eqloc.atlas import parse_series_terms
 from eqloc.errors import (
     ConstantTermError,
     InsufficientTruncationError,
@@ -457,7 +458,7 @@ def test_evaluate_at_point():
 def test_json_terms_round_trip():
     f = univar({-2: cr(Fraction(1, 3), -1), 0: cr(2, Fraction(5, 7))})
     doc = f.to_json_terms()
-    back = LaurentSeries.from_json_terms(("y",), doc)
+    back = parse_series_terms(doc, ("y",), "series")
     assert back.terms == f.terms
 
 
