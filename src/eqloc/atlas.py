@@ -23,10 +23,11 @@ from collections.abc import Mapping
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _encode_str
+from operator import le
 from typing import Optional, Sequence, Tuple
 
-from .errors import ValidationError
-from .exact import ComplexRational, LaurentSeries, SymbolicConstant, _normal
+from .errors import ValidationError, VariableMismatchError
+from .exact import ComplexRational, LaurentSeries, SymbolicConstant, _limits, _normal
 
 GEOMETRIES = ("symplectic", "hyperkahler")
 GROUP_KINDS = ("circle", "torus", "compact_with_torus")
@@ -113,6 +114,16 @@ class FixedPointAtlas:
 # -- validation ----------------------------------------------------------
 
 
+def check_variable_order(variables: Sequence[str], rank: int) -> None:
+    """One distinct, nonempty string per variable of a rank-``rank`` group."""
+    if not all(isinstance(v, str) for v in variables):
+        raise ValidationError("variable_order must be a list of strings")
+    if len(variables) != rank:
+        raise ValidationError(f"variable_order has {len(variables)} names for rank {rank}")
+    if len(set(variables)) != rank or not all(variables):
+        raise ValidationError("variable names must be distinct and nonempty")
+
+
 def validate_atlas(atlas: FixedPointAtlas) -> None:
     g = atlas.group
     if atlas.geometry not in GEOMETRIES:
@@ -177,14 +188,7 @@ def validate_atlas(atlas: FixedPointAtlas) -> None:
         )
 
     k = g.rank
-    if len(atlas.variable_order) != k:
-        raise ValidationError(
-            f"variable_order has {len(atlas.variable_order)} names for rank {k}"
-        )
-    if len(set(atlas.variable_order)) != k or any(
-        not v for v in atlas.variable_order
-    ):
-        raise ValidationError("variable names must be distinct and nonempty")
+    check_variable_order(atlas.variable_order, k)
 
     seen = set()
     for fp in atlas.fixed_points:
@@ -215,7 +219,7 @@ def validate_atlas(atlas: FixedPointAtlas) -> None:
                     raise ValidationError(
                         f"fixed point {fp.name!r} has weight vector {w} of wrong rank"
                     )
-                if all(x == 0 for x in w):
+                if not any(w):
                     raise ValidationError(
                         f"e(y) is a zero divisor at {fp.name!r}: zero tangent weight"
                     )
@@ -243,7 +247,7 @@ def validate_atlas(atlas: FixedPointAtlas) -> None:
                     f"moment vector per circle factor"
                 )
             for nu in range(k):
-                if fp.hk_norm_sq(nu) == 0:
+                if not any(fp.moment_hk[nu]):
                     raise ValidationError(
                         f"0 is not a regular value: fixed point {fp.name!r} has "
                         f"vanishing moment vector in circle factor {nu}"
@@ -271,30 +275,31 @@ def _frac_pair(x: Fraction) -> list:
     return [x.numerator, x.denominator]
 
 
-def _is_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
-def _parse_pair(doc, where: str) -> tuple:
-    """The ints (n, d) of a [numerator, denominator] pair, d nonzero."""
+def _parse_pair(doc, *where) -> tuple:
+    """The ints (n, d) of a [numerator, denominator] pair, d nonzero.  A
+    refusal's message starts with the parts of ``where``, joined only then."""
     if isinstance(doc, (list, tuple)) and len(doc) == 2:
         n, d = doc
-        if _is_int(n) and _is_int(d):
+        if type(n) is int and type(d) is int:
             if d == 0:
-                raise ValidationError(f"{where}: zero denominator")
+                raise ValidationError(f"{''.join(map(str, where))}: zero denominator")
             return n, d
-    raise ValidationError(f"{where}: rational values are [numerator, denominator] integer pairs")
+    raise ValidationError(
+        f"{''.join(map(str, where))}: rational values are [numerator, denominator] "
+        "integer pairs"
+    )
 
 
-def _parse_frac(doc, where: str) -> Fraction:
-    return Fraction(*_parse_pair(doc, where))
+def _parse_frac(doc, *where) -> Fraction:
+    return Fraction(*_parse_pair(doc, *where))
 
 
-def _parse_coeff(re_doc, im_doc, where: str) -> ComplexRational:
-    """a/b + i c/e from two pairs, as one (p, q, d) triple: the signs of the
-    denominators go onto the numerators and one gcd reduces the whole."""
-    a, b = _parse_pair(re_doc, f"{where} re")
-    c, e = _parse_pair(im_doc, f"{where} im")
+def _parse_coeff(re_doc, im_doc, where: str, n: int) -> ComplexRational:
+    """a/b + i c/e from the two pairs of term n, as one (p, q, d) triple: the
+    signs of the denominators go onto the numerators and one gcd reduces the
+    whole."""
+    a, b = _parse_pair(re_doc, where, ": term ", n, " re")
+    c, e = _parse_pair(im_doc, where, ": term ", n, " im")
     if b < 0:
         a, b = -a, -b
     if e < 0:
@@ -307,25 +312,42 @@ def _series_doc(series: LaurentSeries) -> dict:
 
 
 def _parse_series(doc, variables, where: str) -> LaurentSeries:
-    if not isinstance(doc, Mapping) or set(doc.keys()) != {"terms"}:
+    if not isinstance(doc, Mapping) or len(doc) != 1 or "terms" not in doc:
         raise ValidationError(f"{where}: series documents have exactly one key, 'terms'")
     return parse_series_terms(doc["terms"], variables, where)
 
 
-def parse_series_terms(terms, variables, where: str, trunc=None) -> LaurentSeries:
+_TERM_KEYS = frozenset(("exp", "re", "im"))
+
+
+def parse_series_terms(terms, variables: tuple, where: str, trunc=None) -> LaurentSeries:
     """Strictly parse a list of {exp, re, im} term objects, rationals given
-    as [numerator, denominator] integer pairs."""
+    as [numerator, denominator] integer pairs, into the series over
+    ``variables`` trusted through ``trunc`` (exact where None).
+
+    Each term is checked once here and the series is wrapped without a
+    second check: zero coefficients and terms beyond ``trunc`` are dropped,
+    as the LaurentSeries constructor drops them.  ``variables`` is taken as
+    checked (distinct names, see ``check_variable_order``); error text is
+    built only when a term is refused.
+    """
     if not isinstance(terms, list):
         raise ValidationError(f"{where}: 'terms' must be a list")
+    k = len(variables)
+    tr = (None,) * k if trunc is None else tuple(trunc)
+    if len(tr) != k:
+        raise VariableMismatchError(
+            f"truncation vector length {len(tr)} does not match {k} variables"
+        )
     parsed = {}
     for n, entry in enumerate(terms):
-        if not isinstance(entry, Mapping) or set(entry.keys()) != {"exp", "re", "im"}:
+        if not isinstance(entry, Mapping) or entry.keys() != _TERM_KEYS:
             raise ValidationError(
                 f"{where}: term {n} must have exactly the keys exp, re, im"
             )
         exps = entry["exp"]
-        if not isinstance(exps, list) or len(exps) != len(variables) or not all(
-            map(_is_int, exps)
+        if not isinstance(exps, list) or len(exps) != k or not all(
+            type(x) is int for x in exps
         ):
             raise ValidationError(
                 f"{where}: term {n} exponent vector must list one integer per variable"
@@ -333,8 +355,11 @@ def parse_series_terms(terms, variables, where: str, trunc=None) -> LaurentSerie
         key = tuple(exps)
         if key in parsed:
             raise ValidationError(f"{where}: duplicate exponent vector {key}")
-        parsed[key] = _parse_coeff(entry["re"], entry["im"], f"{where}: term {n}")
-    return LaurentSeries(variables, parsed, trunc)
+        parsed[key] = _parse_coeff(entry["re"], entry["im"], where, n)
+    if trunc is not None or not all(parsed.values()):
+        lim = _limits(tr)
+        parsed = {e: c for e, c in parsed.items() if c and all(map(le, e, lim))}
+    return LaurentSeries._canonical(tuple(variables), parsed, tr)
 
 
 def _require_keys(doc: Mapping, required: set, optional: set, where: str):
@@ -353,7 +378,7 @@ MAX_VOLUME_POWER = 64
 
 
 def _parse_int(doc, where: str) -> int:
-    if not _is_int(doc):
+    if type(doc) is not int:
         raise ValidationError(f"{where}: expected an integer")
     return doc
 
@@ -513,7 +538,7 @@ def parse_atlas(document) -> FixedPointAtlas:
             raise ValidationError("positive roots must be a list of covectors")
         parsed_roots = []
         for a in pos:
-            if not isinstance(a, list) or not all(map(_is_int, a)):
+            if not isinstance(a, list) or not all(type(x) is int for x in a):
                 raise ValidationError("each positive root is a list of integers")
             parsed_roots.append(tuple(a))
         roots = RootSystemData(tuple(parsed_roots), _parse_int(rdoc["weyl_order"], "weyl_order"))
@@ -542,9 +567,11 @@ def parse_atlas(document) -> FixedPointAtlas:
     )
 
     variables = document["variable_order"]
-    if not isinstance(variables, list) or not all(isinstance(v, str) for v in variables):
+    if not isinstance(variables, list):
         raise ValidationError("variable_order must be a list of strings")
     variables = tuple(variables)
+    # before any series is parsed over these variables
+    check_variable_order(variables, group.rank)
 
     fps_doc = document["fixed_points"]
     if not isinstance(fps_doc, list):
@@ -560,18 +587,20 @@ def parse_atlas(document) -> FixedPointAtlas:
             {"moment_hk", "raw"},
             where,
         )
+        name = fdoc["name"]
+        if not isinstance(name, str):
+            raise ValidationError(f"{where}: name must be a string")
         mdoc = fdoc["moment"]
         if not isinstance(mdoc, list):
             raise ValidationError(f"{where}: moment must be a list")
-        moment = tuple(_parse_frac(m, f"{where} moment") for m in mdoc)
+        moment = tuple(_parse_frac(m, where, " moment") for m in mdoc)
         wdoc = fdoc["weights"]
         if not isinstance(wdoc, list):
             raise ValidationError(f"{where}: weights must be a list")
-        weights = []
-        for w in wdoc:
-            if not isinstance(w, list) or not all(map(_is_int, w)):
-                raise ValidationError(f"{where}: each weight is a list of integers")
-            weights.append(tuple(w))
+        if not all(isinstance(w, list) for w in wdoc) or not all(
+            type(x) is int for w in wdoc for x in w
+        ):
+            raise ValidationError(f"{where}: each weight is a list of integers")
         moment_hk = None
         if "moment_hk" in fdoc:
             hdoc = fdoc["moment_hk"]
@@ -583,16 +612,16 @@ def parse_atlas(document) -> FixedPointAtlas:
                     raise ValidationError(
                         f"{where}: each moment_hk entry is a three-component vector"
                     )
-                vecs.append(tuple(_parse_frac(c, f"{where} moment_hk") for c in vec))
+                vecs.append(tuple(_parse_frac(c, where, " moment_hk") for c in vec))
             moment_hk = tuple(vecs)
         raw = None
         if "raw" in fdoc:
             raw = _parse_series(fdoc["raw"], variables, f"{where} raw")
         points.append(
             FixedPointDatum(
-                name=str(fdoc["name"]),
+                name=name,
                 moment=moment,
-                weights=tuple(weights),
+                weights=tuple(map(tuple, wdoc)),
                 eta=_parse_series(fdoc["eta"], variables, f"{where} eta"),
                 moment_hk=moment_hk,
                 mode=str(fdoc["mode"]),

@@ -26,6 +26,7 @@ from pathlib import Path
 from .atlas import (
     builtin_atlas,
     canonical_dumps,
+    check_variable_order,
     parse_atlas,
     parse_series_terms,
     permute_atlas_variables,
@@ -95,13 +96,15 @@ def _load_series(path: str) -> LaurentSeries:
         isinstance(v, str) for v in variables
     ):
         raise ValidationError("series file variables must be a nonempty list of strings")
+    variables = tuple(variables)
+    check_variable_order(variables, len(variables))
     trunc = doc.get("trunc")
     if trunc is not None and (
         not isinstance(trunc, list)
         or not all(isinstance(x, int) and not isinstance(x, bool) for x in trunc)
     ):
         raise ValidationError("series file trunc must be a list of integers")
-    return parse_series_terms(doc["terms"], tuple(variables), f"series file {path!r}", trunc)
+    return parse_series_terms(doc["terms"], variables, f"series file {path!r}", trunc)
 
 
 def _numbers(text: str, what: str) -> tuple:

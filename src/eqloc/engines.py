@@ -18,7 +18,8 @@ weight.  Raw points are read from their stored series.
 
 The alternative hyperKahler route builds each point's series in the original
 variable with the exact Laurent arithmetic, keeps its even part, substitutes
-the square of the variable, and reads the coefficient at y^-1 instead; it is
+the square of the variable, and reads the coefficient at y^-1 of its product
+with the phase instead, forming that one coefficient only; it is
 the independent reference for the closed-form read, the two routes agree
 exactly and the report does not distinguish them.  Its extra expansion
 order is held to the series work budget of ``localize`` at the same depth.
@@ -343,7 +344,9 @@ def _point_coeff_via_even_part(
     Keep the even part of the point's series in the original variable, halve
     its exponents, multiply by exp(i * |moment vector|^2 * y) (now linear in
     the halved variable), and read the coefficient at y^-1.  Agrees exactly
-    with the direct y^-2 read because the phase is even.
+    with the direct y^-2 read because the phase is even.  Only that one
+    coefficient of the product is formed: the sum over the halved series'
+    terms c y^e of c times the phase's coefficient at y^(-1 - e).
     """
     variables = atlas.variable_order
     var = variables[0]
@@ -352,11 +355,14 @@ def _point_coeff_via_even_part(
         series_z = fp.raw_contribution
     else:
         e = euler_class(fp, variables)
-        pole = e.min_exponent()[0]
-        if eta_mode == "one":
-            numerator = LaurentSeries.const(variables, 1, (z_order + pole,))
-        else:
-            numerator = LaurentSeries(variables, fp.eta.terms, (z_order + pole,))
+        num_order = z_order + e.min_exponent()[0]
+        eta_terms = {(0,): ComplexRational.one()} if eta_mode == "one" else fp.eta.terms
+        # the numerator, clipped to the order the inverse needs
+        numerator = LaurentSeries._canonical(
+            variables,
+            {j: c for j, c in eta_terms.items() if j[0] <= num_order},
+            (num_order,),
+        )
         series_z = numerator * invert_series(e, (z_order,))
     even = even_projector(series_z, var)
     try:
@@ -375,7 +381,10 @@ def _point_coeff_via_even_part(
         LaurentSeries.linear_form(variables, (lam,), scale=ComplexRational.i()),
         (exp_order,),
     )
-    return (halved * phase).coefficient((-1,))
+    total = ComplexRational.zero()
+    for (x,), c in halved.terms.items():
+        total = total + c * phase.coefficient((-1 - x,))
+    return total
 
 
 def reduce_symplectic_circle(

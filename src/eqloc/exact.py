@@ -25,12 +25,13 @@ gcd per part.  Fractions remain where values are not series coefficients
 ``re`` and ``im``, which hand out Fractions.
 
 Series arithmetic builds its results from terms that are already canonical
-and wraps them without validating them again (``LaurentSeries._canonical``);
-the public constructor keeps every check for data from outside.  One term
-product, ``_mul_terms``, serves the series product and the power loops of
-``exp_series`` and ``invert_series``, which work on term dictionaries and
-sum their powers into one dictionary, so their cost grows linearly with the
-number of powers.
+and wraps them without validating them again (``LaurentSeries._canonical``),
+as do the atlas parser and the Euler class, which check their input once
+where it enters; the public constructor keeps every check for data from
+outside.  One term product, ``_mul_terms``, serves the series product and
+the power loops of ``exp_series`` and ``invert_series``, which work on term
+dictionaries and sum their powers into one dictionary, so their cost grows
+linearly with the number of powers.
 """
 
 from __future__ import annotations
@@ -633,12 +634,15 @@ class LaurentSeries:
                 raise OddExponentError(
                     f"substitute_sqrt needs even exponents in {var!r}, found {e[v]}"
                 )
-        new_vars = list(self.vars)
-        new_vars[v] = new_name if new_name is not None else var
         t = self.trunc[v]
-        new_tr = list(self.trunc)
-        new_tr[v] = None if t is None else t // 2
+        new_tr = self.trunc[:v] + (None if t is None else t // 2,) + self.trunc[v + 1 :]
         terms = {e[:v] + (e[v] // 2,) + e[v + 1 :]: c for e, c in self.terms.items()}
+        if new_name is None:
+            # halving even exponents keeps them distinct and within the
+            # halved order, so the terms are still canonical
+            return LaurentSeries._canonical(self.vars, terms, new_tr)
+        new_vars = list(self.vars)
+        new_vars[v] = new_name
         return LaurentSeries(new_vars, terms, new_tr)
 
     # -- rendering and numeric evaluation -------------------------------
@@ -771,7 +775,8 @@ def exp_series(p: LaurentSeries, order) -> LaurentSeries:
     # keep dead high-degree terms alive
     lim = _limits(tr)
     p_items = p.terms.items()
-    term = LaurentSeries.const(p.vars, 1, tr).terms
+    zero = (0,) * k
+    term = {zero: _ONE} if all(map(le, zero, lim)) else {}
     acc = dict(term)
     n = 0
     while term:

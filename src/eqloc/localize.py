@@ -21,6 +21,7 @@ from .exact import (
     ComplexRational,
     LaurentSeries,
     RationalLike,
+    _make,
     _normal,
     exp_series,
     invert_series,
@@ -86,19 +87,23 @@ def check_series_budget(atlas: FixedPointAtlas, orders: Orders) -> None:
 def euler_class(fp: FixedPointDatum, variables: Sequence[str]) -> LaurentSeries:
     """Product of the tangent weight forms at a fixed point.
 
-    Exact polynomial with integer coefficients, multiplied out in a plain
-    {exponents: int} dictionary and wrapped as a series once; any rank and
-    mixed weights such as (1, -1) are allowed.  The empty weight list gives 1
-    (a zero-dimensional tangent space).  Zero weight vectors are rejected
-    because they make the product a zero divisor, and a weight whose length
-    is not the number of variables is rejected as LaurentSeries.linear_form
-    rejects it.
+    Exact polynomial with integer coefficients; any rank and mixed weights
+    such as (1, -1) are allowed.  A weight with one nonzero component w_v is
+    the monomial w_v y_v, so it scales one int and shifts one exponent; only
+    weights in two or more variables are multiplied out, in a plain
+    {exponents: int} dictionary, and the result is wrapped as a series once.
+    The empty weight list gives 1 (a zero-dimensional tangent space).  Zero
+    weight vectors are rejected because they make the product a zero
+    divisor, and a weight whose length is not the number of variables is
+    rejected as LaurentSeries.linear_form rejects it.
     """
     variables = tuple(variables)
     k = len(variables)
-    e: dict = {(0,) * k: 1}
+    c = 1
+    n = [0] * k
+    forms = []  # the weights in two or more variables
     for w in fp.weights:
-        if all(x == 0 for x in w):
+        if not any(w):
             raise ValidationError(
                 f"e(y) is a zero divisor at {fp.name!r}: zero tangent weight"
             )
@@ -106,16 +111,27 @@ def euler_class(fp: FixedPointDatum, variables: Sequence[str]) -> LaurentSeries:
             raise VariableMismatchError(
                 f"covector length {len(w)} does not match variables {variables}"
             )
+        nonzero = [v for v, x in enumerate(w) if x]
+        if len(nonzero) == 1:
+            v = nonzero[0]
+            c *= w[v]
+            n[v] += 1
+        else:
+            forms.append(w)
+    e: dict = {tuple(n): c}
+    for w in forms:
         # multiply by sum_v w_v y_v
         out: dict = {}
         for v, w_v in enumerate(w):
             if w_v == 0:
                 continue
-            for exps, c in e.items():
+            for exps, a in e.items():
                 exps = exps[:v] + (exps[v] + 1,) + exps[v + 1 :]
-                out[exps] = out.get(exps, 0) + c * w_v
+                out[exps] = out.get(exps, 0) + a * w_v
         e = out
-    return LaurentSeries(variables, e)
+    # sums over two-variable forms can cancel; a monomial product cannot
+    terms = {exps: _make((a, 0, 1)) for exps, a in e.items() if a}
+    return LaurentSeries._canonical(variables, terms, (None,) * k)
 
 
 def phase_covector(atlas: FixedPointAtlas, fp: FixedPointDatum) -> Tuple[RationalLike, ...]:

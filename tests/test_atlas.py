@@ -355,13 +355,130 @@ def test_parsed_pairs_read_as_fractions(re_pair, im_pair):
     assert series.to_json_terms() == ([{"exp": [1], **want}] if c else [])
 
 
-@given(bad_pairs, st.sampled_from(["re", "im"]))
-def test_bad_pairs_keep_their_messages(bad, part):
-    pair, reason = bad
+@st.composite
+def bad_pair_terms(draw):
+    """One term with a malformed re or im pair, and the message it gets."""
+    pair, reason = draw(bad_pairs)
+    part = draw(st.sampled_from(["re", "im"]))
     term = {"exp": [0], "re": [1, 2], "im": [3, 4], part: pair}
+    return [term], f"series: term 0 {part}: {reason}"
+
+
+GOOD = {"exp": [0], "re": [1, 2], "im": [3, 4]}
+NEXT = {**GOOD, "exp": [1]}
+KEYS = "series: term 1 must have exactly the keys exp, re, im"
+EXPONENTS = "series: term 1 exponent vector must list one integer per variable"
+ZERO = {"re": [0, 1], "im": [0, 3]}
+#: Malformed second terms after a good first one, and their messages.
+BAD_TERMS = [
+    ([GOOD, {**NEXT, "exp": [True]}], EXPONENTS),
+    ([GOOD, {**NEXT, "exp": [1.0]}], EXPONENTS),
+    ([GOOD, {**NEXT, "exp": [1, 2]}], EXPONENTS),
+    ([GOOD, {**NEXT, "exp": (1,)}], EXPONENTS),
+    ([GOOD, {**NEXT, "re": [1, True]}], f"series: term 1 re: {SHAPE}"),
+    ([GOOD, {**NEXT, "im": [False, 1]}], f"series: term 1 im: {SHAPE}"),
+    ([GOOD, {**NEXT, "re": [1, 0], "im": [1, 0]}], "series: term 1 re: zero denominator"),
+    ([GOOD, {**NEXT, "im": [5, 0]}], "series: term 1 im: zero denominator"),
+    ([GOOD, {"exp": [1], "re": [1, 1]}], KEYS),
+    ([GOOD, {**NEXT, "extra": 0}], KEYS),
+    ([GOOD, [[1], [1, 1], [0, 1]]], KEYS),
+    ([GOOD, {**GOOD, **ZERO}], "series: duplicate exponent vector (0,)"),
+    ([{**GOOD, **ZERO}, GOOD], "series: duplicate exponent vector (0,)"),
+    ({"exp": [0]}, "series: 'terms' must be a list"),
+]
+
+
+@given(st.one_of(bad_pair_terms(), st.sampled_from(BAD_TERMS)))
+def test_bad_pairs_keep_their_messages(case):
+    """Malformed pairs and terms are refused with the parser's messages; a
+    zero coefficient still counts for the duplicate check."""
+    terms, message = case
     with pytest.raises(ValidationError) as err:
-        parse_series_terms([term], ("y",), "series")
-    assert err.value.message == f"series: term 0 {part}: {reason}"
+        parse_series_terms(terms, ("y",), "series")
+    assert err.value.message == message
+
+
+small_ints = st.integers(-6, 6)
+#: [n, d] pairs, unreduced and with negative denominators, zero numerators
+#: about one time in four
+raw_pairs = st.tuples(
+    st.one_of(st.just(0), small_ints), small_ints.filter(bool), st.integers(1, 4)
+).map(lambda t: [t[0] * t[2], t[1] * t[2]])
+
+
+@st.composite
+def term_lists(draw):
+    """Rank 1-3 term lists with distinct exponents, and a truncation vector
+    or None."""
+    k = draw(st.integers(1, 3))
+    exps = draw(st.lists(st.tuples(*[st.integers(-3, 3)] * k), max_size=8, unique=True))
+    terms = [{"exp": list(e), "re": draw(raw_pairs), "im": draw(raw_pairs)} for e in exps]
+    trunc = draw(st.one_of(st.none(), st.lists(st.one_of(st.none(), st.integers(-3, 3)), min_size=k, max_size=k)))
+    return ("y", "z", "w")[:k], terms, trunc
+
+
+@given(term_lists())
+@settings(max_examples=200)
+def test_parsed_series_equals_validating_constructor(case):
+    """The parser's wrapped series equals the checking LaurentSeries built
+    from the same pairs read as Fractions: zero coefficients and terms past
+    the truncation dropped, exponents int tuples, coefficients normal."""
+    variables, terms, trunc = case
+    got = parse_series_terms(terms, variables, "s", trunc)
+    want = LaurentSeries(
+        variables,
+        {
+            tuple(t["exp"]): ComplexRational(Fraction(*t["re"]), Fraction(*t["im"]))
+            for t in terms
+        },
+        trunc,
+    )
+    assert got == want
+    assert got.vars == variables and got.trunc == want.trunc
+    for e, c in got.terms.items():
+        assert type(e) is tuple and all(type(x) is int for x in e)
+        assert type(c) is ComplexRational and c
+        assert c._v == ComplexRational(c.re, c.im)._v
+
+
+@pytest.mark.parametrize("name", [{"a": [1, 2]}, 7, None, ["north"]])
+def test_point_names_must_be_strings(name):
+    """Not turned into text: 7 beside a point named "7" is no duplicate."""
+    doc = _sphere_doc()
+    doc["fixed_points"][0]["name"] = "7"
+    doc["fixed_points"][1]["name"] = name
+    with pytest.raises(ValidationError) as err:
+        parse_atlas(doc)
+    assert err.value.message == "fixed point 1: name must be a string"
+
+
+@pytest.mark.parametrize(
+    "variables, message",
+    [
+        (["y", "y"], "variable_order has 2 names for rank 1"),
+        ([""], "variable names must be distinct and nonempty"),
+        ([3], "variable_order must be a list of strings"),
+        ("y", "variable_order must be a list of strings"),
+        ([], "variable_order has 0 names for rank 1"),
+    ],
+)
+def test_variable_order_is_checked_before_any_series(variables, message):
+    doc = _sphere_doc()
+    doc["variable_order"] = variables
+    with pytest.raises(ValidationError) as err:
+        parse_atlas(doc)
+    assert err.value.message == message
+
+
+def test_duplicate_variables_of_a_torus_get_the_validator_message():
+    doc = json.loads(serialize_atlas(hk_torus_rank2_atlas()))
+    doc["variable_order"] = ["y", "y"]
+    with pytest.raises(ValidationError) as err:
+        parse_atlas(doc)
+    assert err.value.message == "variable names must be distinct and nonempty"
+    with pytest.raises(ValidationError) as err:
+        validate_atlas(replace(hk_torus_rank2_atlas(), variable_order=("y", "y")))
+    assert err.value.message == "variable names must be distinct and nonempty"
 
 
 def test_parse_rejects_non_json_and_non_object():

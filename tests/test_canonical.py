@@ -3,6 +3,7 @@ every engine, so a change that moves one byte of the canonical form fails
 here without a scratch comparison against an older checkout."""
 
 import hashlib
+from functools import partial
 
 from eqloc.atlas import hk_synthetic_atlas, mirror_pair_atlas, serialize_atlas
 from eqloc.engines import (
@@ -13,16 +14,27 @@ from eqloc.engines import (
     reduce_symplectic_torus,
 )
 
-#: SHA-256 of the 800 outputs below, in this order; taken from the
-#: json.dumps writer and the series-object Euler class, exp and inverse.
-CANONICAL_DIGEST = "5743c0699f0dc0323fe0206abc8d3c20f8697e38a06eab4d88491697a709b5e7"
+#: SHA-256 of the 1000 outputs below, in this order; taken from the
+#: json.dumps writer and the series-object Euler class, exp and inverse (the
+#: first 800), and from the even-part route that read the y^-1 coefficient
+#: off the whole product ``halved * phase`` (the deeper even-part reports).
+CANONICAL_DIGEST = "dd3cc218860116e25f66c0efddd3bc6968bf502a5a6d9cc73616190b704ccf90"
+
+
+#: The even-part route expanded two orders deeper than it needs.
+deep_viaP = partial(reduce_hk_circle_viaP, order=2)
 
 
 def canonical_outputs():
     """serialize_atlas and every engine's report in both eta modes, for
-    hk_synthetic(0..99) and mirror_pair(0..19): 800 texts in a fixed order."""
+    hk_synthetic(0..99) and mirror_pair(0..19), and the even-part route at
+    extra order 2 on hk_synthetic: 1000 texts in a fixed order."""
     cases = [
-        (hk_synthetic_atlas, 100, (reduce_hk_circle, reduce_hk_circle_viaP, reduce_hk_torus)),
+        (
+            hk_synthetic_atlas,
+            100,
+            (reduce_hk_circle, reduce_hk_circle_viaP, reduce_hk_torus, deep_viaP),
+        ),
         (mirror_pair_atlas, 20, (reduce_symplectic_circle, reduce_symplectic_torus)),
     ]
     for build, seeds, engines in cases:
@@ -40,5 +52,5 @@ def test_atlases_and_reports_are_byte_identical():
     for text in canonical_outputs():
         h.update(text.encode())
         count += 1
-    assert count == 800
+    assert count == 1000
     assert h.hexdigest() == CANONICAL_DIGEST

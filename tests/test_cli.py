@@ -449,6 +449,31 @@ def _oracle_coefficient_beyond_double(tmp_path):
     )
 
 
+def _set_object_name(doc):
+    doc["fixed_points"][0]["name"] = {"a": [1, 2]}
+
+
+def _point_name_not_a_string(tmp_path):
+    return _golden_variant(tmp_path, "sphere_s2.json", _set_object_name, ["check"])
+
+
+def _set_repeated_variable(doc):
+    doc["variable_order"] = ["y", "y"]
+
+
+def _repeated_variable_order(tmp_path):
+    return _golden_variant(
+        tmp_path, "hk_point.json", _set_repeated_variable, ["reduce", "--mode", "hk-p"]
+    )
+
+
+def _series_repeated_variable(tmp_path):
+    p = tmp_path / "s.json"
+    term = {"exp": [-1, 0], "re": [1, 1], "im": [0, 1]}
+    p.write_text(json.dumps({"variables": ["y", "y"], "terms": [term]}))
+    return ["oracle", "--contour", str(p), "1"]
+
+
 def _suptsq_infinite_x(tmp_path):
     return ["oracle", "--suptsq", "inf", "2"]
 
@@ -524,6 +549,9 @@ class TestErrorMapping:
             _suptsq_nan_x,
             _suptsq_x_near_double_max,
             _suptsq_power_past_double,
+            _point_name_not_a_string,
+            _repeated_variable_order,
+            _series_repeated_variable,
         ],
     )
     def test_bad_user_input_is_validation(self, capsys, tmp_path, argv):

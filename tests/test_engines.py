@@ -358,13 +358,43 @@ def test_torus_rank1_degenerates_to_circle_bitwise(seed):
     assert rc.path != rt.path
 
 
-@given(st.integers(0, 200))
+small_crs = st.builds(
+    lambda a, b, d: ComplexRational(Fraction(a, d), Fraction(b, d)),
+    st.integers(-5, 5),
+    st.integers(-5, 5),
+    st.integers(1, 4),
+)
+#: raw contributions trusted at least through y^-2, where both routes read
+raw_series = st.builds(
+    lambda terms, trunc: LaurentSeries(("y",), terms, (trunc,)),
+    st.dictionaries(st.tuples(st.integers(-6, 4)), small_crs, max_size=6),
+    st.one_of(st.none(), st.integers(-2, 4)),
+)
+
+
+@given(st.integers(0, 200), st.one_of(st.none(), raw_series))
 @settings(max_examples=30, deadline=None)
-def test_even_part_route_matches_direct_bitwise(seed):
+def test_even_part_route_matches_direct_bitwise(seed, raw):
+    """Both routes give the same bytes at extra orders 0-3 in both eta modes,
+    also with a raw point beside the structured ones."""
     a = builtin_atlas("hk_synthetic", seed=seed)
-    direct = reduce_hk_circle(a)
-    via = reduce_hk_circle_viaP(a)
-    assert direct.canonical_json() == via.canonical_json()
+    if raw is not None:
+        point = FixedPointDatum(
+            name="raw",
+            moment=(Fraction(0),),
+            weights=(),
+            eta=LaurentSeries.const(("y",), 1),
+            moment_hk=((Fraction(1), Fraction(0), Fraction(2)),),
+            mode="raw",
+            raw_contribution=raw,
+        )
+        a = replace(a, fixed_points=a.fixed_points + (point,))
+        validate_atlas(a)
+    for eta_mode in ("atlas", "one"):
+        for order in range(4):
+            direct = reduce_hk_circle(a, eta_mode=eta_mode, order=order)
+            via = reduce_hk_circle_viaP(a, eta_mode=eta_mode, order=order)
+            assert direct.canonical_json() == via.canonical_json()
 
 
 def test_even_part_route_on_quartic_point():

@@ -330,6 +330,9 @@ def test_exp_of_2i_y_squared_through_order_4():
 
 def test_exp_of_zero_is_one():
     assert exp_series(univar({}), 5).terms == {(0,): cr(1)}
+    # trusted only below y^0, exp(0) keeps no term at all
+    zero = LaurentSeries(("y", "z"), {}, (-1, None))
+    assert exp_series(zero, 5) == LaurentSeries.zero(("y", "z"), (-1, 5))
 
 
 def test_exp_refuses_negative_exponents_and_constants():

@@ -10,7 +10,7 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from eqloc.atlas import (
@@ -65,10 +65,16 @@ def reference_euler_class(fp, variables) -> LaurentSeries:
 @st.composite
 def weight_lists(draw):
     """Rank 1-3 tangent weights with entries in -3..3, mixed ones such as
-    (1, -1) included; now and then a zero or wrong-length weight."""
+    (1, -1) included, one-variable ones drawn as often as the rest; now and
+    then a zero or wrong-length weight."""
     k = draw(st.integers(1, 3))
     weight = st.tuples(*([st.integers(-3, 3)] * k))
-    weights = draw(st.lists(weight.filter(any), max_size=6))
+    one_variable = st.builds(
+        lambda v, x: tuple(x if u == v else 0 for u in range(k)),
+        st.integers(0, k - 1),
+        st.integers(-3, 3).filter(bool),
+    )
+    weights = draw(st.lists(st.one_of(one_variable, weight.filter(any)), max_size=6))
     bad = draw(st.sampled_from([None, None, None, (0,) * k, (1,) * (k + 1)]))
     if bad is not None:
         weights.insert(draw(st.integers(0, len(weights))), bad)
@@ -77,6 +83,11 @@ def weight_lists(draw):
 
 @given(weight_lists())
 @settings(max_examples=200, deadline=None)
+@example((2, ((1, 0), (1, -1), (0, 2), (1, 1))))  # the yz terms cancel
+@example((2, ((2, 0), (0, -1), (1, 1), (1, 0), (0, 3))))
+@example((3, ((0, 0, -2), (1, 1, 0), (1, 0, 0), (0, 1, -1), (0, 0, 3))))
+@example((3, ((1, 0, 0), (0, 1, 1), (0, 0, 0))))  # zero weight after a mixed one
+@example((2, ((0, 1), (1, -1), (1,))))  # short weight after a mixed one
 def test_euler_class_matches_series_product(case):
     k, weights = case
     fp = replace(sphere_atlas().fixed_points[0], weights=weights)
