@@ -1,8 +1,40 @@
 """eqloc: exact evaluation of symplectic and hyperkahler quotient integrals
 from fixed-point data, cross-checked by a mollified-integral floating oracle.
+
+``errors``, ``exact``, ``atlas`` and ``roots`` are imported with the package,
+because every command reads an atlas or a root table.  ``localize``,
+``engines`` and ``oracle`` are registered in ``sys.modules`` as lazy modules
+(``importlib.util.LazyLoader``): their source is compiled and run on the
+first read of one of their attributes, so ``eqloc check`` or ``eqloc roots``
+never compiles the reduction engines or the oracle.  The package serves the
+names it re-exports from those three through a module ``__getattr__`` that
+reads the name from its module on every access and keeps no copy, so
+``eqloc.NAME`` is always what the module binds now.
 """
 
-from .atlas import (
+import importlib.util
+import sys
+
+
+def _lazy(name: str):
+    """eqloc.NAME registered in sys.modules, to be run on first use."""
+    fullname = f"{__name__}.{name}"
+    spec = importlib.util.find_spec(fullname)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[fullname] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+# Registered before the eager imports below, so that a walk over sys.modules
+# in insertion order reaches, and so runs, each lazy module before any
+# module it imports names from.  The benchmark's tracer rebinds functions by
+# such a walk and restores only what it rebound: a lazy module run after the
+# walk had rebound exact.exp_series would keep the wrapper for good.
+_LAZY = {name: _lazy(name) for name in ("localize", "engines", "oracle")}
+
+from .atlas import (  # noqa: E402
     FixedPointAtlas,
     FixedPointDatum,
     GroupSpec,
@@ -15,25 +47,14 @@ from .atlas import (
     validate_atlas,
     validate_respected,
 )
-from .engines import (
-    ConventionProfile,
-    ReductionReport,
-    reduce_hk_circle,
-    reduce_hk_circle_viaP,
-    reduce_hk_torus,
-    reduce_symplectic_circle,
-    reduce_symplectic_torus,
-    resolve_profile,
-    weyl_wrap,
-)
-from .errors import (
+from .errors import (  # noqa: E402
     EqlocError,
     InternalError,
     QuadratureError,
     SeriesError,
     ValidationError,
 )
-from .exact import (
+from .exact import (  # noqa: E402
     ComplexRational,
     LaurentSeries,
     SymbolicConstant,
@@ -44,18 +65,50 @@ from .exact import (
     series_mul,
     substitute_sqrt,
 )
-from .localize import euler_class, localize, phase_factory, restriction_factory
-from .oracle import (
-    MollifierConfig,
-    OracleResult,
-    atlas_integrand,
-    contour_coeff,
-    mollified_oint,
-    oracle_comparison,
-    shift_smoothness_check,
-    suptsq_check,
-)
-from .roots import group_spec, known_groups, root_system
+from .roots import group_spec, known_groups, root_system  # noqa: E402
+
+# the names the package serves from each lazy module
+_EXPORTS = {
+    "localize": ("euler_class", "localize", "phase_factory", "restriction_factory"),
+    "engines": (
+        "ConventionProfile",
+        "ReductionReport",
+        "reduce_hk_circle",
+        "reduce_hk_circle_viaP",
+        "reduce_hk_torus",
+        "reduce_symplectic_circle",
+        "reduce_symplectic_torus",
+        "resolve_profile",
+        "weyl_wrap",
+    ),
+    "oracle": (
+        "MollifierConfig",
+        "OracleResult",
+        "atlas_integrand",
+        "contour_coeff",
+        "mollified_oint",
+        "oracle_comparison",
+        "shift_smoothness_check",
+        "suptsq_check",
+    ),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+
+def __getattr__(name: str):
+    home = _HOME.get(name)
+    if home is not None:
+        return getattr(_LAZY[home], name)
+    # eqloc.engines and eqloc.oracle are the submodules; eqloc.localize is
+    # the function, as it was when the package imported everything at once
+    if name in _LAZY:
+        return _LAZY[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), *_HOME, *_LAZY})
+
 
 __version__ = "0.1.0"
 

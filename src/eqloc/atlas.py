@@ -257,15 +257,18 @@ def validate_atlas(atlas: FixedPointAtlas) -> None:
         raise ValidationError("submanifold codimension must be >= 0")
 
 
+def submanifold_bound(atlas: FixedPointAtlas) -> int:
+    """The largest codimension a submanifold restriction may have: the rank
+    of the group-orbit directions removed by reduction (3s in the
+    hyperkahler case, s in the symplectic one)."""
+    return 3 * atlas.group.s if atlas.geometry == "hyperkahler" else atlas.group.s
+
+
 def validate_respected(atlas: FixedPointAtlas) -> bool:
     """Whether a declared submanifold restriction keeps the reduction data
-    meaningful: its codimension may not exceed the rank of the group-orbit
-    directions removed by reduction (3s in the hyperkahler case, s in the
-    symplectic one).  Atlases without a declared restriction trivially pass."""
-    if atlas.submanifold is None:
-        return True
-    bound = 3 * atlas.group.s if atlas.geometry == "hyperkahler" else atlas.group.s
-    return atlas.submanifold.codim <= bound
+    meaningful: its codimension may not exceed ``submanifold_bound``.
+    Atlases without a declared restriction trivially pass."""
+    return atlas.submanifold is None or atlas.submanifold.codim <= submanifold_bound(atlas)
 
 
 # -- canonical JSON ------------------------------------------------------
@@ -380,6 +383,12 @@ MAX_VOLUME_POWER = 64
 def _parse_int(doc, where: str) -> int:
     if type(doc) is not int:
         raise ValidationError(f"{where}: expected an integer")
+    return doc
+
+
+def _parse_str(doc, what: str) -> str:
+    if not isinstance(doc, str):
+        raise ValidationError(f"{what} must be a string")
     return doc
 
 
@@ -559,7 +568,7 @@ def parse_atlas(document) -> FixedPointAtlas:
         powers.append(power)
     vol = SymbolicConstant(_parse_frac(vdoc["q"], "group vol q"), *powers)
     group = GroupSpec(
-        kind=str(gdoc["kind"]),
+        kind=_parse_str(gdoc["kind"], "group kind"),
         rank=_parse_int(gdoc["rank"], "group rank"),
         s=_parse_int(gdoc["s"], "group s"),
         vol=vol,
@@ -624,7 +633,7 @@ def parse_atlas(document) -> FixedPointAtlas:
                 weights=tuple(map(tuple, wdoc)),
                 eta=_parse_series(fdoc["eta"], variables, f"{where} eta"),
                 moment_hk=moment_hk,
-                mode=str(fdoc["mode"]),
+                mode=_parse_str(fdoc["mode"], f"{where}: mode"),
                 raw_contribution=raw,
             )
         )
@@ -639,7 +648,7 @@ def parse_atlas(document) -> FixedPointAtlas:
 
     atlas = FixedPointAtlas(
         group=group,
-        geometry=str(document["geometry"]),
+        geometry=_parse_str(document["geometry"], "geometry"),
         dim_m=_parse_int(document["dim_M"], "dim_M"),
         dim_quotient=_parse_int(document["dim_quotient"], "dim_quotient"),
         deg_eta0=_parse_int(document["deg_eta0"], "deg_eta0"),

@@ -31,28 +31,11 @@ from .atlas import (
     parse_series_terms,
     permute_atlas_variables,
     serialize_atlas,
-)
-from .engines import (
-    reduce_hk_circle,
-    reduce_hk_circle_viaP,
-    reduce_hk_torus,
-    reduce_symplectic_circle,
-    reduce_symplectic_torus,
-    resolve_profile,
-    weyl_wrap,
+    submanifold_bound,
+    validate_respected,
 )
 from .errors import EqlocError, InternalError, QuadratureError, SeriesError, ValidationError
 from .exact import LaurentSeries
-from .localize import localize, phase_factory
-from .oracle import (
-    MollifierConfig,
-    atlas_integrand,
-    contour_coeff,
-    mollified_oint,
-    oracle_comparison,
-    shift_smoothness_check,
-    suptsq_check,
-)
 from .roots import known_groups, table_json_dict
 
 
@@ -124,6 +107,8 @@ def _ladder(text):
 
 
 def _profile_arg(args) -> object:
+    from .engines import resolve_profile
+
     name = getattr(args, "profile", None) or os.environ.get("EQLOC_PROFILE")
     return resolve_profile(name)
 
@@ -176,10 +161,19 @@ def _cmd_check(args) -> int:
     atlas = _load_atlas(args.atlas)
     n = len(atlas.fixed_points)
     print(f"valid: {n} fixed point{'s' if n != 1 else ''}, {atlas.geometry}, {atlas.group.kind}")
+    if atlas.submanifold is not None:
+        held = "respected" if validate_respected(atlas) else "not respected"
+        label = "3s" if atlas.geometry == "hyperkahler" else "s"
+        print(
+            f"submanifold: codim_L {atlas.submanifold.codim}, bound "
+            f"{submanifold_bound(atlas)} ({label}): {held}"
+        )
     return 0
 
 
 def _cmd_localize(args) -> int:
+    from .localize import localize, phase_factory
+
     atlas = _load_atlas(args.atlas)
     if args.depth < 0:
         raise ValidationError("depth must be nonnegative")
@@ -193,6 +187,15 @@ def _cmd_localize(args) -> int:
 
 
 def _cmd_reduce(args) -> int:
+    from .engines import (
+        reduce_hk_circle,
+        reduce_hk_circle_viaP,
+        reduce_hk_torus,
+        reduce_symplectic_circle,
+        reduce_symplectic_torus,
+        weyl_wrap,
+    )
+
     atlas = _load_atlas(args.atlas)
     if args.order:
         new_order = tuple(v.strip() for v in args.order.split(","))
@@ -211,6 +214,8 @@ def _cmd_reduce(args) -> int:
     else:
         report = reduce_hk_circle_viaP(atlas, profile, **kwargs)
     if args.oracle:
+        from .oracle import oracle_comparison
+
         report = report.with_oracle(oracle_comparison(report, atlas))
     if args.table:
         print(report.table_text())
@@ -220,6 +225,8 @@ def _cmd_reduce(args) -> int:
 
 
 def _oracle_cfg(args, default_ladder=None) -> MollifierConfig:
+    from .oracle import MollifierConfig
+
     kwargs = {}
     ladder = _ladder(args.t_ladder)
     if ladder is None:
@@ -232,6 +239,14 @@ def _oracle_cfg(args, default_ladder=None) -> MollifierConfig:
 
 
 def _cmd_oracle(args) -> int:
+    from .oracle import (
+        atlas_integrand,
+        contour_coeff,
+        mollified_oint,
+        shift_smoothness_check,
+        suptsq_check,
+    )
+
     chosen = [
         bool(args.atlas),
         args.suptsq is not None,

@@ -38,7 +38,7 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .atlas import FixedPointAtlas, FixedPointDatum
 from .errors import InsufficientTruncationError, QuadratureError, ValidationError
@@ -551,6 +551,12 @@ def _unit(theta: np.ndarray) -> np.ndarray:
     return out
 
 
+#: panels per basis and matrix product in _MollifiedPanels.sums; a round's
+#: arrays would otherwise grow with its panel count (15 nodes times the
+#: exponent range per panel for the basis alone)
+_PANEL_BLOCK = 1024
+
+
 class _MollifiedPanels:
     """exp(-y^2/4t) times a rank-1 _PointSum, integrated a round of panels
     at a time.  Its terms, gathered by frequency f, are the columns of a
@@ -593,25 +599,62 @@ class _MollifiedPanels:
     def sums(self, centers: np.ndarray, half: np.ndarray) -> np.ndarray:
         """Each panel's Kronrod and Gauss sums of exp(-x^2/4t) fn(x) over its
         nodes: a (panels, 2) array.  B is real, so every product takes the
-        complex right-hand side viewed as pairs of reals."""
+        complex right-hand side viewed as pairs of reals.  Both branches
+        work on blocks of at most _PANEL_BLOCK panels, so no array grows
+        with the round."""
+        sums = np.empty((len(centers), 2), dtype=complex)
         if self.quadratic:
-            x = centers[:, None] + half[:, None] * KRONROD_NODES
-            basis = self._basis(x).reshape(x.size, -1)
-            amp = (basis @ self.coeffs.view(float)).view(complex).reshape(*x.shape, -1)
-            return (amp * _unit((x * x)[..., None] * self.freqs)).sum(axis=-1) @ RULES
+            for s, e in _blocks(0, len(centers)):
+                x = centers[s:e, None] + half[s:e, None] * KRONROD_NODES
+                basis = self._basis(x).reshape(x.size, -1)
+                amp = (basis @ self.coeffs.view(float)).view(complex).reshape(*x.shape, -1)
+                sums[s:e] = (amp * _unit((x * x)[..., None] * self.freqs)).sum(axis=-1) @ RULES
+            return sums
         order = np.argsort(half, kind="stable")
         c, h = centers[order], half[order]
-        basis = self._basis(c[:, None] + h[:, None] * KRONROD_NODES).reshape(len(c), -1)
-        out = np.empty((len(c), len(self.freqs), 2), dtype=complex)
         cuts = [0, *(np.flatnonzero(h[1:] != h[:-1]) + 1), len(c)]
-        for s, e in zip(cuts, cuts[1:]):
-            node = _unit(h[s] * np.multiply.outer(KRONROD_NODES, self.freqs))
-            v = RULES[:, None, None] * node[:, None, :, None] * self.coeffs[:, :, None]
-            v = v.reshape(basis.shape[1], -1).view(float)
-            np.matmul(basis[s:e], v, out=out[s:e].reshape(e - s, -1).view(float))
-        sums = np.empty((len(c), 2), dtype=complex)
-        sums[order] = np.einsum("pf,pfr->pr", _unit(np.multiply.outer(c, self.freqs)), out)
+        for block in _run_blocks(cuts):
+            s0, e0 = block[0][0], block[-1][1]
+            basis = self._basis(c[s0:e0, None] + h[s0:e0, None] * KRONROD_NODES)
+            basis = basis.reshape(e0 - s0, -1)
+            out = np.empty((e0 - s0, len(self.freqs), 2), dtype=complex)
+            for s, e in block:
+                node = _unit(h[s] * np.multiply.outer(KRONROD_NODES, self.freqs))
+                v = RULES[:, None, None] * node[:, None, :, None] * self.coeffs[:, :, None]
+                v = v.reshape(basis.shape[1], -1).view(float)
+                piece = out[s - s0 : e - s0].reshape(e - s, -1).view(float)
+                np.matmul(basis[s - s0 : e - s0], v, out=piece)
+            phase = _unit(np.multiply.outer(c[s0:e0], self.freqs))
+            sums[order[s0:e0]] = np.einsum("pf,pfr->pr", phase, out)
         return sums
+
+
+def _blocks(start: int, end: int) -> List[Tuple[int, int]]:
+    """[start, end) cut into the fewest near-equal blocks of at most
+    _PANEL_BLOCK panels.  No block of a longer range is a single panel,
+    which BLAS would multiply by another kernel (gemv, not gemm), so a
+    panel's sums do not depend on how its round was cut."""
+    n = -(-(end - start) // _PANEL_BLOCK)
+    bounds = [start + (end - start) * i // n for i in range(n + 1)]
+    return list(zip(bounds, bounds[1:]))
+
+
+def _run_blocks(cuts: Sequence[int]) -> Iterator[List[Tuple[int, int]]]:
+    """The runs [cuts[i], cuts[i + 1]) packed in order into blocks of at
+    most _PANEL_BLOCK panels, each block a list of (start, end) pieces.  A
+    longer run is cut by _blocks, one block per piece; no other run is cut,
+    so a round of at most _PANEL_BLOCK panels is one block."""
+    block: List[Tuple[int, int]] = []
+    for s, e in zip(cuts, cuts[1:]):
+        if block and e - block[0][0] > _PANEL_BLOCK:
+            yield block
+            block = []
+        if e - s > _PANEL_BLOCK:
+            yield from ([piece] for piece in _blocks(s, e))
+        else:
+            block.append((s, e))
+    if block:
+        yield block
 
 
 def _principal_part(

@@ -453,6 +453,26 @@ def test_point_names_must_be_strings(name):
 
 
 @pytest.mark.parametrize(
+    "path, value, message",
+    [
+        (("fixed_points", 0, "mode"), ["raw"], "fixed point 0: mode must be a string"),
+        (("geometry",), 7, "geometry must be a string"),
+        (("group", "kind"), None, "group kind must be a string"),
+    ],
+)
+def test_text_fields_must_be_strings(path, value, message):
+    """Refused as they are, not as str(value): ["raw"] is no mode "['raw']"."""
+    doc = _sphere_doc()
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    with pytest.raises(ValidationError) as err:
+        parse_atlas(doc)
+    assert err.value.message == message
+
+
+@pytest.mark.parametrize(
     "variables, message",
     [
         (["y", "y"], "variable_order has 2 names for rank 1"),

@@ -75,6 +75,26 @@ class TestCheck:
         assert cli.run(["check", str(p)]) == 0
         assert "hyperkahler" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "name, codim, line",
+        [
+            ("sphere_s2.json", 1, "submanifold: codim_L 1, bound 1 (s): respected"),
+            ("sphere_s2.json", 2, "submanifold: codim_L 2, bound 1 (s): not respected"),
+            ("hk_point.json", 3, "submanifold: codim_L 3, bound 3 (3s): respected"),
+            ("hk_point.json", 4, "submanifold: codim_L 4, bound 3 (3s): not respected"),
+        ],
+    )
+    def test_submanifold_restriction_is_reported(self, capsys, tmp_path, name, codim, line):
+        doc = json.loads((GOLDEN_DIR / name).read_text())
+        assert cli.run(["check", str(GOLDEN_DIR / name)]) == 0
+        plain = capsys.readouterr().out
+        assert len(plain.splitlines()) == 1
+        doc["submanifold"] = {"codim_L": codim}
+        p = tmp_path / "a.json"
+        p.write_text(json.dumps(doc))
+        assert cli.run(["check", str(p)]) == 0
+        assert capsys.readouterr().out == plain + line + "\n"
+
     def test_missing_file(self, capsys):
         err = run_err(capsys, ["check", "/no/such/file.json"])
         assert err["error"] == "validation"
@@ -457,6 +477,32 @@ def _point_name_not_a_string(tmp_path):
     return _golden_variant(tmp_path, "sphere_s2.json", _set_object_name, ["check"])
 
 
+def _set_list_mode(doc):
+    doc["fixed_points"][0]["mode"] = ["raw"]
+
+
+def _point_mode_not_a_string(tmp_path):
+    return _golden_variant(tmp_path, "sphere_s2.json", _set_list_mode, ["check"])
+
+
+def _set_int_geometry(doc):
+    doc["geometry"] = 7
+
+
+def _geometry_not_a_string(tmp_path):
+    return _golden_variant(tmp_path, "hk_point.json", _set_int_geometry, ["check"])
+
+
+def _set_null_kind(doc):
+    doc["group"]["kind"] = None
+
+
+def _group_kind_not_a_string(tmp_path):
+    return _golden_variant(
+        tmp_path, "mirror_pair_7.json", _set_null_kind, ["reduce", "--mode", "symplectic"]
+    )
+
+
 def _set_repeated_variable(doc):
     doc["variable_order"] = ["y", "y"]
 
@@ -550,6 +596,9 @@ class TestErrorMapping:
             _suptsq_x_near_double_max,
             _suptsq_power_past_double,
             _point_name_not_a_string,
+            _point_mode_not_a_string,
+            _geometry_not_a_string,
+            _group_kind_not_a_string,
             _repeated_variable_order,
             _series_repeated_variable,
         ],
@@ -658,6 +707,145 @@ class TestNumpyOnlyForTheOracle:
         doc = run_json(capsys, argv)
         assert doc["oracle_comparison"]["rel_err"] < 1e-6
         assert proc.stdout == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+# -- a command runs only the modules it uses --------------------------------
+
+_LAZY_MODULES = ("eqloc.engines", "eqloc.localize", "eqloc.oracle")
+
+# Any attribute read of a lazy module runs it, so the runners look at its
+# __dict__ past the module's __getattribute__: the dict gains __builtins__
+# only when the module's code runs.
+_RAN = (
+    "[m for m in {lazy!r} "
+    "if '__builtins__' in object.__getattribute__(sys.modules[m], '__dict__')]"
+).format(lazy=_LAZY_MODULES)
+
+# python -m eqloc.cli ARGV, then the lazy modules that ran, on stderr
+_RUN_CLI_AS_MAIN = f"""
+import json, runpy, sys
+sys.argv = ["eqloc", *json.loads(sys.argv[1])]
+try:
+    runpy.run_module("eqloc.cli", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    code = exc.code
+sys.stderr.write(json.dumps([code, {_RAN}]))
+"""
+
+_PACKAGE_SURFACE = f"""
+import json, sys, types
+import eqloc, eqloc.cli
+ran_at_import = {_RAN}
+listed = set(eqloc.__all__) <= set(dir(eqloc))
+ran_after_dir = {_RAN}
+home = {{}}
+for name in eqloc.__all__:
+    if name == "__version__":
+        continue
+    obj = getattr(eqloc, name)
+    if obj is not getattr(sys.modules[obj.__module__], name):
+        home[name] = obj.__module__
+print(json.dumps({{
+    "ran_at_import": ran_at_import,
+    "ran_after_dir": ran_after_dir,
+    "all_in_dir": listed,
+    "not_from_home": home,
+    "localize_is_function": isinstance(eqloc.localize, types.FunctionType),
+    "submodules": [getattr(eqloc, m.split(".")[1]) is sys.modules[m]
+                   for m in ("eqloc.engines", "eqloc.oracle")],
+}}))
+"""
+
+_TRACER_ON_A_FRESH_IMPORT = f"""
+import json, sys, types
+sys.path.insert(0, sys.argv[1])
+import eqloc, eqloc.cli
+import tracing
+ran_before = {_RAN}
+atlas = eqloc.builtin_atlas("hk_point")
+tracer = tracing.Tracer()
+with tracer:
+    with tracer.span("op"):
+        eqloc.reduce_hk_circle(atlas)
+    rebound = len(tracer.rebound())
+left = []
+for name, mod in list(sys.modules.items()):
+    if name == "eqloc" or name.startswith("eqloc."):
+        owners = [mod, *(v for v in vars(mod).values() if isinstance(v, type))]
+        for owner in owners:
+            for attr, value in vars(owner).items():
+                if isinstance(value, types.FunctionType) and value.__qualname__.startswith("Tracer."):
+                    left.append(name + ":" + getattr(owner, "__name__", "") + "." + attr)
+print(json.dumps({{
+    "ran_before": ran_before,
+    "rebound": rebound,
+    "reduce_calls": tracer.counts["engines.reduce.calls"],
+    "wrappers_left": sorted(set(left)),
+    "package_sees_original": eqloc.reduce_hk_circle is sys.modules["eqloc.engines"].reduce_hk_circle
+                             and not hasattr(eqloc.reduce_hk_circle, "__wrapped__"),
+}}))
+"""
+
+
+class TestLazyModules:
+    @pytest.mark.parametrize(
+        "argv, ran",
+        [
+            (["check", str(GOLDEN_DIR / "sphere_s2.json")], []),
+            (["roots", "SU(2)"], []),
+            (["roots"], []),
+            (["localize", str(GOLDEN_DIR / "sphere_s2.json"), "--depth", "2"], ["eqloc.localize"]),
+            (["examples", "--out", "{tmp}"], []),
+            (
+                ["reduce", str(GOLDEN_DIR / "mirror_pair_7.json"), "--mode", "symplectic"],
+                ["eqloc.engines", "eqloc.localize"],
+            ),
+            (
+                ["reduce", str(GOLDEN_DIR / "hk_point.json"), "--mode", "hk-p"],
+                ["eqloc.engines", "eqloc.localize"],
+            ),
+            (
+                ["reduce", "builtin:mirror_pair(7)", "--mode", "symplectic", "--oracle"],
+                list(_LAZY_MODULES),
+            ),
+            (["oracle", "--suptsq", "1", "2"], ["eqloc.localize", "eqloc.oracle"]),
+        ],
+    )
+    def test_command_runs_only_the_modules_it_uses(self, capsys, tmp_path, argv, ran):
+        """python -m eqloc.cli in a fresh interpreter runs no lazy module the
+        command does not use, and prints what the in-process run prints."""
+        argv = [arg.format(tmp=tmp_path) for arg in argv]
+        proc = _fresh_python(["-c", _RUN_CLI_AS_MAIN, json.dumps(argv)])
+        code, executed = json.loads(proc.stderr.splitlines()[-1])
+        assert (code, executed) == (0, ran), proc.stderr
+        assert cli.run(argv) == 0
+        assert proc.stdout == capsys.readouterr().out
+
+    def test_package_surface(self):
+        proc = _fresh_python(["-c", _PACKAGE_SURFACE])
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == {
+            "ran_at_import": [],
+            "ran_after_dir": [],
+            "all_in_dir": True,
+            "not_from_home": {},
+            "localize_is_function": True,
+            "submodules": [True, True],
+        }
+
+    def test_tracer_on_a_fresh_import_restores_every_binding(self):
+        """The benchmark's tracer installed when only ``import eqloc,
+        eqloc.cli`` has run: it runs the lazy modules itself, counts the
+        call, and leaves no wrapper behind in any eqloc module or class."""
+        bench = Path(__file__).resolve().parent.parent / "bench"
+        proc = _fresh_python(["-c", _TRACER_ON_A_FRESH_IMPORT, str(bench)])
+        assert proc.returncode == 0, proc.stderr
+        got = json.loads(proc.stdout)
+        assert got["ran_before"] == []
+        assert got["rebound"] > 0
+        assert got["reduce_calls"] == 1
+        assert got["wrappers_left"] == []
+        assert got["package_sees_original"]
 
 
 # -- mutated goldens -----------------------------------------------------
