@@ -2,7 +2,8 @@
 """t-ladder convergence study for the mollified oracle.
 
 Prints the ladder value, successive difference, quadrature error estimate
-and panels spent per t, the extrapolated limits under both rules, and (for
+and panels spent per t, whether the last two rungs agree (the oracle's
+converged verdict), the extrapolated limits under both rules, and (for
 symplectic circle data) the exact engine value the ladder should approach.
 
 Usage:
@@ -63,6 +64,7 @@ def main() -> int:
         )
         prev = row.value
     print(f"panel budget: {res.max_panels} per rung")
+    print(f"converged:   {'yes' if res.converged() else 'no'} (last two rungs)")
     print(f"last value:  {res.estimate.real:+.15e} {res.estimate.imag:+.15e}i")
 
     rich = mollified_oint(

@@ -256,6 +256,8 @@ class ReductionReport:
             )
             panels = ", ".join(str(r["panels"]) for r in oc["ladder"])
             lines.append(f"oracle panels:   {panels} (of {oc['max_panels']} per rung)")
+            verdict = "converged" if oc["converged"] else "not converged"
+            lines.append(f"oracle ladder:   {verdict} over its last two rungs")
         return "\n".join(lines) + "\n"
 
 

@@ -131,17 +131,30 @@ class _Budget:
             )
 
 
+#: panel width times the fastest phase frequency: half a period
+_PANEL_PHASE = math.pi
+
+
 def _panel_edges(window: float, max_freq: float, max_panels: int = sys.maxsize) -> np.ndarray:
     """Symmetric uniform edges covering [-window, window]: an even number of
     panels with 0 always an edge (so integrands with a removable singularity
-    at the origin are never sampled there), sized to resolve oscillation.
+    at the origin are never sampled there), each panel at most window / 8
+    wide and at most half a period, pi / max_freq, of the fastest phase.
+
+    Half a period is enough for the 15-point Kronrod rule, exact through
+    degree 22: on a panel of width pi / f the Taylor remainder of exp(i f y)
+    past degree 22 is about (pi / 2)^23 / 23! ~ 1e-18 of the amplitude.  On
+    the adaptive routes the rounds of adaptive_quadrature still halve every
+    panel whose Kronrod and Gauss values differ by more than the tolerance;
+    fixed_quadrature, which shift_smoothness_check uses, takes the grid as
+    it is.
 
     The panels are counted before any array is built, and more than
-    max_panels, or a width that is not positive (4 max_freq overflows near
-    1e308), is refused as an exhausted budget."""
+    max_panels, or a width too small for window / width to be finite, is
+    refused as an exhausted budget."""
     h = window / 8
     if max_freq > 0:
-        h = min(h, math.pi / (4 * max_freq))
+        h = min(h, _PANEL_PHASE / max_freq)
     m = max(4, math.ceil(window / h)) if h > 0 and window / h < math.inf else math.inf
     _Budget(max_panels).spend(2 * m)
     return np.linspace(-m * h, m * h, 2 * m + 1)
@@ -364,8 +377,17 @@ class OracleResult:
         ]
 
     def ladder_monotone(self) -> bool:
+        """Whether the rung deltas never grow.  Once a ladder has converged
+        its deltas are rounding, so this is then decided by rounding."""
         d = self.deltas()
         return all(b <= a for a, b in zip(d, d[1:]))
+
+    def converged(self) -> bool:
+        """Whether the last two rungs agree: |v_n - v_(n-1)| is at most
+        1e-9 of the larger of them plus both rungs' error estimates."""
+        a, b = self.rows[-2], self.rows[-1]
+        size = max(abs(a.value), abs(b.value))
+        return abs(b.value - a.value) <= 1e-9 * size + a.err_estimate + b.err_estimate
 
     def to_json_dict(self) -> dict:
         return {
@@ -373,6 +395,7 @@ class OracleResult:
             "estimate": [self.estimate.real, self.estimate.imag],
             "extrapolation": self.extrapolation,
             "ladder_monotone": self.ladder_monotone(),
+            "converged": self.converged(),
             "max_panels": self.max_panels,
         }
 
@@ -905,6 +928,44 @@ def _max_finite_power(base: float) -> Optional[int]:
     return p
 
 
+def _log_hermite(m: int, u: float) -> Tuple[float, float]:
+    """(sign, log |H_m(u)|) for the physicists' Hermite polynomial, by the
+    recurrence H_(k+1) = 2u H_k - 2k H_(k-1), rescaled by 2^-512 whenever a
+    value passes 2^512, so that no step overflows; sign is 0 at a zero."""
+    a, b, scale = 0.0, 1.0, 0
+    for k in range(m):
+        a, b = b, 2.0 * u * b - 2.0 * k * a
+        if abs(b) > 2.0**512:
+            a, b, scale = a * 2.0**-512, b * 2.0**-512, scale + 512
+    if b == 0:
+        return 0.0, -math.inf
+    return math.copysign(1.0, b), math.log(abs(b)) + scale * math.log(2.0)
+
+
+def _suptsq_closed_form(x: float, m: int, t: float) -> complex:
+    """I(t) = sqrt(4 pi t) (i sqrt t)^m H_m(x sqrt t) exp(-t x^2), taken in
+    logarithms, since H_m and the exponential can each leave double range
+    where their product does not."""
+    sign, log_h = _log_hermite(m, x * math.sqrt(t))
+    if not sign:
+        return 0j
+    log_size = 0.5 * math.log(4.0 * math.pi * t) + 0.5 * m * math.log(t) + log_h - t * x * x
+    return sign * math.exp(log_size) * (1, 1j, -1, -1j)[m % 4]
+
+
+def _suptsq_size(m: int, t: float) -> float:
+    """S(t) = integral |y|^m exp(-y^2/4t) dy = Gamma((m+1)/2) (4t)^((m+1)/2),
+    the size against which I(t) and its quadrature are measured; refused
+    when it is beyond double range."""
+    try:
+        return math.exp(math.lgamma((m + 1) / 2) + (m + 1) / 2 * math.log(4.0 * t))
+    except OverflowError:
+        raise ValidationError(
+            f"the integrand's size Gamma((m+1)/2) (4t)^((m+1)/2) for m = {m} is "
+            f"beyond the range of a double at t = {t:g}; lower n or the t ladder"
+        ) from None
+
+
 def suptsq_check(
     x: float,
     n: int,
@@ -912,16 +973,25 @@ def suptsq_check(
     quad_tolerance: float = 1e-13,
     window_sigmas: float = 12.0,
 ) -> DecayTable:
-    """I(t) = integral exp(-y^2/4t + i x y) y^(n/2) dy per ladder point.
+    """I(t) = integral exp(-y^2/4t + i x y) y^m dy, m = n/2, per ladder point.
 
-    For x != 0 the values must die at the rate t^((n+2)/4) exp(-t x^2); the
-    constant is calibrated on the first ladder point and the remaining rows
-    are checked against it (with slack for the quadrature noise floor).  For
-    x = 0 the integral grows like sqrt(t) and no decay claim is made.
+    I(t) has the closed form sqrt(4 pi t) (i sqrt t)^m H_m(x sqrt t)
+    exp(-t x^2), H_m the physicists' Hermite polynomial, and its size is
+    measured against S(t) = Gamma((m+1)/2) (4t)^((m+1)/2), the integral of
+    |y|^m exp(-y^2/4t).  The per-panel tolerance is quad_tolerance * S(t).
+    For x != 0 each row's bound is 2 |I(t)| + 1e-9 S(t), and decay_ok says
+    that every row's |value| is inside its bound.  While |I(t)| is above
+    1e-9 S(t) this follows the closed form's exp(-t x^2) decay; on rungs
+    where the closed form has fallen below 1e-9 S(t), which grows with t,
+    the bound holds every row near the closed form's size rather than
+    asserting decay.  constant is the largest |value - I(t)| / S(t) over
+    the rows.  For x = 0 the integral grows like t^((m+1)/2) and no decay
+    claim is made.
 
     The widest window is at the top of the ladder.  An x whose panels there
-    exceed the panel budget, or an n whose y^(n/2) overflows a double at
-    that window's edge, is refused, naming the largest value that fits.
+    exceed the panel budget, an n whose y^m overflows a double at that
+    window's edge, or an S(t) beyond double range is refused, the first two
+    naming the largest value that fits.
     """
     if n < 0 or n % 2 != 0:
         raise ValidationError("n must be an even nonnegative integer")
@@ -935,9 +1005,9 @@ def suptsq_check(
     if not math.isfinite(x):
         raise ValidationError(f"x must be a finite number, got {x!r}")
     top = window_sigmas * math.sqrt(2.0 * ladder[-1])
-    # _panel_edges lays about 8 |x| top / pi panels over the widest window
-    # (and divides by 0 once 4 |x| overflows), so refuse before building it
-    x_max = SUPTSQ_MAX_PANELS / 8 * math.pi / top
+    # _panel_edges lays 2 ceil(|x| top / _PANEL_PHASE) panels over the
+    # widest window once that beats 16, so refuse before building it
+    x_max = SUPTSQ_MAX_PANELS // 2 * _PANEL_PHASE / top
     if abs(x) > x_max:
         raise ValidationError(
             f"|x| = {abs(x):g} needs more than the {SUPTSQ_MAX_PANELS} panels "
@@ -952,9 +1022,10 @@ def suptsq_check(
             f"of t = {ladder[-1]:g}; it stays finite there for n up to {2 * max_power}",
             max_n=2 * max_power,
         )
+    sizes = [_suptsq_size(power, t) for t in ladder]
 
     values = []
-    for t in ladder:
+    for t, size in zip(ladder, sizes):
         window = window_sigmas * math.sqrt(2.0 * t)
         edges = _panel_edges(window, abs(x))
         budget = _Budget(SUPTSQ_MAX_PANELS)
@@ -963,25 +1034,20 @@ def suptsq_check(
             base = np.exp(-(y * y) / (4.0 * t) + 1j * x * y)
             return base * y**power if power else base
 
-        val, _ = adaptive_quadrature(fn, edges, quad_tolerance, budget)
+        val, _ = adaptive_quadrature(fn, edges, quad_tolerance * size, budget)
         values.append(val)
-
-    def shape(t: float) -> float:
-        return t ** ((n + 2) / 4.0) * math.exp(-t * x * x)
 
     if x == 0:
         rows = tuple(DecayRow(t, v, None) for t, v in zip(ladder, values))
         return DecayTable(x=x, n=n, rows=rows, constant=None, decay_ok=None)
 
-    constant = abs(values[0]) / shape(ladder[0]) if shape(ladder[0]) > 0 else 0.0
-    noise_floor = 1e-12
     rows = []
-    ok = True
-    for t, v in zip(ladder, values):
-        bound = 2.0 * constant * shape(t) + noise_floor
-        rows.append(DecayRow(t, v, bound))
-        if abs(v) > bound:
-            ok = False
+    constant = 0.0
+    for t, v, size in zip(ladder, values, sizes):
+        exact = _suptsq_closed_form(x, power, t)
+        rows.append(DecayRow(t, v, 2.0 * abs(exact) + 1e-9 * size))
+        constant = max(constant, abs(v - exact) / size)
+    ok = all(abs(r.value) <= r.bound for r in rows)
     return DecayTable(x=x, n=n, rows=tuple(rows), constant=constant, decay_ok=ok)
 
 
@@ -1116,4 +1182,5 @@ def oracle_comparison(
         "extrapolation": cfg.extrapolation,
         "max_panels": cfg.max_panels,
         "ladder": [r.to_json_dict() for r in res.rows],
+        "converged": res.converged(),
     }

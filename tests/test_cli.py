@@ -221,6 +221,14 @@ class TestReduce:
         line = ", ".join(map(str, panels))
         assert f"oracle panels:   {line} (of 300000 per rung)" in capsys.readouterr().out
 
+    def test_oracle_reports_convergence(self, capsys):
+        argv = ["reduce", "builtin:sphere_S2", "--mode", "symplectic", "--oracle"]
+        assert run_json(capsys, argv)["oracle_comparison"]["converged"] is True
+        assert cli.run(argv + ["--table"]) == 0
+        assert "oracle ladder:   converged over its last two rungs" in capsys.readouterr().out
+        doc = run_json(capsys, ["oracle", "builtin:sphere_S2", "--mode", "symplectic", "--t", "1,2"])
+        assert doc["mollified"]["converged"] is False
+
     def test_oracle_on_hk_refused(self, capsys):
         err = run_err(capsys, ["reduce", "builtin:hk_point", "--mode", "hk", "--oracle"])
         assert err["error"] == "validation"

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import eqloc.oracle as oracle_module
 from eqloc.atlas import (
     FixedPointAtlas,
     FixedPointDatum,
@@ -18,6 +19,7 @@ from eqloc.atlas import (
     builtin_atlas,
     hk_point_atlas,
     mirror_pair_atlas,
+    parse_atlas,
     sphere_atlas,
     validate_atlas,
 )
@@ -51,6 +53,7 @@ from eqloc.oracle import (
 )
 
 CIRCLE = GroupSpec.circle()
+GOLDEN_DIR = Path(__file__).parent / "golden"
 
 
 def entire_hk_pair_atlas():
@@ -134,10 +137,11 @@ class TestGaussKronrod:
         assert err < 1e-10
 
     def test_panel_edges_shape(self):
-        e = _panel_edges(10.0, 2.0)
+        # half a period of the fastest phase, pi / f, below window / 8
+        e = _panel_edges(20.0, 2.0)
         assert len(e) % 2 == 1
         assert e[len(e) // 2] == 0.0
-        assert abs((e[1] - e[0]) - math.pi / 8) < 1e-12
+        assert abs((e[1] - e[0]) - math.pi / 2) < 1e-12
         # no oscillation: width capped at an eighth of the window
         e2 = _panel_edges(16.0, 0.0)
         assert abs((e2[1] - e2[0]) - 2.0) < 1e-12
@@ -219,12 +223,27 @@ class TestExactSum:
             [-0.0],
             [-0.0, -0.0],
             [0.0, -0.0],
+            [1.0, -1.0],
+            [-0.0, 1.0, -1.0],
             [],
         ],
     )
     def test_edge_cases(self, xs):
         got = _fsum(_complex_array(xs, [-x for x in xs]))
         assert _bits(got) == _bits(complex(math.fsum(xs), math.fsum([-x for x in xs])))
+
+    def test_symmetric_panels(self):
+        """Panel values of sphere_S2's integrand, whose real parts are all
+        zeros, and the same values with their mirror images, whose
+        imaginary parts cancel exactly."""
+        g = atlas_integrand(sphere_atlas())
+        edges = _panel_edges(12.0 * math.sqrt(20.0), g.max_frequency(0.0))
+        i15, _ = _eval_panels(_MollifiedPanels(g.fn, 10.0), edges[:-1], edges[1:])
+        mirrored = np.concatenate([i15, -i15[::-1]])
+        assert not i15.real.any() and mirrored.imag.any()
+        for values in (i15, mirrored, 1j * mirrored):
+            want = complex(math.fsum(values.real.tolist()), math.fsum(values.imag.tolist()))
+            assert _bits(_fsum(values)) == _bits(want)
 
     def test_longer_than_one_chunk(self):
         """2^17 + 1 copies of a value whose integer part in the accumulator
@@ -355,11 +374,43 @@ class TestMollified:
             lambda y: np.exp(-y * y), CIRCLE, MollifierConfig(t_ladder=(1.0, 10.0))
         )
         d = res.to_json_dict()
-        assert set(d) == {"rows", "estimate", "extrapolation", "ladder_monotone", "max_panels"}
+        assert set(d) == {
+            "rows",
+            "estimate",
+            "extrapolation",
+            "ladder_monotone",
+            "converged",
+            "max_panels",
+        }
         assert d["max_panels"] == MollifierConfig().max_panels
         assert len(d["rows"]) == 2
         assert set(d["rows"][0]) == {"t", "value", "err_estimate", "panels"}
         assert all(type(r["panels"]) is int and 16 <= r["panels"] for r in d["rows"])
+
+    @pytest.mark.parametrize("name", ["sphere_S2", "mirror_pair(3)", "mirror_pair(11)"])
+    def test_first_round_lays_half_period_panels(self, name, monkeypatch):
+        """Where pi / f < window / 8, the first round of a rung lays
+        2 max(4, ceil(window f / pi)) panels: half a period of the fastest
+        phase each."""
+        seen = []
+        real = oracle_module.adaptive_quadrature
+
+        def spy(fn, edges, tol, budget):
+            seen.append(len(edges) - 1)
+            return real(fn, edges, tol, budget)
+
+        monkeypatch.setattr(oracle_module, "adaptive_quadrature", spy)
+        atlas = builtin_atlas(name)
+        g = atlas_integrand(atlas)
+        cfg = MollifierConfig(t_ladder=(10.0, 100.0, 10000.0))
+        mollified_oint(g, atlas.group, cfg)
+        want = []
+        for t in cfg.t_ladder:
+            window = 12.0 * math.sqrt(2.0 * t)
+            f = g.max_frequency(window)
+            assert math.pi / f < window / 8
+            want.append(2 * max(4, math.ceil(window * f / math.pi)))
+        assert seen == want
 
     def test_rung_panels_are_the_budget_spent(self):
         """A rung's panels, as max_panels, is just enough for that rung,
@@ -397,15 +448,16 @@ def no_grid(monkeypatch):
 class TestGridRefusal:
     def test_panel_edges_counts_first(self, no_grid):
         for args in (
-            (10.0, 2.0, 51),  # 52 panels
-            (1.0e3, 1.0e308),  # 4 max_freq overflows: h = 0
+            (10.0, 2.0, 15),  # 16 panels
+            (1.0e3, 1.0e308),  # window / h overflows
+            (1.0e3, math.inf),  # h = 0
             (1.0e155, 1.0e307),  # window / h overflows
         ):
             with pytest.raises(QuadratureError, match="budget exhausted"):
                 _panel_edges(*args)
 
     def test_panel_edges_at_the_budget(self):
-        assert len(_panel_edges(10.0, 2.0, 52)) == 53
+        assert len(_panel_edges(10.0, 2.0, 16)) == 17
 
     @pytest.mark.parametrize(
         "moment, ladder",
@@ -426,7 +478,8 @@ class TestGridRefusal:
             shift_smoothness_check(sphere_atlas(), [1.0e4])
 
     def test_shift_grid_within_the_budget_runs(self):
-        cfg = MollifierConfig(t_ladder=(0.5, 1.0), max_panels=1000)
+        # 22 panels at t = 4, more than the smallest budget of 16
+        cfg = MollifierConfig(t_ladder=(0.5, 4.0), max_panels=1000)
         assert shift_smoothness_check(sphere_atlas(), [0.01], cfg).linear_ok
         with pytest.raises(QuadratureError, match="budget exhausted"):
             shift_smoothness_check(sphere_atlas(), [0.01], replace(cfg, max_panels=16))
@@ -495,6 +548,27 @@ class TestComparison:
         report = reduce_symplectic_circle(atlas)
         cmp = oracle_comparison(report, atlas)
         assert cmp["rel_err"] < 1e-6
+
+    @pytest.mark.parametrize("eta_mode", ["atlas", "one"])
+    def test_every_symplectic_circle_within_1e9(self, eta_mode):
+        """mirror_pair(0..19), sphere_S2 and the symplectic goldens: the
+        oracle agrees with the exact report to 1e-9 and its default ladder
+        has converged."""
+        atlases = [mirror_pair_atlas(seed) for seed in range(20)] + [sphere_atlas()]
+        for name in ("sphere_s2.json", "mirror_pair_7.json"):
+            atlases.append(parse_atlas((GOLDEN_DIR / name).read_text()))
+        for atlas in atlases:
+            report = reduce_symplectic_circle(atlas, eta_mode=eta_mode)
+            cmp = oracle_comparison(report, atlas)
+            assert cmp["rel_err"] <= 1e-9, (atlas.fixed_points[0].name, cmp["rel_err"])
+            assert cmp["converged"] is True
+
+    @pytest.mark.parametrize("ladder", [(1.0, 2.0), (0.1, 0.2), (0.01, 0.02)])
+    def test_short_ladder_has_not_converged(self, ladder):
+        for atlas in (sphere_atlas(), mirror_pair_atlas(7)):
+            report = reduce_symplectic_circle(atlas)
+            cmp = oracle_comparison(report, atlas, MollifierConfig(t_ladder=ladder))
+            assert cmp["converged"] is False
 
     def test_hyperkahler_refused(self):
         report = reduce_symplectic_circle(sphere_atlas())
@@ -617,6 +691,45 @@ class TestSuptsq:
         assert abs(v - want) < 2e-14
         assert 5e-14 < abs(v) < 1e-13
 
+    @pytest.mark.parametrize(
+        "x, n",
+        [(0.0, 12), (0.0, 20), (0.0, 30), (0.0, 40), (0.0, 50), (1.0, 2), (1.0, 8), (0.5, 4)],
+    )
+    def test_rows_match_the_closed_form(self, x, n):
+        """Every row is within 1e-9 S(t) of sqrt(4 pi t) (i sqrt t)^m
+        H_m(x sqrt t) exp(-t x^2), m = n / 2, S(t) = Gamma((m+1)/2)
+        (4t)^((m+1)/2), inside the panel budget; for x != 0 the decay
+        claim holds."""
+        m = n // 2
+        table = suptsq_check(x, n)
+        for row in table.rows:
+            t = row.t
+            hermite = np.polynomial.hermite.hermval(x * math.sqrt(t), [0] * m + [1])
+            want = math.sqrt(4 * math.pi * t) * (1j * math.sqrt(t)) ** m * hermite
+            want *= math.exp(-t * x * x)
+            size = math.gamma((m + 1) / 2) * (4 * t) ** ((m + 1) / 2)
+            assert abs(row.value - want) <= 1e-9 * size, t
+            if x:
+                assert row.bound == pytest.approx(2 * abs(want) + 1e-9 * size, rel=1e-6)
+        if x:
+            assert table.decay_ok is True
+            assert table.constant <= 1e-9
+        else:
+            assert table.decay_ok is None
+
+    def test_far_oscillation_has_a_zero_closed_form(self):
+        # H_80(1e4) ~ 2e4^80 overflows a double and exp(-1e8) underflows; a
+        # window of 24 sigmas holds the mass of y^80 exp(-y^2/4)
+        table = suptsq_check(1.0e4, 160, t_ladder=(1.0,), window_sigmas=24.0)
+        assert table.decay_ok is True
+        assert table.rows[0].bound == pytest.approx(1e-9 * math.gamma(40.5) * 4**40.5)
+
+    def test_size_past_double_is_refused(self):
+        # y^532 stays finite at the window edge 3.79 of t = 0.05, while
+        # Gamma(266.5) 0.2^266.5 does not
+        with pytest.raises(ValidationError, match="size"):
+            suptsq_check(0.0, 1064, t_ladder=(0.05,))
+
     def test_odd_power_rejected(self):
         with pytest.raises(ValidationError):
             suptsq_check(1.0, 3)
@@ -637,7 +750,7 @@ class TestSuptsq:
         with pytest.raises(ValidationError) as exc:
             suptsq_check(1e308, 2)
         x_max = exc.value.context["max_abs_x"]
-        assert 1000 < x_max < 2000
+        assert 5000 < x_max < 5100
         with pytest.raises(ValidationError):
             suptsq_check(-1.001 * x_max, 2)
         # the outer grid of the largest x fits the budget, at every rung
@@ -967,12 +1080,17 @@ class TestPanelEvaluation:
 
 def test_convergence_script_runs():
     script = Path(__file__).resolve().parent.parent / "scripts" / "oracle_convergence.py"
-    out = subprocess.run(
-        [sys.executable, str(script), "builtin:sphere_S2", "--t", "1,10"],
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
-    assert out.returncode == 0, out.stderr
-    assert "exact limit:" in out.stdout
-    assert "panels" in out.stdout and "panel budget: 300000 per rung" in out.stdout
+    for args, verdict in [
+        (["builtin:sphere_S2", "--t", "1,10"], "no"),
+        (["builtin:mirror_pair(7)"], "yes"),
+    ]:
+        out = subprocess.run(
+            [sys.executable, str(script), *args],
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert out.returncode == 0, out.stderr
+        assert "exact limit:" in out.stdout
+        assert "panels" in out.stdout and "panel budget: 300000 per rung" in out.stdout
+        assert f"converged:   {verdict} (last two rungs)" in out.stdout, args
