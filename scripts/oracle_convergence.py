@@ -15,7 +15,6 @@ Usage:
 import argparse
 import math
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
@@ -67,9 +66,7 @@ def main() -> int:
     print(f"converged:   {'yes' if res.converged() else 'no'} (last two rungs)")
     print(f"last value:  {res.estimate.real:+.15e} {res.estimate.imag:+.15e}i")
 
-    rich = mollified_oint(
-        atlas_integrand(atlas), atlas.group, replace(cfg, extrapolation="richardson")
-    ).estimate
+    rich = res.richardson()
     print(f"richardson:  {rich.real:+.15e} {rich.imag:+.15e}i")
 
     if atlas.geometry == "symplectic" and atlas.group.rank == 1:

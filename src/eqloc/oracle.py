@@ -2,8 +2,8 @@
 
 Three independent instruments:
   - mollified_oint: the Gaussian-mollified limit integral (1/vol G) *
-    lim_{t->inf} integral exp(-|y|^2/4t) f(y) dy, evaluated by adaptive
-    composite Gauss-Kronrod quadrature over a truncated window and a ladder
+    lim_{t->inf} integral exp(-|y|^2/4t) f(y) dy, evaluated by a composite
+    midpoint rule on a uniform grid over a truncated window and a ladder
     of t values with optional Richardson extrapolation.
   - contour_coeff: trapezoid contour integration recovering a Laurent
     coefficient numerically, for checking exact coefficient extraction.
@@ -18,17 +18,17 @@ refusing data whose summed series has a pole at the origin.
 
 An atlas integrand is a sum of per-point terms amp(y) * exp(i phase(y)),
 amp a Laurent polynomial.  On a circle the mollified quadrature sums each
-adaptive round of Kronrod panels with one real matrix product: the
-Gaussian times the powers of y at every node form the basis, and on a
-panel c + h * xi_k a linear phase separates as exp(i f c) * exp(i f h xi_k),
-so the second factor joins the rule weights and the terms' coefficients in
-one small matrix per half-width.  A hyperkahler phase exp(i f y^2) does not
-separate and is taken per node.
+round of panels with one real matrix product: the Gaussian times the
+powers of y at every node form the basis, and on a panel's nodes c + k h a
+linear phase separates as exp(i f c) * exp(i f k h), so the second factor
+joins the rule weights and the terms' coefficients in one small matrix per
+round, every panel of a round having the same spacing h.  A hyperkahler
+phase exp(i f y^2) does not separate and is taken per node.
 
 numpy is imported when a numeric routine here first uses it, not when this
 module is imported: ``import eqloc`` and the exact-only CLI commands never
-load it.  The Kronrod rule arrays (KRONROD_NODES and friends) are built at
-that moment too, and reading one of them from outside loads numpy.
+load it.  The rule arrays (PANEL_NODES and RULES) are built at that moment
+too, and reading one of them from outside loads numpy.
 """
 
 from __future__ import annotations
@@ -36,65 +36,32 @@ from __future__ import annotations
 import itertools
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .atlas import FixedPointAtlas, FixedPointDatum
 from .errors import InsufficientTruncationError, QuadratureError, ValidationError
 from .exact import ComplexRational, LaurentSeries
 from .localize import check_eta_mode, monomial_euler_class, phase_covector, point_coeff
 
-# 7-point Gauss / 15-point Kronrod pair on [-1, 1].  Positive abscissae and
-# weights; the grid is mirrored.  Exactness (degree 13 for the Gauss rule,
-# 22 for the Kronrod extension) is asserted by the test suite, so a typo
-# here cannot survive.
-_XGK = (
-    0.991455371120813,
-    0.949107912342759,
-    0.864864423359769,
-    0.741531185599394,
-    0.586087235467691,
-    0.405845151377397,
-    0.207784955007898,
-    0.000000000000000,
-)
-_WGK = (
-    0.022935322010529,
-    0.063092092629979,
-    0.104790010322250,
-    0.140653259715525,
-    0.169004726639267,
-    0.190350578064785,
-    0.204432940075298,
-    0.209482141084728,
-)
-_WG = (
-    0.129484966168870,
-    0.279705391489277,
-    0.381830050505119,
-    0.417959183673469,
-)
-
-_RULE_ARRAYS = ("KRONROD_NODES", "KRONROD_WEIGHTS", "GAUSS_INDEX", "GAUSS_WEIGHTS", "RULES")
+_RULE_ARRAYS = ("PANEL_NODES", "RULES")
 
 
 def _load_numpy():
     """Import numpy and build the rule arrays, binding both as module
     globals, so that later reads are plain global lookups."""
-    global np, KRONROD_NODES, KRONROD_WEIGHTS, GAUSS_INDEX, GAUSS_WEIGHTS, RULES
+    global np, PANEL_NODES, RULES
     import numpy as np
 
-    # full 15-node layout, ascending
-    KRONROD_NODES = np.array([-x for x in _XGK[:-1]] + [0.0] + [x for x in reversed(_XGK[:-1])])
-    KRONROD_WEIGHTS = np.array(list(_WGK[:-1]) + [_WGK[-1]] + list(reversed(_WGK[:-1])))
-    # the embedded Gauss rule lives on nodes 1, 3, 5, ... of the Kronrod grid
-    GAUSS_INDEX = np.arange(1, 15, 2)
-    GAUSS_WEIGHTS = np.array(list(_WG[:-1]) + [_WG[-1]] + list(reversed(_WG[:-1])))
-    # node values @ RULES: a panel's Kronrod and Gauss sums
+    # a panel's 15 nodes c + k h, k = -7..7, in units of the spacing h
+    PANEL_NODES = np.arange(-7.0, 8.0)
+    # node values @ RULES, times h: a panel's 15-node midpoint sum, and the
+    # 5-node midpoint sum over cells three times as wide, whose midpoints
+    # are nodes 1, 4, 7, 10 and 13
     RULES = np.zeros((15, 2))
-    RULES[:, 0] = KRONROD_WEIGHTS
-    RULES[GAUSS_INDEX, 1] = GAUSS_WEIGHTS
+    RULES[:, 0] = 1.0
+    RULES[1::3, 1] = 3.0
     return np
 
 
@@ -131,45 +98,64 @@ class _Budget:
             )
 
 
-#: panel width times the fastest phase frequency: half a period
-_PANEL_PHASE = math.pi
+#: exp(-y^2/4t) has the Fourier transform sqrt(4 pi t) exp(-t w^2), below
+#: exp(-_MARGIN) of its peak past the frequency sqrt(_MARGIN / t)
+_MARGIN = 60.0
+
+#: panel width times the band limit: 15 nodes h = 2 pi / (3 freq) apart
+_PANEL_PHASE = 10 * math.pi
+
+#: significant bits of a node spacing; see _spacing
+_SPACING_BITS = 28
 
 
-def _panel_edges(window: float, max_freq: float, max_panels: int = sys.maxsize) -> np.ndarray:
-    """Symmetric uniform edges covering [-window, window]: an even number of
-    panels with 0 always an edge (so integrands with a removable singularity
-    at the origin are never sampled there), each panel at most window / 8
-    wide and at most half a period, pi / max_freq, of the fastest phase.
+def _spread(t: float) -> float:
+    """The Gaussian's frequency spread sqrt(_MARGIN / t)."""
+    return math.sqrt(_MARGIN / t)
 
-    Half a period is enough for the 15-point Kronrod rule, exact through
-    degree 22: on a panel of width pi / f the Taylor remainder of exp(i f y)
-    past degree 22 is about (pi / 2)^23 / 23! ~ 1e-18 of the amplitude.  On
-    the adaptive routes the rounds of adaptive_quadrature still halve every
-    panel whose Kronrod and Gauss values differ by more than the tolerance;
-    fixed_quadrature, which shift_smoothness_check uses, takes the grid as
-    it is.
+
+def _spacing(h: float) -> float:
+    """h rounded down to _SPACING_BITS significant bits.  Every node of a
+    symmetric grid of n panels, (15 (2j + 1 - n) + 2k) h / 2, is then exact
+    in a double while 15 n < 2^25, so no node carries a rounding of its
+    position: on the top rungs of a ladder such roundings, times the slope
+    of amplitudes that grow with |y|, cost digits."""
+    m, e = math.frexp(h)
+    return math.ldexp(math.floor(math.ldexp(m, _SPACING_BITS)), e - _SPACING_BITS)
+
+
+def _panel_edges(window: float, freq: float, max_panels: int = sys.maxsize) -> np.ndarray:
+    """Symmetric uniform edges covering [-window, window] for an integrand
+    of band limit freq: an even number of panels with 0 an edge, each
+    holding 15 midpoint nodes h = 2 pi / (3 freq) apart (see _spacing), so
+    no node is ever at 0, where integrands with a removable singularity are
+    not sampled.
+
+    The midpoint rule of spacing s on an integrand whose Fourier transform
+    is F has the error sum_(j != 0) F(2 pi j / s).  The 5-node rule nested
+    in each panel has spacing 3h = 2 pi / freq, so where freq is the phase
+    bound plus the Gaussian's spread it misses by about exp(-_MARGIN), and
+    the 15-node rule by far less.
 
     The panels are counted before any array is built, and more than
     max_panels, or a width too small for window / width to be finite, is
     refused as an exhausted budget."""
-    h = window / 8
-    if max_freq > 0:
-        h = min(h, _PANEL_PHASE / max_freq)
-    m = max(4, math.ceil(window / h)) if h > 0 and window / h < math.inf else math.inf
+    width = 15 * _spacing(2 * math.pi / (3 * freq))
+    count = window / width if width > 0 else math.inf
+    m = max(1, math.ceil(count)) if count < math.inf else math.inf
     _Budget(max_panels).spend(2 * m)
-    return np.linspace(-m * h, m * h, 2 * m + 1)
+    return np.linspace(-m * width, m * width, 2 * m + 1)
 
 
-def _eval_panels(fn, a: np.ndarray, b: np.ndarray):
-    half = (b - a) / 2
-    centers = (a + b) / 2
+def _eval_panels(fn, centers: np.ndarray, h: float) -> np.ndarray:
+    """Each panel's integral by the 15-node and by the nested 5-node rule:
+    an (n, 2) array."""
     if isinstance(fn, _MollifiedPanels):
-        sums = fn.sums(centers, half)
+        sums = fn.sums(centers, h)
     else:
-        x = centers[:, None] + half[:, None] * KRONROD_NODES[None, :]
-        sums = np.asarray(fn(x.ravel()), dtype=complex).reshape(len(a), 15) @ RULES
-    i15 = sums[:, 0] * half
-    return i15, np.abs(i15 - sums[:, 1] * half)
+        x = centers[:, None] + h * PANEL_NODES
+        sums = np.asarray(fn(x.ravel()), dtype=complex).reshape(len(centers), 15) @ RULES
+    return sums * h
 
 
 # The exact sum is a superaccumulator (Neal, "Fast exact summation using
@@ -190,18 +176,19 @@ _LIMB0 = 1 << 1126  # limb 0 counts multiples of 1 / _LIMB0
 
 
 def _limb_sums(parts: np.ndarray) -> np.ndarray:
-    """The exact per-limb sums of at most _CHUNK rows of finite (real,
-    imag) parts: int64, shape (2, _LIMBS)."""
+    """The exact per-limb sums of each column of at most _CHUNK rows of
+    finite parts: int64, shape (columns, _LIMBS)."""
+    columns = parts.shape[1]
     m, k = np.frexp(parts)
-    k += 1073
-    k[:, 1] += 16 * _LIMBS
+    k += 1073 + 16 * _LIMBS * np.arange(columns)
     np.ldexp(m, (k & 15) + 21, out=m)
     limb = np.right_shift(k, 4, out=np.empty(k.shape, dtype=np.intp)).ravel()
     a = np.floor(m)
     m -= a
-    sums = (np.bincount(limb, m.ravel(), minlength=2 * _LIMBS) * 2.0**32).astype(np.int64)
-    sums[2:] += np.bincount(limb, a.ravel(), minlength=2 * _LIMBS)[:-2].astype(np.int64)
-    return sums.reshape(2, _LIMBS)
+    size = columns * _LIMBS
+    sums = (np.bincount(limb, m.ravel(), minlength=size) * 2.0**32).astype(np.int64)
+    sums[2:] += np.bincount(limb, a.ravel(), minlength=size)[:-2].astype(np.int64)
+    return sums.reshape(columns, _LIMBS)
 
 
 def _carry(limbs: np.ndarray) -> int:
@@ -215,9 +202,10 @@ def _carry(limbs: np.ndarray) -> int:
     return total << (16 * int(nz[0]))
 
 
-def _fsum(values: np.ndarray) -> complex:
-    """Correctly rounded sum of complex values, so independent of their
-    order: the same double, part by part, as math.fsum.
+def _fsum(values: np.ndarray):
+    """Correctly rounded sum of complex values along the first axis, so
+    independent of their order: the same double, part by part, as
+    math.fsum.  A 2-d array gives a list of its columns' sums.
 
     The limbs of the superaccumulator above carry into one Python int N per
     part, and the part is N / 2^1126, which CPython's int division rounds
@@ -226,18 +214,34 @@ def _fsum(values: np.ndarray) -> complex:
     math.fsum whole, and so is a part whose exact sum is zero (fsum chooses
     the sign of that zero).
     """
-    parts = np.ascontiguousarray(values, dtype=complex).view(float).reshape(-1, 2)
+    values = np.asarray(values, dtype=complex)
+    parts = np.ascontiguousarray(values if values.ndim > 1 else values[:, None]).view(float)
     n = len(parts)
     # written so that NaN fails the test
     if not np.abs(parts).max(initial=0.0) < 2.0 ** (1020 - n.bit_length()):
-        return complex(*(math.fsum(p.tolist()) for p in parts.T))
-    totals = [0, 0]
-    for start in range(0, n, _CHUNK):
-        for c, limbs in enumerate(_limb_sums(parts[start : start + _CHUNK])):
-            totals[c] += _carry(limbs)
-    return complex(
-        *(t / _LIMB0 if t else math.fsum(p.tolist()) for t, p in zip(totals, parts.T))
-    )
+        totals = [math.fsum(p.tolist()) for p in parts.T]
+    else:
+        exact = [0] * parts.shape[1]
+        for start in range(0, n, _CHUNK):
+            for c, limbs in enumerate(_limb_sums(parts[start : start + _CHUNK])):
+                exact[c] += _carry(limbs)
+        totals = [t / _LIMB0 if t else math.fsum(p.tolist()) for t, p in zip(exact, parts.T)]
+    sums = [complex(re, im) for re, im in zip(totals[::2], totals[1::2])]
+    return sums if values.ndim > 1 else sums[0]
+
+
+def _grid(edges) -> Tuple[float, float, int]:
+    """(centre, node spacing, panel count) of a uniform grid; only its
+    ends and its length are read."""
+    # through np first, so that the rule arrays _eval_panels reads are bound
+    edges = np.asarray(edges, dtype=float)
+    n = len(edges) - 1
+    return (edges[0] + edges[-1]) / 2, _spacing((edges[-1] - edges[0]) / (15 * n)), n
+
+
+def _centers(mid: float, h: float, n: int) -> np.ndarray:
+    """The n panel centres of a grid of spacing h about mid."""
+    return mid + (15 * (2 * np.arange(n) + 1 - n)) * (h / 2)
 
 
 def adaptive_quadrature(
@@ -246,45 +250,38 @@ def adaptive_quadrature(
     tol_panel: float,
     budget: _Budget,
 ) -> Tuple[complex, float]:
-    """Composite adaptive Gauss-Kronrod integration over fixed outer edges.
+    """Composite midpoint integration over a uniform grid of panels.
 
     fn is a function of an array of nodes, or a _MollifiedPanels evaluated a
-    panel at a time.  Panels whose Kronrod-minus-Gauss estimate exceeds
-    tol_panel are halved, all of them, each round.  Accepted panels are
-    summed by _fsum, which rounds their exact sum once, to the double
-    math.fsum gives, so the result does not depend on the splitting
-    history.
+    panel at a time.  A round sums every panel by the 15-node rule and by
+    the 5-node rule nested in it, each total by _fsum, which rounds the
+    exact sum of the panel values once, to the double math.fsum gives.
+    When the two totals differ by more than tol_panel times the panel
+    count, or 1e-14 of the summed panel magnitudes where that is larger,
+    every panel is cut in three and the round repeats, the old nodes (up to
+    the rounding of the spacing) being the new coarse ones.  A composite
+    midpoint rule's per-panel errors cancel only in the total, so the whole
+    grid is refined, never single panels.  Returns the 15-node total and
+    |15-node total - 5-node total|.
     """
-    # through np first, so that the rule arrays _eval_panels reads are bound
-    edges = np.asarray(edges, dtype=float)
-    work_a = edges[:-1]
-    work_b = edges[1:]
-    accepted: List[np.ndarray] = []
-    err_total = 0.0
-    while len(work_a):
-        budget.spend(len(work_a))
-        i15, err = _eval_panels(fn, work_a, work_b)
-        ok = err <= tol_panel
-        accepted.append(i15[ok])
-        err_total += float(err[ok].sum())
-        bad = np.nonzero(~ok)[0]
-        if len(bad) == 0:
-            break
-        a, b = work_a[bad], work_b[bad]
-        mid = (a + b) / 2
-        work_a = np.concatenate([a, mid])
-        work_b = np.concatenate([mid, b])
-    return _fsum(np.concatenate(accepted)), err_total
+    mid, h, n = _grid(edges)
+    while True:
+        budget.spend(n)
+        values = _eval_panels(fn, _centers(mid, h, n), h)
+        fine, coarse = _fsum(values)
+        err = abs(fine - coarse)
+        if err <= max(tol_panel * n, 1e-14 * float(np.abs(values[:, 0]).sum())):
+            return fine, err
+        n, h = 3 * n, _spacing(h / 3)
 
 
 def fixed_quadrature(
     fn: Callable[[np.ndarray], np.ndarray], edges: np.ndarray
 ) -> complex:
-    """Single non-adaptive composite Kronrod pass over the given edges.
-    Used when two integrands must be compared on the identical grid."""
-    edges = np.asarray(edges, dtype=float)
-    i15, _ = _eval_panels(fn, edges[:-1], edges[1:])
-    return _fsum(i15)
+    """Single 15-node midpoint pass over a uniform grid, not refined.  Used
+    when two integrands must be compared on the identical nodes."""
+    mid, h, n = _grid(edges)
+    return _fsum(_eval_panels(fn, _centers(mid, h, n), h)[:, 0])
 
 
 # -- mollified limit integrals ------------------------------------------
@@ -382,6 +379,12 @@ class OracleResult:
         d = self.deltas()
         return all(b <= a for a, b in zip(d, d[1:]))
 
+    def richardson(self) -> complex:
+        """(t2 v2 - t1 v1) / (t2 - t1) over the last two rungs: the limit of
+        v(t) = v + c / t through both."""
+        a, b = self.rows[-2], self.rows[-1]
+        return (b.t * b.value - a.t * a.value) / (b.t - a.t)
+
     def converged(self) -> bool:
         """Whether the last two rungs agree: |v_n - v_(n-1)| is at most
         1e-9 of the larger of them plus both rungs' error estimates."""
@@ -410,7 +413,7 @@ def _mollified_single_t(
     g: OracleIntegrand, t: float, cfg: MollifierConfig, budget: _Budget
 ) -> Tuple[complex, float]:
     window = cfg.window_sigmas * math.sqrt(2.0 * t)
-    edges = _panel_edges(window, g.max_frequency(window), budget.left)
+    edges = _panel_edges(window, g.max_frequency(window) + _spread(t), budget.left)
 
     if g.k == 1:
         if isinstance(g.fn, _PointSum):
@@ -469,18 +472,15 @@ def mollified_oint(
         val, err = _mollified_single_t(g, t, cfg, budget)
         panels = cfg.max_panels - budget.left
         rows.append(LadderRow(t=t, value=val / vol, err_estimate=err / vol, panels=panels))
-    if cfg.extrapolation == "richardson":
-        t1, t2 = cfg.t_ladder[-2], cfg.t_ladder[-1]
-        v1, v2 = rows[-2].value, rows[-1].value
-        estimate = (t2 * v2 - t1 * v1) / (t2 - t1)
-    else:
-        estimate = rows[-1].value
-    return OracleResult(
+    res = OracleResult(
         rows=tuple(rows),
-        estimate=estimate,
+        estimate=rows[-1].value,
         extrapolation=cfg.extrapolation,
         max_panels=cfg.max_panels,
     )
+    if cfg.extrapolation == "richardson":
+        res = replace(res, estimate=res.richardson())
+    return res
 
 
 # -- atlas integrands ----------------------------------------------------
@@ -584,17 +584,16 @@ class _MollifiedPanels:
     """exp(-y^2/4t) times a rank-1 _PointSum, integrated a round of panels
     at a time.  Its terms, gathered by frequency f, are the columns of a
     coefficient matrix C[e, f] over the exponents lo..hi.  On a panel
-    x = c + h xi_k a linear phase separates, with g the Gaussian:
+    x = c + k h a linear phase separates, with g the Gaussian:
 
-        sum_k w_k g x^e exp(i f x) = exp(i f c) sum_k [w_k exp(i f h xi_k)] [g x^e]
+        sum_k w_k g x^e exp(i f x) = exp(i f c) sum_k [w_k exp(i f k h)] [g x^e]
 
-    so a round is one real basis B[p, (k, e)] = g x^e, one product with
-    V[(k, e), (f, r)] = RULES[k, r] exp(i f h xi_k) C[e, f] per run of equal
-    half-widths (the panels are sorted by h, whose few values on a grid
-    differ in the last bits), and a centre phase exp(i f c) per panel and
-    frequency.  A hyperkahler phase exp(i f x^2) does not separate: it
-    multiplies the amplitudes B C per node, and RULES contracts the nodes.
-    Every phase is taken by _unit from its real angle.
+    Every panel of a round has the same spacing h, so a round is one real
+    basis B[p, (k, e)] = g x^e, one product with V[(k, e), (f, r)] =
+    RULES[k, r] exp(i f k h) C[e, f], and a centre phase exp(i f c) per
+    panel and frequency.  A hyperkahler phase exp(i f x^2) does not
+    separate: it multiplies the amplitudes B C per node, and RULES
+    contracts the nodes.  Every phase is taken by _unit from its real angle.
     """
 
     def __init__(self, point_sum: _PointSum, t: float):
@@ -619,36 +618,28 @@ class _MollifiedPanels:
         _powers(x, gauss, self.lo, basis[..., -self.lo :: -1])
         return basis
 
-    def sums(self, centers: np.ndarray, half: np.ndarray) -> np.ndarray:
-        """Each panel's Kronrod and Gauss sums of exp(-x^2/4t) fn(x) over its
-        nodes: a (panels, 2) array.  B is real, so every product takes the
-        complex right-hand side viewed as pairs of reals.  Both branches
-        work on blocks of at most _PANEL_BLOCK panels, so no array grows
-        with the round."""
+    def sums(self, centers: np.ndarray, h: float) -> np.ndarray:
+        """Each panel's RULES sums of exp(-x^2/4t) fn(x) over its nodes
+        c + k h: a (panels, 2) array.  B is real, so every product
+        takes the complex right-hand side viewed as pairs of reals.  Both
+        branches work on blocks of at most _PANEL_BLOCK panels, so no array
+        grows with the round."""
         sums = np.empty((len(centers), 2), dtype=complex)
-        if self.quadratic:
-            for s, e in _blocks(0, len(centers)):
-                x = centers[s:e, None] + half[s:e, None] * KRONROD_NODES
-                basis = self._basis(x).reshape(x.size, -1)
-                amp = (basis @ self.coeffs.view(float)).view(complex).reshape(*x.shape, -1)
-                sums[s:e] = (amp * _unit((x * x)[..., None] * self.freqs)).sum(axis=-1) @ RULES
-            return sums
-        order = np.argsort(half, kind="stable")
-        c, h = centers[order], half[order]
-        cuts = [0, *(np.flatnonzero(h[1:] != h[:-1]) + 1), len(c)]
-        for block in _run_blocks(cuts):
-            s0, e0 = block[0][0], block[-1][1]
-            basis = self._basis(c[s0:e0, None] + h[s0:e0, None] * KRONROD_NODES)
-            basis = basis.reshape(e0 - s0, -1)
-            out = np.empty((e0 - s0, len(self.freqs), 2), dtype=complex)
-            for s, e in block:
-                node = _unit(h[s] * np.multiply.outer(KRONROD_NODES, self.freqs))
-                v = RULES[:, None, None] * node[:, None, :, None] * self.coeffs[:, :, None]
-                v = v.reshape(basis.shape[1], -1).view(float)
-                piece = out[s - s0 : e - s0].reshape(e - s, -1).view(float)
-                np.matmul(basis[s - s0 : e - s0], v, out=piece)
-            phase = _unit(np.multiply.outer(c[s0:e0], self.freqs))
-            sums[order[s0:e0]] = np.einsum("pf,pfr->pr", phase, out)
+        if not self.quadratic:
+            node = _unit(h * np.multiply.outer(PANEL_NODES, self.freqs))
+            v = RULES[:, None, None] * node[:, None, :, None] * self.coeffs[:, :, None]
+            v = v.reshape(15 * len(self.coeffs), -1).view(float)
+        for s, e in _blocks(0, len(centers)):
+            x = centers[s:e, None] + h * PANEL_NODES
+            basis = self._basis(x)
+            if self.quadratic:
+                amp = (basis.reshape(x.size, -1) @ self.coeffs.view(float)).view(complex)
+                amp = amp.reshape(*x.shape, -1) * _unit((x * x)[..., None] * self.freqs)
+                sums[s:e] = amp.sum(axis=-1) @ RULES
+            else:
+                out = (basis.reshape(e - s, -1) @ v).view(complex).reshape(e - s, -1, 2)
+                phase = _unit(np.multiply.outer(centers[s:e], self.freqs))
+                sums[s:e] = np.einsum("pf,pfr->pr", phase, out)
         return sums
 
 
@@ -660,24 +651,6 @@ def _blocks(start: int, end: int) -> List[Tuple[int, int]]:
     n = -(-(end - start) // _PANEL_BLOCK)
     bounds = [start + (end - start) * i // n for i in range(n + 1)]
     return list(zip(bounds, bounds[1:]))
-
-
-def _run_blocks(cuts: Sequence[int]) -> Iterator[List[Tuple[int, int]]]:
-    """The runs [cuts[i], cuts[i + 1]) packed in order into blocks of at
-    most _PANEL_BLOCK panels, each block a list of (start, end) pieces.  A
-    longer run is cut by _blocks, one block per piece; no other run is cut,
-    so a round of at most _PANEL_BLOCK panels is one block."""
-    block: List[Tuple[int, int]] = []
-    for s, e in zip(cuts, cuts[1:]):
-        if block and e - block[0][0] > _PANEL_BLOCK:
-            yield block
-            block = []
-        if e - s > _PANEL_BLOCK:
-            yield from ([piece] for piece in _blocks(s, e))
-        else:
-            block.append((s, e))
-    if block:
-        yield block
 
 
 def _principal_part(
@@ -966,6 +939,12 @@ def _suptsq_size(m: int, t: float) -> float:
         ) from None
 
 
+def _suptsq_grid(x: float, m: int, t: float, window_sigmas: float) -> Tuple[float, float]:
+    """(window, band limit) of suptsq_check's rung t for y^m."""
+    window = math.sqrt(2.0 * t * m) + window_sigmas * math.sqrt(2.0 * t)
+    return window, abs(x) + (math.sqrt(_MARGIN) + math.sqrt(2.0 * m + 1.0)) / math.sqrt(t)
+
+
 def suptsq_check(
     x: float,
     n: int,
@@ -988,10 +967,14 @@ def suptsq_check(
     the rows.  For x = 0 the integral grows like t^((m+1)/2) and no decay
     claim is made.
 
-    The widest window is at the top of the ladder.  An x whose panels there
-    exceed the panel budget, an n whose y^m overflows a double at that
-    window's edge, or an S(t) beyond double range is refused, the first two
-    naming the largest value that fits.
+    Rung t integrates over |y| <= sqrt(2tm) + window_sigmas sqrt(2t), the
+    peak sqrt(2tm) of y^m exp(-y^2/4t) plus the window, on the grid of band
+    limit |x| + (sqrt(_MARGIN) + sqrt(2m + 1)) / sqrt(t): past the Gaussian's
+    spread, the Fourier transform of y^m exp(-y^2/4t) reaches out about
+    sqrt((2m + 1) / t).  The widest window is at the top of the ladder.  An
+    x whose panels there exceed the panel budget, an n whose y^m overflows a
+    double at that window's edge, or an S(t) beyond double range is
+    refused, the first two naming the largest value that fits.
     """
     if n < 0 or n % 2 != 0:
         raise ValidationError("n must be an even nonnegative integer")
@@ -1004,30 +987,42 @@ def suptsq_check(
         raise ValidationError("t ladder must be finite, positive and strictly increasing")
     if not math.isfinite(x):
         raise ValidationError(f"x must be a finite number, got {x!r}")
-    top = window_sigmas * math.sqrt(2.0 * ladder[-1])
-    # _panel_edges lays 2 ceil(|x| top / _PANEL_PHASE) panels over the
-    # widest window once that beats 16, so refuse before building it
-    x_max = SUPTSQ_MAX_PANELS // 2 * _PANEL_PHASE / top
+    top = ladder[-1]
+    # the widest grid lays 2 ceil(window (|x| + spread) / _PANEL_PHASE)
+    # panels, so refuse before building it
+    window, spread = _suptsq_grid(0.0, power, top, window_sigmas)
+    x_max = SUPTSQ_MAX_PANELS // 2 * _PANEL_PHASE / window - spread
     if abs(x) > x_max:
+        largest = f"|x| up to {x_max:g} fits" if x_max >= 0 else f"no x fits with n = {n}"
         raise ValidationError(
             f"|x| = {abs(x):g} needs more than the {SUPTSQ_MAX_PANELS} panels "
-            f"of the budget at t = {ladder[-1]:g}; |x| up to {x_max:g} fits",
+            f"of the budget at t = {top:g}; {largest}",
             max_abs_x=x_max,
         )
-    edge = float(_panel_edges(top, abs(x))[-1])
-    max_power = _max_finite_power(edge)
-    if max_power is not None and power > max_power:
+
+    def edge(m: int) -> float:
+        return float(_panel_edges(*_suptsq_grid(x, m, top, window_sigmas))[-1])
+
+    def fits(m: int) -> bool:
+        limit = _max_finite_power(edge(m))
+        return limit is None or m <= limit
+
+    if not fits(power):
+        # the window widens with m: bisect for the largest m that fits
+        lo, hi = 0, power
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (mid, hi) if fits(mid) else (lo, mid)
         raise ValidationError(
-            f"y^{power} overflows a double at the window edge |y| = {edge:g} "
-            f"of t = {ladder[-1]:g}; it stays finite there for n up to {2 * max_power}",
-            max_n=2 * max_power,
+            f"y^{power} overflows a double at the window edge |y| = {edge(power):g} "
+            f"of t = {top:g}; n up to {2 * lo} stays finite at its own window's edge",
+            max_n=2 * lo,
         )
     sizes = [_suptsq_size(power, t) for t in ladder]
 
     values = []
     for t, size in zip(ladder, sizes):
-        window = window_sigmas * math.sqrt(2.0 * t)
-        edges = _panel_edges(window, abs(x))
+        edges = _panel_edges(*_suptsq_grid(x, power, t, window_sigmas))
         budget = _Budget(SUPTSQ_MAX_PANELS)
 
         def fn(y: np.ndarray, t=t) -> np.ndarray:
@@ -1095,7 +1090,9 @@ def shift_smoothness_check(
     analytically (the shift is a global phase factor), so F(0) - F(0) is
     exactly zero and the zeta scaling is smooth down to the rounding floor.
     Rows with |zeta| below half the moment gap are asserted against a
-    monotone near-linear profile; larger shifts are reported unasserted.
+    monotone near-linear profile, except that a pair of rows both below the
+    noise floor 1e-13 max(1, |F(0)|) is skipped; larger shifts are reported
+    unasserted.
     """
     if atlas.geometry != "symplectic" or atlas.group.rank != 1:
         raise ValidationError("shift smoothness is a symplectic circle diagnostic")
@@ -1106,7 +1103,7 @@ def shift_smoothness_check(
     gap = moment_gap(atlas)
     zmax = max((abs(z) for z in zeta_list), default=0.0)
     window = cfg.window_sigmas * math.sqrt(2.0 * t)
-    edges = _panel_edges(window, g0.max_frequency(window) + zmax, cfg.max_panels)
+    edges = _panel_edges(window, g0.max_frequency(window) + zmax + _spread(t), cfg.max_panels)
 
     def base_fn(y: np.ndarray) -> np.ndarray:
         return np.exp(-(y * y) / (4.0 * t)) * g0.fn([y])
@@ -1136,7 +1133,8 @@ def shift_smoothness_check(
     linear_ok = True
     ordered = sorted(diffs.items())
     for (z1, d1), (z2, d2) in zip(ordered, ordered[1:]):
-        if z1 == 0:
+        # two rows in the noise carry no scaling information
+        if z1 == 0 or max(d1, d2) <= floor:
             continue
         # within factor 10 of linear scaling, above the noise floor
         if max(d1, floor) > 10.0 * (z1 / z2) * max(d2, floor):

@@ -550,7 +550,8 @@ def _suptsq_power_past_double(tmp_path):
         (10**308, ["oracle", "--mode", "symplectic"]),
         (10**308, ["reduce", "--mode", "symplectic", "--oracle"]),
         (10**5, ["oracle", "--mode", "symplectic", "--t", "10000,20000"]),
-        (10**5, ["reduce", "--mode", "symplectic", "--oracle"]),
+        # at 10**5 the default ladder's first rung, t = 1, fits the budget
+        (10**6, ["reduce", "--mode", "symplectic", "--oracle"]),
     ],
 )
 def test_oversize_oracle_grid_exits_1(capsys, tmp_path, monkeypatch, moment, tail):
