@@ -25,10 +25,10 @@ joins the rule weights and the terms' coefficients in one small matrix per
 round, every panel of a round having the same spacing h.  A hyperkahler
 phase exp(i f y^2) does not separate and is taken per node.
 
-numpy is imported when a numeric routine here first uses it, not when this
-module is imported: ``import eqloc`` and the exact-only CLI commands never
-load it.  The rule arrays (PANEL_NODES and RULES) are built at that moment
-too, and reading one of them from outside loads numpy.
+This module imports numpy.  ``import eqloc`` registers it as a lazy module
+that runs on the first read of one of its attributes, so numpy loads only
+when the oracle is used: ``eqloc oracle``, ``reduce --oracle`` or a library
+call.  The exact-only CLI commands never load it.
 """
 
 from __future__ import annotations
@@ -36,51 +36,25 @@ from __future__ import annotations
 import itertools
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
+
+import numpy as np
 
 from .atlas import FixedPointAtlas, FixedPointDatum
 from .errors import InsufficientTruncationError, QuadratureError, ValidationError
 from .exact import ComplexRational, LaurentSeries
 from .localize import check_eta_mode, monomial_euler_class, phase_covector, point_coeff
 
-_RULE_ARRAYS = ("PANEL_NODES", "RULES")
-
-
-def _load_numpy():
-    """Import numpy and build the rule arrays, binding both as module
-    globals, so that later reads are plain global lookups."""
-    global np, PANEL_NODES, RULES
-    import numpy as np
-
-    # a panel's 15 nodes c + k h, k = -7..7, in units of the spacing h
-    PANEL_NODES = np.arange(-7.0, 8.0)
-    # node values @ RULES, times h: a panel's 15-node midpoint sum, and the
-    # 5-node midpoint sum over cells three times as wide, whose midpoints
-    # are nodes 1, 4, 7, 10 and 13
-    RULES = np.zeros((15, 2))
-    RULES[:, 0] = 1.0
-    RULES[1::3, 1] = 3.0
-    return np
-
-
-class _DeferredNumpy:
-    """Stands in for ``np`` until the first attribute read, which loads
-    numpy and rebinds ``np`` to it."""
-
-    def __getattr__(self, name):
-        return getattr(np if np is not self else _load_numpy(), name)
-
-
-np = _DeferredNumpy()
-
-
-def __getattr__(name):
-    if name in _RULE_ARRAYS:
-        _load_numpy()
-        return globals()[name]
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+# a panel's 15 nodes c + k h, k = -7..7, in units of the spacing h
+PANEL_NODES = np.arange(-7.0, 8.0)
+# node values @ RULES, times h: a panel's 15-node midpoint sum, and the
+# 5-node midpoint sum over cells three times as wide, whose midpoints are
+# nodes 1, 4, 7, 10 and 13
+RULES = np.zeros((15, 2))
+RULES[:, 0] = 1.0
+RULES[1::3, 1] = 3.0
 
 
 class _Budget:
@@ -158,82 +132,21 @@ def _eval_panels(fn, centers: np.ndarray, h: float) -> np.ndarray:
     return sums * h
 
 
-# The exact sum is a superaccumulator (Neal, "Fast exact summation using
-# small and large superaccumulators", 2015) held in numpy.  frexp writes a
-# finite double as v = m 2^e with 1/2 <= |m| < 1 and e >= -1073; with
-# k = e + 1073, L = k // 16 and s = k % 16,
-#
-#     v = x 2^(16 (L + 2) - 1126),   x = m 2^(21 + s),   |x| < 2^36,
-#
-# and x, a multiple of 2^-32, is a = floor(x) plus f = x - a in [0, 1).  So
-# v puts the integer 2^32 f on limb L and the integer a on limb L + 2, limb
-# j counting multiples of 2^(16 j - 1126).  One chunk's limb sums are sums
-# of integers of magnitude at most 2^36, exact in doubles for up to 2^17 of
-# them.
-_LIMBS = 134  # per part; limb 133 holds the top piece of any finite double
-_CHUNK = 1 << 17
-_LIMB0 = 1 << 1126  # limb 0 counts multiples of 1 / _LIMB0
-
-
-def _limb_sums(parts: np.ndarray) -> np.ndarray:
-    """The exact per-limb sums of each column of at most _CHUNK rows of
-    finite parts: int64, shape (columns, _LIMBS)."""
-    columns = parts.shape[1]
-    m, k = np.frexp(parts)
-    k += 1073 + 16 * _LIMBS * np.arange(columns)
-    np.ldexp(m, (k & 15) + 21, out=m)
-    limb = np.right_shift(k, 4, out=np.empty(k.shape, dtype=np.intp)).ravel()
-    a = np.floor(m)
-    m -= a
-    size = columns * _LIMBS
-    sums = (np.bincount(limb, m.ravel(), minlength=size) * 2.0**32).astype(np.int64)
-    sums[2:] += np.bincount(limb, a.ravel(), minlength=size)[:-2].astype(np.int64)
-    return sums.reshape(columns, _LIMBS)
-
-
-def _carry(limbs: np.ndarray) -> int:
-    """sum_j limbs[j] 2^(16 j) as one Python int."""
-    nz = np.flatnonzero(limbs)
-    if not len(nz):
-        return 0
-    total = 0
-    for limb in limbs[nz[0] : nz[-1] + 1][::-1].tolist():
-        total = (total << 16) + limb
-    return total << (16 * int(nz[0]))
-
-
 def _fsum(values: np.ndarray):
-    """Correctly rounded sum of complex values along the first axis, so
-    independent of their order: the same double, part by part, as
-    math.fsum.  A 2-d array gives a list of its columns' sums.
-
-    The limbs of the superaccumulator above carry into one Python int N per
-    part, and the part is N / 2^1126, which CPython's int division rounds
-    once, half to even, as fsum does.  Values with a NaN or infinite part,
-    or a part large enough that a partial sum could overflow, are left to
-    math.fsum whole, and so is a part whose exact sum is zero (fsum chooses
-    the sign of that zero).
-    """
+    """math.fsum of each part of complex values along the first axis: the
+    correctly rounded sum, so independent of their order.  A 2-d array gives
+    a list of its columns' sums."""
     values = np.asarray(values, dtype=complex)
-    parts = np.ascontiguousarray(values if values.ndim > 1 else values[:, None]).view(float)
-    n = len(parts)
-    # written so that NaN fails the test
-    if not np.abs(parts).max(initial=0.0) < 2.0 ** (1020 - n.bit_length()):
-        totals = [math.fsum(p.tolist()) for p in parts.T]
-    else:
-        exact = [0] * parts.shape[1]
-        for start in range(0, n, _CHUNK):
-            for c, limbs in enumerate(_limb_sums(parts[start : start + _CHUNK])):
-                exact[c] += _carry(limbs)
-        totals = [t / _LIMB0 if t else math.fsum(p.tolist()) for t, p in zip(exact, parts.T)]
-    sums = [complex(re, im) for re, im in zip(totals[::2], totals[1::2])]
+    sums = [
+        complex(math.fsum(c.real.tolist()), math.fsum(c.imag.tolist()))
+        for c in np.atleast_2d(values.T)
+    ]
     return sums if values.ndim > 1 else sums[0]
 
 
 def _grid(edges) -> Tuple[float, float, int]:
     """(centre, node spacing, panel count) of a uniform grid; only its
     ends and its length are read."""
-    # through np first, so that the rule arrays _eval_panels reads are bound
     edges = np.asarray(edges, dtype=float)
     n = len(edges) - 1
     return (edges[0] + edges[-1]) / 2, _spacing((edges[-1] - edges[0]) / (15 * n)), n
@@ -254,14 +167,14 @@ def adaptive_quadrature(
 
     fn is a function of an array of nodes, or a _MollifiedPanels evaluated a
     panel at a time.  A round sums every panel by the 15-node rule and by
-    the 5-node rule nested in it, each total by _fsum, which rounds the
-    exact sum of the panel values once, to the double math.fsum gives.
-    When the two totals differ by more than tol_panel times the panel
-    count, or 1e-14 of the summed panel magnitudes where that is larger,
-    every panel is cut in three and the round repeats, the old nodes (up to
-    the rounding of the spacing) being the new coarse ones.  A composite
-    midpoint rule's per-panel errors cancel only in the total, so the whole
-    grid is refined, never single panels.  Returns the 15-node total and
+    the 5-node rule nested in it, each total by _fsum, math.fsum's
+    correctly rounded sum of the panel values.  When the two totals
+    differ by more than tol_panel times the panel count, or 1e-14 of the
+    summed panel magnitudes where that is larger, every panel is cut in
+    three and the round repeats, the old nodes (up to the rounding of the
+    spacing) being the new coarse ones.  A composite midpoint rule's
+    per-panel errors cancel only in the total, so the whole grid is
+    refined, never single panels.  Returns the 15-node total and
     |15-node total - 5-node total|.
     """
     mid, h, n = _grid(edges)
@@ -331,6 +244,11 @@ class OracleIntegrand:
     array.  freq_linear bounds |d phase / d y| from oscillatory factors
     exp(i mu y); freq_quadratic bounds the lambda of exp(i lambda y^2)
     factors, whose local frequency grows with the window.
+
+    The grid is spaced for these bounds and trusts them, and a plain
+    function counts as band-limited to frequency 1: a faster phase aliases
+    unflagged.  exp(5 i y) declared as frequency 1 gives -1.6e-4 at t = 100,
+    where the integral is about 0, with an error estimate of 2e-16.
     """
 
     fn: Callable[[List[np.ndarray]], np.ndarray]
@@ -403,12 +321,6 @@ class OracleResult:
         }
 
 
-def _as_integrand(f) -> OracleIntegrand:
-    if isinstance(f, OracleIntegrand):
-        return f
-    return OracleIntegrand(fn=lambda ys, _f=f: _f(ys[0]), k=1)
-
-
 def _mollified_single_t(
     g: OracleIntegrand, t: float, cfg: MollifierConfig, budget: _Budget
 ) -> Tuple[complex, float]:
@@ -459,8 +371,11 @@ def mollified_oint(
     f is an OracleIntegrand or a plain function of one array.  The limit is
     estimated over cfg.t_ladder; the tail outside |y_v| <= window_sigmas *
     sqrt(2t) is dropped (bounded below 1e-30 at the default 12 sigmas).
+    The grid trusts f's freq_linear and freq_quadratic, and a plain function
+    counts as band-limited to frequency 1; a faster phase, such as exp(5 i y)
+    at t = 100, can alias unflagged (see OracleIntegrand).
     """
-    g = _as_integrand(f)
+    g = f if isinstance(f, OracleIntegrand) else OracleIntegrand(fn=lambda ys: f(ys[0]))
     cfg = cfg or MollifierConfig()
     vol = group.vol.numeric_value()
     if abs(vol.imag) > 1e-15 or vol.real <= 0:
@@ -547,6 +462,9 @@ class _PointSum:
     def __init__(self, terms: Sequence[_Term], quadratic: bool):
         self.terms = tuple(terms)
         self.quadratic = quadratic
+        # what _MollifiedPanels integrates on every rung of a rank-1 ladder
+        rank1 = all(len(term.lo) == 1 for term in self.terms)
+        self.matrix = _coefficient_matrix(self.terms) if rank1 else None
 
     def __call__(self, ys: List[np.ndarray]) -> np.ndarray:
         acc = np.zeros_like(ys[0], dtype=complex)
@@ -562,6 +480,20 @@ class _PointSum:
                 v = v * np.exp(1j * sum(f * y**power for f, y in zip(term.freqs, ys)))
             acc = acc + v
         return acc
+
+
+def _coefficient_matrix(terms: Sequence[_Term]) -> Tuple[int, int, np.ndarray, np.ndarray]:
+    """(lo, hi, freqs, C) of rank-1 terms: C[e - lo, j] sums the
+    coefficients of y^e over the terms of frequency freqs[j]."""
+    lo = min([0] + [term.lo[0] for term in terms])
+    hi = max([0] + [term.lo[0] + len(term.re) - 1 for term in terms])
+    freqs = sorted({term.freqs[0] for term in terms})
+    coeffs = np.zeros((hi - lo + 1, len(freqs)), dtype=complex)
+    for term in terms:
+        start = term.lo[0] - lo
+        col = coeffs[start : start + len(term.re), freqs.index(term.freqs[0])]
+        col += term.re[::-1] if term.im is None else term.re[::-1] + 1j * term.im[::-1]
+    return lo, hi, np.array(freqs), coeffs
 
 
 def _unit(theta: np.ndarray) -> np.ndarray:
@@ -583,7 +515,8 @@ _PANEL_BLOCK = 1024
 class _MollifiedPanels:
     """exp(-y^2/4t) times a rank-1 _PointSum, integrated a round of panels
     at a time.  Its terms, gathered by frequency f, are the columns of a
-    coefficient matrix C[e, f] over the exponents lo..hi.  On a panel
+    coefficient matrix C[e, f] over the exponents lo..hi, which the
+    _PointSum builds once for every rung of a ladder.  On a panel
     x = c + k h a linear phase separates, with g the Gaussian:
 
         sum_k w_k g x^e exp(i f x) = exp(i f c) sum_k [w_k exp(i f k h)] [g x^e]
@@ -597,17 +530,8 @@ class _MollifiedPanels:
     """
 
     def __init__(self, point_sum: _PointSum, t: float):
-        terms = point_sum.terms
         self.quadratic, self.t = point_sum.quadratic, t
-        self.lo = min([0] + [term.lo[0] for term in terms])
-        self.hi = max([0] + [term.lo[0] + len(term.re) - 1 for term in terms])
-        freqs = sorted({term.freqs[0] for term in terms})
-        self.freqs = np.array(freqs)
-        self.coeffs = np.zeros((self.hi - self.lo + 1, len(freqs)), dtype=complex)
-        for term in terms:
-            start = term.lo[0] - self.lo
-            col = self.coeffs[start : start + len(term.re), freqs.index(term.freqs[0])]
-            col += term.re[::-1] if term.im is None else term.re[::-1] + 1j * term.im[::-1]
+        self.lo, self.hi, self.freqs, self.coeffs = point_sum.matrix
 
     def _basis(self, x: np.ndarray) -> np.ndarray:
         """g(x) x^e for e = lo..hi, on a last axis."""
@@ -1053,11 +977,7 @@ class ShiftRow:
     asserted: bool
 
     def to_json_dict(self) -> dict:
-        return {
-            "zeta": self.zeta,
-            "difference": self.difference,
-            "asserted": self.asserted,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -1120,8 +1040,7 @@ def shift_smoothness_check(
 
         def diff_fn(y: np.ndarray, zeta=zeta) -> np.ndarray:
             # exp(-i z y) - 1 without cancellation
-            shift = -2j * np.sin(zeta * y / 2) * np.exp(-1j * zeta * y / 2)
-            return np.exp(-(y * y) / (4.0 * t)) * g0.fn([y]) * shift
+            return base_fn(y) * (-2j * np.sin(zeta * y / 2) * np.exp(-1j * zeta * y / 2))
 
         d = abs(fixed_quadrature(diff_fn, edges)) / vol
         asserted = abs(zeta) < gap / 2

@@ -698,18 +698,20 @@ class TestNumpyOnlyForTheOracle:
             assert (code, out) == (0, capsys.readouterr().out), argv
 
     def test_oracle_module_is_imported_and_loads_numpy_on_use(self, capsys):
-        """``import eqloc`` binds eqloc.oracle and the names the benchmark's
-        tracer rebinds, without numpy; the oracle then loads it on use."""
+        """``import eqloc`` registers eqloc.oracle without running it or
+        loading numpy; the names the benchmark's tracer rebinds resolve on
+        use, which runs the oracle and loads numpy."""
         names = ("oracle_comparison", "atlas_integrand", "adaptive_quadrature")
         probe = _fresh_python(
             [
                 "-c",
                 "import sys, eqloc; oracle = sys.modules['eqloc.oracle']; "
-                f"print([callable(getattr(oracle, n)) for n in {names!r}], "
+                f"print({_RAN}, 'numpy' in sys.modules, "
+                f"[callable(getattr(oracle, n)) for n in {names!r}], "
                 "'numpy' in sys.modules)",
             ]
         )
-        assert probe.stdout == "[True, True, True] False\n", probe.stderr
+        assert probe.stdout == "[] False [True, True, True] True\n", probe.stderr
         argv = ["reduce", "builtin:mirror_pair(7)", "--mode", "symplectic", "--oracle"]
         proc = _fresh_python(["-m", "eqloc.cli", *argv])
         assert proc.returncode == 0, proc.stderr

@@ -288,10 +288,9 @@ class TestExactSum:
             assert _bits(_fsum(values)) == _bits(want)
 
     def test_longer_than_one_chunk(self):
-        """2^17 + 1 copies of a value whose integer part in the accumulator
-        is odd and of 36 bits, so that their sum passes 2^53 where a double
-        would round, and a far smaller term that makes such a rounding show
-        in the total."""
+        """2^17 + 1 copies of an odd 36-bit multiple of 2^-22, so that
+        their sum in units of 2^-22 passes 2^53, where a double would round,
+        and a far smaller term that makes such a rounding show in the total."""
         xs = [-(2.0**36 - 1) * 2.0**-22] * (2**17 + 1) + [2.0**-40]
         got = _fsum(_complex_array(xs, xs[::-1]))
         assert _bits(got) == _bits(complex(math.fsum(xs), math.fsum(xs)))
@@ -1157,6 +1156,22 @@ class TestPanelEvaluation:
         assert [r.t for r in panels.rows] == list(MollifierConfig().t_ladder)
         for p, n in zip(panels.rows, nodes.rows):
             assert abs(p.value - n.value) <= 1e-12 * abs(n.value)
+
+    def test_one_coefficient_matrix_per_comparison(self, monkeypatch):
+        """The integrand builds its coefficient matrix once, and every rung
+        of the ladder integrates that one matrix."""
+        built = []
+        build = oracle_module._coefficient_matrix
+
+        def spy(terms):
+            built.append(len(terms))
+            return build(terms)
+
+        monkeypatch.setattr(oracle_module, "_coefficient_matrix", spy)
+        atlas = mirror_pair_atlas(7)
+        comparison = oracle_comparison(reduce_symplectic_circle(atlas), atlas)
+        assert len(comparison["ladder"]) == len(MollifierConfig().t_ladder)
+        assert built == [len(atlas.fixed_points)]
 
 
 def test_convergence_script_runs():
