@@ -125,6 +125,15 @@ def check_variable_order(variables: Sequence[str], rank: int) -> None:
 
 
 def validate_atlas(atlas: FixedPointAtlas) -> None:
+    """Check a built atlas: its header, then each fixed point in turn."""
+    _check_header(atlas)
+    seen: set = set()
+    for fp in atlas.fixed_points:
+        _check_point(atlas, fp, seen)
+
+
+def _check_header(atlas: FixedPointAtlas) -> None:
+    """Group, dimensions, variables and submanifold: all but the points."""
     g = atlas.group
     if atlas.geometry not in GEOMETRIES:
         raise ValidationError(f"unknown geometry {atlas.geometry!r}")
@@ -186,75 +195,75 @@ def validate_atlas(atlas: FixedPointAtlas) -> None:
         raise ValidationError(
             f"deg_eta0 must lie in [0, {atlas.dim_quotient}], got {atlas.deg_eta0}"
         )
-
-    k = g.rank
-    check_variable_order(atlas.variable_order, k)
-
-    seen = set()
-    for fp in atlas.fixed_points:
-        if fp.name in seen:
-            raise ValidationError(f"duplicate fixed point name {fp.name!r}")
-        seen.add(fp.name)
-        if fp.mode not in POINT_MODES:
-            raise ValidationError(
-                f"fixed point {fp.name!r} has unknown mode {fp.mode!r}"
-            )
-        if len(fp.moment) != k:
-            raise ValidationError(
-                f"fixed point {fp.name!r} has a moment vector of length "
-                f"{len(fp.moment)}, expected {k}"
-            )
-        if fp.eta.vars != atlas.variable_order:
-            raise ValidationError(
-                f"fixed point {fp.name!r}: eta variables {fp.eta.vars} do not "
-                f"match the atlas variable order"
-            )
-        if fp.eta.has_negative_exponents():
-            raise ValidationError(
-                f"fixed point {fp.name!r}: eta restriction must be a polynomial"
-            )
-        if fp.mode == "structured":
-            for w in fp.weights:
-                if len(w) != k:
-                    raise ValidationError(
-                        f"fixed point {fp.name!r} has weight vector {w} of wrong rank"
-                    )
-                if not any(w):
-                    raise ValidationError(
-                        f"e(y) is a zero divisor at {fp.name!r}: zero tangent weight"
-                    )
-        else:
-            if fp.raw_contribution is None:
-                raise ValidationError(
-                    f"raw-mode fixed point {fp.name!r} has no contribution series"
-                )
-            if fp.raw_contribution.vars != atlas.variable_order:
-                raise ValidationError(
-                    f"fixed point {fp.name!r}: raw contribution variables do not "
-                    f"match the atlas variable order"
-                )
-        if atlas.geometry == "symplectic":
-            for nu, m in enumerate(fp.moment):
-                if m == 0:
-                    raise ValidationError(
-                        f"0 is not a regular value: fixed point {fp.name!r} has "
-                        f"moment component {nu} equal to 0"
-                    )
-        else:
-            if fp.moment_hk is None or len(fp.moment_hk) != k:
-                raise ValidationError(
-                    f"hyperkahler fixed point {fp.name!r} needs one three-component "
-                    f"moment vector per circle factor"
-                )
-            for nu in range(k):
-                if not any(fp.moment_hk[nu]):
-                    raise ValidationError(
-                        f"0 is not a regular value: fixed point {fp.name!r} has "
-                        f"vanishing moment vector in circle factor {nu}"
-                    )
-
+    check_variable_order(atlas.variable_order, g.rank)
     if atlas.submanifold is not None and atlas.submanifold.codim < 0:
         raise ValidationError("submanifold codimension must be >= 0")
+
+
+def _check_point(atlas: FixedPointAtlas, fp: FixedPointDatum, seen: set) -> None:
+    """One fixed point against a checked header and the names ``seen``
+    before it.  A refusal's context names the point, and the weight or
+    moment component its message names."""
+    name, k = fp.name, atlas.group.rank
+
+    def refuse(message: str, **context) -> ValidationError:
+        return ValidationError(message, point=name, **context)
+
+    if name in seen:
+        raise refuse(f"duplicate fixed point name {name!r}")
+    seen.add(name)
+    if fp.mode not in POINT_MODES:
+        raise refuse(f"fixed point {name!r} has unknown mode {fp.mode!r}")
+    if len(fp.moment) != k:
+        raise refuse(
+            f"fixed point {name!r} has a moment vector of length {len(fp.moment)}, "
+            f"expected {k}"
+        )
+    if fp.eta.vars != atlas.variable_order:
+        raise refuse(
+            f"fixed point {name!r}: eta variables {fp.eta.vars} do not match the "
+            "atlas variable order"
+        )
+    if fp.eta.has_negative_exponents():
+        raise refuse(f"fixed point {name!r}: eta restriction must be a polynomial")
+    if fp.mode == "structured":
+        for w in fp.weights:
+            if len(w) != k:
+                raise refuse(
+                    f"fixed point {name!r} has weight vector {w} of wrong rank", weight=w
+                )
+            if not any(w):
+                raise refuse(
+                    f"e(y) is a zero divisor at {name!r}: zero tangent weight", weight=w
+                )
+    elif fp.raw_contribution is None:
+        raise refuse(f"raw-mode fixed point {name!r} has no contribution series")
+    elif fp.raw_contribution.vars != atlas.variable_order:
+        raise refuse(
+            f"fixed point {name!r}: raw contribution variables do not match the "
+            "atlas variable order"
+        )
+    if atlas.geometry == "symplectic":
+        for nu, m in enumerate(fp.moment):
+            if m == 0:
+                raise refuse(
+                    f"0 is not a regular value: fixed point {name!r} has moment "
+                    f"component {nu} equal to 0",
+                    component=nu,
+                )
+    elif fp.moment_hk is None or len(fp.moment_hk) != k:
+        raise refuse(
+            f"hyperkahler fixed point {name!r} needs one three-component moment "
+            "vector per circle factor"
+        )
+    else:
+        for nu, vec in enumerate(fp.moment_hk):
+            if not any(vec):
+                raise refuse(
+                    f"0 is not a regular value: fixed point {name!r} has vanishing "
+                    f"moment vector in circle factor {nu}",
+                    component=nu,
+                )
 
 
 def submanifold_bound(atlas: FixedPointAtlas) -> int:
@@ -272,10 +281,6 @@ def validate_respected(atlas: FixedPointAtlas) -> bool:
 
 
 # -- canonical JSON ------------------------------------------------------
-
-
-def _frac_pair(x: Fraction) -> list:
-    return [x.numerator, x.denominator]
 
 
 def _parse_pair(doc, *where) -> tuple:
@@ -308,10 +313,6 @@ def _parse_coeff(re_doc, im_doc, where: str, n: int) -> ComplexRational:
     if e < 0:
         c, e = -c, -e
     return _normal(a * e, c * b, b * e)
-
-
-def _series_doc(series: LaurentSeries) -> dict:
-    return {"terms": series.to_json_terms()}
 
 
 def _parse_series(doc, variables, where: str) -> LaurentSeries:
@@ -404,17 +405,26 @@ def canonical_dumps(doc) -> str:
     json falls back to its pure-Python encoder, which takes about twice as
     long.
     """
+    return _dumps(doc, {})
+
+
+def _dumps(doc, exact: Mapping) -> str:
+    """canonical_dumps, with each value whose type ``exact`` maps written by
+    that function: ``_EXACT_WRITERS`` writes the exact values."""
     parts: list = []
-    _dump(doc, parts, "\n")
-    parts.append("\n")
-    return "".join(parts)
+    _dump(doc, parts, "\n", exact)
+    return "".join(parts) + "\n"
 
 
-def _dump(o, parts: list, nl: str) -> None:
+def _dump(o, parts: list, nl: str, exact: Mapping) -> None:
     """Append o's canonical text to parts; nl is a newline plus the indent
-    of o's own line.  int leaves skip the recursion, as they are most of a
-    document."""
-    if isinstance(o, dict):
+    of o's own line, and ``exact`` maps a type to the function that gives
+    its text.  int and str members skip the recursion, as they are most of
+    a document."""
+    text = exact.get(type(o))
+    if text is not None:
+        parts.append(text(o, nl))
+    elif isinstance(o, dict):
         if not o:
             parts.append("{}")
             return
@@ -426,9 +436,11 @@ def _dump(o, parts: list, nl: str) -> None:
             v = o[key]
             if type(v) is int:
                 parts.append(sep + _encode_str(key) + ": " + int.__repr__(v))
+            elif type(v) is str:
+                parts.append(sep + _encode_str(key) + ": " + _encode_str(v))
             else:
                 parts.append(sep + _encode_str(key) + ": ")
-                _dump(v, parts, inner)
+                _dump(v, parts, inner, exact)
             sep = "," + inner
         parts.append(nl + "}")
     elif isinstance(o, (list, tuple)):
@@ -442,7 +454,7 @@ def _dump(o, parts: list, nl: str) -> None:
                 parts.append(sep + int.__repr__(v))
             else:
                 parts.append(sep)
-                _dump(v, parts, inner)
+                _dump(v, parts, inner, exact)
             sep = "," + inner
         parts.append(nl + "]")
     elif isinstance(o, str):
@@ -466,51 +478,101 @@ def _dump(o, parts: list, nl: str) -> None:
         raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
 
 
+def _list(items, nl: str) -> str:
+    """A list of nonempty item texts written at indent nl + two spaces."""
+    i = nl + "  "
+    body = f",{i}".join(items)
+    return f"[{i}{body}{nl}]" if body else "[]"
+
+
+def _pairs(values, nl: str):
+    """Rationals as [numerator, denominator] item texts at indent nl."""
+    i = nl + "  "
+    return (f"[{i}{x.numerator},{i}{x.denominator}{nl}]" for x in values)
+
+
+def _im_re(c: ComplexRational, nl: str) -> str:
+    """The "im" and "re" members of c's object at indent nl, in lowest terms."""
+    (a, b), (p, q) = c.json_pairs()
+    i = nl + "  "
+    return f'"im": [{i}{p},{i}{q}{nl}],{nl}"re": [{i}{a},{i}{b}{nl}]'
+
+
+def _coeff_text(c: ComplexRational, nl: str) -> str:
+    return f"{{{nl}  {_im_re(c, nl + '  ')}{nl}}}"
+
+
+def _constant_text(c: SymbolicConstant, nl: str) -> str:
+    i = nl + "  "
+    q = _list(map(str, (c.q.numerator, c.q.denominator)), i)
+    return (
+        f'{{{i}"i_pow": {c.i_pow},{i}"pi_pow": {c.pi_pow},{i}"q": {q},'
+        f'{i}"sqrt2_pow": {c.sqrt2_pow}{nl}}}'
+    )
+
+
+def _series_text(s: LaurentSeries, nl: str) -> str:
+    """{"terms": [...]}, each term {"exp", "im", "re"}, sorted by exponents."""
+    i, j, k = nl + "  ", nl + "    ", nl + "      "
+    terms = (
+        f'{{{k}"exp": {_list(map(str, e), k)},{k}{_im_re(s.terms[e], k)}{j}}}'
+        for e in sorted(s.terms)
+    )
+    return f'{{{i}"terms": {_list(terms, i)}{nl}}}'
+
+
+def _point_text(fp: FixedPointDatum, nl: str) -> str:
+    i, j = nl + "  ", nl + "    "
+    text = (
+        f'{{{i}"eta": {_series_text(fp.eta, i)},{i}"mode": {_encode_str(fp.mode)},'
+        f'{i}"moment": {_list(_pairs(fp.moment, j), i)}'
+    )
+    if fp.moment_hk is not None:
+        vecs = (_list(_pairs(vec, j + "  "), j) for vec in fp.moment_hk)
+        text += f',{i}"moment_hk": {_list(vecs, i)}'
+    text += f',{i}"name": {_encode_str(fp.name)}'
+    if fp.raw_contribution is not None:
+        text += f',{i}"raw": {_series_text(fp.raw_contribution, i)}'
+    weights = (_list(map(int.__repr__, w), j) for w in fp.weights)
+    return f'{text},{i}"weights": {_list(weights, i)}{nl}}}'
+
+
+#: Exact values in the JSON form their ``to_json_dict``, ``to_json_terms``
+#: or ``serialize_atlas`` gives them, written straight from their ints.
+_EXACT_WRITERS = {
+    ComplexRational: _coeff_text,
+    SymbolicConstant: _constant_text,
+    LaurentSeries: _series_text,
+    FixedPointDatum: _point_text,
+}
+
+
 def serialize_atlas(atlas: FixedPointAtlas) -> str:
     g = atlas.group
-    group_doc = {
-        "kind": g.kind,
-        "rank": g.rank,
-        "s": g.s,
-        "vol": g.vol.to_json_dict(),
-    }
+    group_doc = {"kind": g.kind, "rank": g.rank, "s": g.s, "vol": g.vol}
     if g.root_system is not None:
         group_doc["roots"] = {
-            "positive": [list(a) for a in g.root_system.positive_roots],
+            "positive": g.root_system.positive_roots,
             "weyl_order": g.root_system.weyl_order,
         }
-    points = []
-    for fp in atlas.fixed_points:
-        doc = {
-            "name": fp.name,
-            "mode": fp.mode,
-            "moment": [_frac_pair(m) for m in fp.moment],
-            "weights": [list(w) for w in fp.weights],
-            "eta": _series_doc(fp.eta),
-        }
-        if fp.moment_hk is not None:
-            doc["moment_hk"] = [
-                [_frac_pair(c) for c in vec] for vec in fp.moment_hk
-            ]
-        if fp.raw_contribution is not None:
-            doc["raw"] = _series_doc(fp.raw_contribution)
-        points.append(doc)
     doc = {
         "group": group_doc,
         "geometry": atlas.geometry,
         "dim_M": atlas.dim_m,
         "dim_quotient": atlas.dim_quotient,
         "deg_eta0": atlas.deg_eta0,
-        "variable_order": list(atlas.variable_order),
-        "fixed_points": points,
+        "variable_order": atlas.variable_order,
+        "fixed_points": atlas.fixed_points,
     }
     if atlas.submanifold is not None:
         doc["submanifold"] = {"codim_L": atlas.submanifold.codim}
-    return canonical_dumps(doc)
+    return _dumps(doc, _EXACT_WRITERS)
 
 
 def parse_atlas(document) -> FixedPointAtlas:
-    """Parse and fully validate an atlas document (JSON text or mapping)."""
+    """Parse and fully validate an atlas document (JSON text or mapping):
+    the header first, then each fixed point as it is built, by the check
+    ``validate_atlas`` runs per point, so the atlas is walked once."""
     if isinstance(document, (str, bytes)):
         try:
             document = json.loads(document)
@@ -579,13 +641,31 @@ def parse_atlas(document) -> FixedPointAtlas:
     if not isinstance(variables, list):
         raise ValidationError("variable_order must be a list of strings")
     variables = tuple(variables)
+    submanifold = None
+    if "submanifold" in document:
+        sdoc = document["submanifold"]
+        if not isinstance(sdoc, Mapping):
+            raise ValidationError("submanifold must be an object")
+        _require_keys(sdoc, {"codim_L"}, set(), "submanifold")
+        submanifold = SubmanifoldRestriction(_parse_int(sdoc["codim_L"], "codim_L"))
+    header = FixedPointAtlas(
+        group=group,
+        geometry=_parse_str(document["geometry"], "geometry"),
+        dim_m=_parse_int(document["dim_M"], "dim_M"),
+        dim_quotient=_parse_int(document["dim_quotient"], "dim_quotient"),
+        deg_eta0=_parse_int(document["deg_eta0"], "deg_eta0"),
+        variable_order=variables,
+        fixed_points=(),
+        submanifold=submanifold,
+    )
     # before any series is parsed over these variables
-    check_variable_order(variables, group.rank)
+    _check_header(header)
 
     fps_doc = document["fixed_points"]
     if not isinstance(fps_doc, list):
         raise ValidationError("fixed_points must be a list")
     points = []
+    seen: set = set()
     for n, fdoc in enumerate(fps_doc):
         where = f"fixed point {n}"
         if not isinstance(fdoc, Mapping):
@@ -626,38 +706,18 @@ def parse_atlas(document) -> FixedPointAtlas:
         raw = None
         if "raw" in fdoc:
             raw = _parse_series(fdoc["raw"], variables, f"{where} raw")
-        points.append(
-            FixedPointDatum(
-                name=name,
-                moment=moment,
-                weights=tuple(map(tuple, wdoc)),
-                eta=_parse_series(fdoc["eta"], variables, f"{where} eta"),
-                moment_hk=moment_hk,
-                mode=_parse_str(fdoc["mode"], f"{where}: mode"),
-                raw_contribution=raw,
-            )
+        fp = FixedPointDatum(
+            name=name,
+            moment=moment,
+            weights=tuple(map(tuple, wdoc)),
+            eta=_parse_series(fdoc["eta"], variables, f"{where} eta"),
+            moment_hk=moment_hk,
+            mode=_parse_str(fdoc["mode"], f"{where}: mode"),
+            raw_contribution=raw,
         )
-
-    submanifold = None
-    if "submanifold" in document:
-        sdoc = document["submanifold"]
-        if not isinstance(sdoc, Mapping):
-            raise ValidationError("submanifold must be an object")
-        _require_keys(sdoc, {"codim_L"}, set(), "submanifold")
-        submanifold = SubmanifoldRestriction(_parse_int(sdoc["codim_L"], "codim_L"))
-
-    atlas = FixedPointAtlas(
-        group=group,
-        geometry=_parse_str(document["geometry"], "geometry"),
-        dim_m=_parse_int(document["dim_M"], "dim_M"),
-        dim_quotient=_parse_int(document["dim_quotient"], "dim_quotient"),
-        deg_eta0=_parse_int(document["deg_eta0"], "deg_eta0"),
-        variable_order=variables,
-        fixed_points=tuple(points),
-        submanifold=submanifold,
-    )
-    validate_atlas(atlas)
-    return atlas
+        _check_point(header, fp, seen)
+        points.append(fp)
+    return replace(header, fixed_points=tuple(points))
 
 
 # -- built-in atlases ----------------------------------------------------

@@ -40,7 +40,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Dict, Optional, Sequence, Tuple
 
-from .atlas import FixedPointAtlas, FixedPointDatum, RootSystemData, canonical_dumps
+from .atlas import _EXACT_WRITERS, FixedPointAtlas, FixedPointDatum, RootSystemData, _dumps
 from .errors import (
     InternalError,
     OddExponentError,
@@ -50,6 +50,7 @@ from .exact import (
     ComplexRational,
     LaurentSeries,
     SymbolicConstant,
+    _make,
     even_projector,
     exp_series,
     invert_series,
@@ -103,12 +104,12 @@ class ConventionProfile:
     def volume(self, rank: int) -> SymbolicConstant:
         return self.vol_circle ** rank
 
-    def to_json_dict(self) -> dict:
+    def to_json_dict(self, constant=SymbolicConstant.to_json_dict) -> dict:
         return {
             "name": self.name,
-            "vol_circle": self.vol_circle.to_json_dict(),
-            "prefactor_symplectic_circle": self.prefactor_symplectic_circle.to_json_dict(),
-            "prefactor_hk_circle": self.prefactor_hk_circle.to_json_dict(),
+            "vol_circle": constant(self.vol_circle),
+            "prefactor_symplectic_circle": constant(self.prefactor_symplectic_circle),
+            "prefactor_hk_circle": constant(self.prefactor_hk_circle),
         }
 
 
@@ -140,6 +141,10 @@ def resolve_profile(profile=None) -> ConventionProfile:
 def _cr_json(c: ComplexRational) -> dict:
     re, im = c.json_pairs()
     return {"re": re, "im": im}
+
+
+def _as_is(value):
+    return value
 
 
 @dataclass(frozen=True)
@@ -176,13 +181,6 @@ class PointEntry:
     selected: bool
     coefficient: ComplexRational
 
-    def to_json_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "selected": self.selected,
-            "coefficient": _cr_json(self.coefficient),
-        }
-
 
 @dataclass(frozen=True)
 class ReductionReport:
@@ -202,17 +200,37 @@ class ReductionReport:
     oracle_comparison: Optional[dict] = None
 
     def to_json_dict(self, include_path: bool = True) -> dict:
+        return self._doc(include_path, _cr_json, SymbolicConstant.to_json_dict)
+
+    def canonical_json(self) -> str:
+        """Deterministic serialized form.  The computing path is excluded so
+        that different routes to the same numbers serialize identically;
+        the exact values are written straight from their ints."""
+        return _dumps(self._doc(False, _as_is, _as_is), _EXACT_WRITERS)
+
+    def _doc(self, include_path: bool, coeff, constant) -> dict:
+        """The report, each coefficient and constant passed through coeff
+        and constant."""
+        value = self.quotient_integral
+        n = value.numeric()
         doc = {
             "geometry": self.geometry,
             "rank": self.rank,
-            "profile": self.profile.to_json_dict(),
+            "profile": self.profile.to_json_dict(constant),
             "variable_order": list(self.variable_order),
             "eta_mode": self.eta_mode,
-            "contributions": [p.to_json_dict() for p in self.contributions],
-            "raw_coefficient": _cr_json(self.raw_coefficient),
+            "contributions": [
+                {"name": p.name, "selected": p.selected, "coefficient": coeff(p.coefficient)}
+                for p in self.contributions
+            ],
+            "raw_coefficient": coeff(self.raw_coefficient),
             "degree_factor": self.degree_factor,
-            "prefactor": self.prefactor.to_json_dict(),
-            "quotient_integral": self.quotient_integral.to_json_dict(),
+            "prefactor": constant(self.prefactor),
+            "quotient_integral": {
+                "coeff": coeff(value.coeff),
+                "unit": constant(value.unit),
+                "numeric": [n.real, n.imag],
+            },
         }
         if self.inserted_polynomial is not None:
             doc["inserted_polynomial"] = self.inserted_polynomial
@@ -222,11 +240,6 @@ class ReductionReport:
         if include_path:
             doc["path"] = self.path
         return doc
-
-    def canonical_json(self) -> str:
-        """Deterministic serialized form.  The computing path is excluded so
-        that different routes to the same numbers serialize identically."""
-        return canonical_dumps(self.to_json_dict(include_path=False))
 
     def with_oracle(self, comparison: dict) -> "ReductionReport":
         return replace(self, oracle_comparison=comparison)
@@ -376,11 +389,13 @@ def _point_coeff_via_even_part(
     if fp.mode == "raw":
         # raw data already carries its phase factors
         return halved.coefficient((-1,))
-    lam = fp.hk_norm_sq(0)
+    lam = fp.hk_norm_sq(0)  # nonzero: the moment vector is validated nonzero
     min_exp = halved.min_exponent()[0]
     exp_order = max(0, (-1 + order) - min_exp)
     phase = exp_series(
-        LaurentSeries.linear_form(variables, (lam,), scale=ComplexRational.i()),
+        LaurentSeries._canonical(
+            variables, {(1,): _make((0, lam.numerator, lam.denominator))}, (None,)
+        ),
         (exp_order,),
     )
     total = ComplexRational.zero()

@@ -28,10 +28,9 @@ Series arithmetic builds its results from terms that are already canonical
 and wraps them without validating them again (``LaurentSeries._canonical``),
 as do the atlas parser and the Euler class, which check their input once
 where it enters; the public constructor keeps every check for data from
-outside.  One term product, ``_mul_terms``, serves the series product and
-the power loops of ``exp_series`` and ``invert_series``, which work on term
-dictionaries and sum their powers into one dictionary, so their cost grows
-linearly with the number of powers.
+outside.  One term product, ``_mul_terms``, serves the series product,
+the product of ``exp_series``' closed-form factors and the power loop of
+``invert_series``, all on term dictionaries.
 """
 
 from __future__ import annotations
@@ -731,12 +730,12 @@ def exp_series(p: LaurentSeries, order) -> LaurentSeries:
     ``order`` is the target truncation order, an integer applied to every
     variable or a per-variable sequence.  Negative exponents are refused, and
     a nonzero constant term is refused because exp of a nonzero rational is
-    not a rational (callers split constants off first).  The partial sums
-    sum_n p^n / n! are accumulated until p^n can no longer contribute below
-    the truncation order, so for a single variable this is exactly the sum
-    through n = order.  Each power is built from the last as term
-    dictionaries, in one pass that multiplies by p / n and keeps only the
-    exponents within the target orders; no series object is made per power.
+    not a rational (callers split constants off first).  Each term c y^e
+    of p gives the factor exp(c y^e) = sum_n c^n y^(n e) / n! in closed
+    form, one normal form per coefficient, through the target orders, and
+    the factors are multiplied as term dictionaries; no series object is
+    made per factor.  For a single-term p this is the sum through
+    n = order / e.
     """
     k = len(p.vars)
     orders = _order_tuple(order, k)
@@ -753,37 +752,30 @@ def exp_series(p: LaurentSeries, order) -> LaurentSeries:
             "split the constant factor off before exponentiating"
         )
     tr = tuple(_min_none(o, t) for o, t in zip(orders, p.trunc))
-    if any(t is None for t in tr):
-        # exp of a nonzero polynomial has infinitely many terms in any
-        # variable it involves; exactness (None) survives only where p has
-        # no dependence at all.
-        involved = [False] * k
-        for e in p.terms:
-            for v, x in enumerate(e):
-                if x != 0:
-                    involved[v] = True
-        tr = tuple(
-            t if (t is not None or not involved[v]) else orders[v]
-            for v, t in enumerate(tr)
+    # exp of a nonzero polynomial has infinitely many terms in any variable
+    # it involves; exactness (None) survives only where p has no dependence
+    if any(t is None and any(e[v] for e in p.terms) for v, t in enumerate(tr)):
+        raise NegativeExponentError(
+            "exp needs a finite truncation order in every involved variable"
         )
-        if any(t is None and involved[v] for v, t in enumerate(tr)):
-            raise NegativeExponentError(
-                "exp needs a finite truncation order in every involved variable"
-            )
-    # p^n / n! = (p^(n-1) / (n-1)!) * (p / n), clipped to the target orders:
-    # the product rule can report more trust than asked for, which would
-    # keep dead high-degree terms alive
+    # exponents only grow, so nothing clipped to the target orders comes back
     lim = _limits(tr)
-    p_items = p.terms.items()
     zero = (0,) * k
-    term = {zero: _ONE} if all(map(le, zero, lim)) else {}
-    acc = dict(term)
-    n = 0
-    while term:
-        n += 1
-        inv_n = _make((1, 0, n))
-        term = _mul_terms(term, {e: c * inv_n for e, c in p_items}, lim)
-        _accumulate(acc, term)
+    acc = None
+    for e, c in p.terms.items():
+        cp, cq, cd = c._v
+        factor = {}
+        power, cn, n = zero, _ONE, 0
+        while all(map(le, power, lim)):
+            factor[power] = cn
+            n += 1
+            power = tuple(map(add, power, e))
+            # c^n / n! from c^(n-1) / (n-1)!
+            a, b, d = cn._v
+            cn = _normal(a * cp - b * cq, a * cq + b * cp, d * cd * n)
+        acc = factor if acc is None else _mul_terms(acc, factor, lim)
+    if acc is None:  # exp(0) = 1
+        acc = {zero: _ONE} if all(map(le, zero, lim)) else {}
     return LaurentSeries._canonical(p.vars, acc, tr)
 
 

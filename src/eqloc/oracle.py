@@ -200,6 +200,20 @@ def fixed_quadrature(
 # -- mollified limit integrals ------------------------------------------
 
 
+def _check_ladder(t_ladder: Sequence[float], min_len: int) -> Tuple[float, ...]:
+    """The t ladder as floats, refused unless it has min_len (1 or 2)
+    entries and is finite, positive and strictly increasing, in that order."""
+    ladder = tuple(float(t) for t in t_ladder)
+    if min_len > 1 and len(ladder) < min_len:
+        raise ValidationError("t ladder needs at least two entries")
+    # written so that NaN fails every test
+    if not ladder or not all(0 < t < math.inf for t in ladder) or any(
+        a >= b for a, b in zip(ladder, ladder[1:])
+    ):
+        raise ValidationError("t ladder must be finite, positive and strictly increasing")
+    return ladder
+
+
 @dataclass(frozen=True)
 class MollifierConfig:
     t_ladder: Tuple[float, ...] = (1.0, 10.0, 100.0, 1000.0, 10000.0)
@@ -209,17 +223,7 @@ class MollifierConfig:
     max_panels: int = 300_000
 
     def __post_init__(self):
-        ladder = tuple(float(t) for t in self.t_ladder)
-        object.__setattr__(self, "t_ladder", ladder)
-        if len(ladder) < 2:
-            raise ValidationError("t ladder needs at least two entries")
-        # written so that NaN fails every test
-        if not all(0 < t < math.inf for t in ladder) or any(
-            a >= b for a, b in zip(ladder, ladder[1:])
-        ):
-            raise ValidationError(
-                "t ladder must be finite, positive and strictly increasing"
-            )
+        object.__setattr__(self, "t_ladder", _check_ladder(self.t_ladder, 2))
         if not (
             0 < self.quad_tolerance < math.inf and 0 < self.window_sigmas < math.inf
         ):
@@ -903,12 +907,7 @@ def suptsq_check(
     if n < 0 or n % 2 != 0:
         raise ValidationError("n must be an even nonnegative integer")
     power = n // 2
-    ladder = tuple(float(t) for t in t_ladder)
-    # written so that NaN fails every test
-    if len(ladder) < 1 or not all(0 < t < math.inf for t in ladder) or any(
-        a >= b for a, b in zip(ladder, ladder[1:])
-    ):
-        raise ValidationError("t ladder must be finite, positive and strictly increasing")
+    ladder = _check_ladder(t_ladder, 1)
     if not math.isfinite(x):
         raise ValidationError(f"x must be a finite number, got {x!r}")
     top = ladder[-1]

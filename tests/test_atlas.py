@@ -263,6 +263,122 @@ def test_raw_mode_needs_contribution():
     validate_atlas(_mutated(fixed_points=(good,)))
 
 
+def _hk_point(**kw):
+    return replace(hk_point_atlas().fixed_points[0], **kw)
+
+
+#: (atlas, message, context) for every per-point refusal that a document can
+#: also reach; eta or raw series over other variables cannot be written as
+#: a document of this atlas, so those two refusals are left out
+POINT_REFUSALS = [
+    (
+        _mutated(fixed_points=(sphere_atlas().fixed_points[0],) * 2),
+        "duplicate fixed point name 'north'",
+        {"point": "north"},
+    ),
+    (
+        _mutated(fixed_points=(_point(mode="odd"),)),
+        "fixed point 'north' has unknown mode 'odd'",
+        {"point": "north"},
+    ),
+    (
+        _mutated(fixed_points=(_point(moment=(Fraction(1), Fraction(2))),)),
+        "fixed point 'north' has a moment vector of length 2, expected 1",
+        {"point": "north"},
+    ),
+    (
+        _mutated(fixed_points=(_point(eta=LaurentSeries.monomial(("y",), (-1,))),)),
+        "fixed point 'north': eta restriction must be a polynomial",
+        {"point": "north"},
+    ),
+    (
+        _mutated(fixed_points=(_point(weights=((1,), (1, 1))),)),
+        "fixed point 'north' has weight vector (1, 1) of wrong rank",
+        {"point": "north", "weight": (1, 1)},
+    ),
+    (
+        _mutated(fixed_points=(_point(weights=((1,), (0,))),)),
+        "e(y) is a zero divisor at 'north': zero tangent weight",
+        {"point": "north", "weight": (0,)},
+    ),
+    (
+        _mutated(fixed_points=(_point(mode="raw"),)),
+        "raw-mode fixed point 'north' has no contribution series",
+        {"point": "north"},
+    ),
+    (
+        _mutated(fixed_points=(_point(moment=(Fraction(0),)),)),
+        "0 is not a regular value: fixed point 'north' has moment component 0 equal to 0",
+        {"point": "north", "component": 0},
+    ),
+    (
+        replace(hk_point_atlas(), fixed_points=(_hk_point(moment_hk=None),)),
+        "hyperkahler fixed point 'origin' needs one three-component moment vector "
+        "per circle factor",
+        {"point": "origin"},
+    ),
+    (
+        replace(
+            hk_point_atlas(),
+            fixed_points=(_hk_point(moment_hk=_hk_point().moment_hk * 2),),
+        ),
+        "hyperkahler fixed point 'origin' needs one three-component moment vector "
+        "per circle factor",
+        {"point": "origin"},
+    ),
+    (
+        replace(hk_point_atlas(), fixed_points=(_hk_point(moment_hk=((Fraction(0),) * 3,)),)),
+        "0 is not a regular value: fixed point 'origin' has vanishing moment vector "
+        "in circle factor 0",
+        {"point": "origin", "component": 0},
+    ),
+]
+
+
+@pytest.mark.parametrize("atlas, message, context", POINT_REFUSALS)
+def test_point_refusals_are_the_same_built_or_parsed(atlas, message, context):
+    """validate_atlas on the built atlas and parse_atlas on its document
+    refuse with one message and one context."""
+    with pytest.raises(ValidationError) as built:
+        validate_atlas(atlas)
+    with pytest.raises(ValidationError) as parsed:
+        parse_atlas(serialize_atlas(atlas))
+    for err in (built.value, parsed.value):
+        assert err.message == message
+        assert err.context == context
+
+
+def test_parse_checks_each_point_once_and_never_revalidates(monkeypatch):
+    import eqloc.atlas as atlas_module
+
+    checked = []
+    check_point = atlas_module._check_point
+
+    def spy(atlas, fp, seen):
+        checked.append(fp.name)
+        check_point(atlas, fp, seen)
+
+    def refuse(atlas):
+        raise AssertionError("parse_atlas walked the finished atlas again")
+
+    monkeypatch.setattr(atlas_module, "_check_point", spy)
+    monkeypatch.setattr(atlas_module, "validate_atlas", refuse)
+    for atlas in (sphere_atlas(), hk_point_atlas(), hk_torus_rank2_atlas(), mirror_pair_atlas(3)):
+        checked.clear()
+        parsed = parse_atlas(serialize_atlas(atlas))
+        assert checked == [fp.name for fp in atlas.fixed_points]
+        assert parsed == atlas
+
+
+def test_header_is_checked_before_any_point_is_read():
+    doc = _sphere_doc()
+    doc["dim_quotient"] = 2
+    doc["fixed_points"][0]["moment"] = "not a list"
+    with pytest.raises(ValidationError) as err:
+        parse_atlas(doc)
+    assert err.value.message.startswith("dim_quotient must equal 0")
+
+
 def test_validate_respected_bounds():
     assert validate_respected(sphere_atlas())
     sym = _mutated(submanifold=SubmanifoldRestriction(1))

@@ -637,6 +637,18 @@ class TestErrorMapping:
         assert err["context"]["point"] == point
         assert err["context"]["value"].startswith("Fraction(1000")
 
+    @pytest.mark.parametrize("command", [["check"], ["reduce", "--mode", "symplectic"]])
+    def test_zero_tangent_weight_names_point_and_weight(self, capsys, tmp_path, command):
+        doc = json.loads((GOLDEN_DIR / "sphere_s2.json").read_text())
+        doc["fixed_points"][0]["weights"] = [[1], [0]]
+        path = tmp_path / "zero.json"
+        path.write_text(json.dumps(doc))
+        err = run_err(capsys, [command[0], str(path), *command[1:]])
+        assert err["error"] == "validation"
+        assert err["slug"] == "validation"
+        assert err["message"] == "e(y) is a zero divisor at 'north': zero tangent weight"
+        assert err["context"] == {"point": "'north'", "weight": "(0,)"}
+
     def test_mixed_weight_reduce_carries_slug_and_context(self, capsys, tmp_path):
         doc = json.loads((GOLDEN_DIR / "hk_torus_rank2.json").read_text())
         doc["fixed_points"][0]["weights"] = [[1, 1], [1, 0], [0, 1], [1, -1]]

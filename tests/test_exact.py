@@ -11,6 +11,7 @@ import copy
 import math
 import pickle
 from fractions import Fraction
+from operator import le
 
 import pytest
 from hypothesis import given, settings
@@ -841,3 +842,78 @@ def test_invert_series_matches_series_loop(case):
     got = invert_series(f, orders)
     assert got.terms == expected.terms
     assert got.trunc == expected.trunc
+
+
+# -- exp_series as a product of closed-form factors ------------------------
+
+
+def power_sum_exp(p: LaurentSeries, tr: tuple) -> dict:
+    """The terms of sum_n p^n / n! within tr, each p^n a product of n
+    copies of p's polynomial by series_mul; stops at the first power with
+    no term within tr, past which every power lies beyond it too."""
+    lim = [math.inf if t is None else t for t in tr]
+    poly = LaurentSeries(p.vars, p.terms)  # what p knows, as an exact polynomial
+    power = LaurentSeries.const(p.vars, 1)
+    total = LaurentSeries.zero(p.vars)
+    n = 0
+    while True:
+        kept = {e: c for e, c in power.terms.items() if all(map(le, e, lim))}
+        if not kept:
+            return total.terms
+        total = total + LaurentSeries(p.vars, kept).scale(Fraction(1, math.factorial(n)))
+        power = series_mul(power, poly)
+        n += 1
+
+
+@st.composite
+def mixed_exp_cases(draw):
+    """A rank 1-3 polynomial without constant term, truncated per variable
+    at None or an order from -1 up, and a target order that is one int or
+    per variable, None only where p's truncation or p's independence of
+    the variable leaves a bound."""
+    k = draw(st.integers(1, 3))
+    exps = st.tuples(*([st.integers(0, 2)] * k)).filter(any)
+    terms = draw(st.dictionaries(exps, complex_rationals, max_size=4))
+    trunc = draw(st.tuples(*([st.none() | st.integers(-1, 4)] * k)))
+    p = LaurentSeries(VARS[:k], terms, trunc)
+    if draw(st.booleans()):
+        return p, draw(st.integers(0, 4))
+    orders = []
+    for v in range(k):
+        needs_bound = trunc[v] is None and any(e[v] for e in p.terms)
+        orders.append(draw(st.integers(0, 4) if needs_bound else st.none() | st.integers(0, 4)))
+    return p, tuple(orders)
+
+
+@given(mixed_exp_cases())
+@settings(max_examples=200, deadline=None)
+def test_exp_series_is_the_power_sum(case):
+    p, order = case
+    orders = (order,) * len(p.vars) if isinstance(order, int) else order
+    tr = tuple(_min_none(o, t) for o, t in zip(orders, p.trunc))
+    got = exp_series(p, order)
+    assert got.trunc == tr
+    assert got.terms == power_sum_exp(p, tr)
+    assert_canonical(got)
+
+
+@pytest.mark.parametrize(
+    "p, order, error, message",
+    [
+        (univar({-1: cr(1), 0: cr(1)}), 3, NegativeExponentError, "nonnegative exponents"),
+        (univar({1: cr(1)}), -1, NegativeExponentError, "target order must be >= 0"),
+        (univar({0: cr(2), 1: cr(1)}), 3, ConstantTermError, "nonzero constant term"),
+        (
+            LaurentSeries(("y", "z"), {(1, 0): cr(1), (0, 1): cr(1)}),
+            (2, None),
+            NegativeExponentError,
+            "finite truncation order in every involved variable",
+        ),
+    ],
+)
+def test_exp_series_refusals(p, order, error, message):
+    """Checked before any factor is built, the first that applies: a
+    negative exponent beside a constant term is refused as negative."""
+    with pytest.raises(error) as err:
+        exp_series(p, order)
+    assert message in err.value.message

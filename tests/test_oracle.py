@@ -721,6 +721,10 @@ class TestContour:
 # -- decay and smoothness diagnostics ------------------------------------
 
 
+SHORT = "t ladder needs at least two entries"
+INCREASING = "t ladder must be finite, positive and strictly increasing"
+
+
 class TestSuptsq:
     def test_oscillatory_decay(self):
         table = suptsq_check(1.0, 0)
@@ -790,6 +794,32 @@ class TestSuptsq:
         # Gamma(1.5) (4e250)^1.5 does not
         with pytest.raises(ValidationError, match="size"):
             suptsq_check(0.0, 4, t_ladder=(1e250,))
+
+    @pytest.mark.parametrize(
+        "ladder, config_message, suptsq_message",
+        [
+            ((), SHORT, INCREASING),
+            ((math.nan,), SHORT, INCREASING),
+            ((2.0,), SHORT, None),
+            ((1.0, math.nan), INCREASING, INCREASING),
+            ((3.0, 1.0), INCREASING, INCREASING),
+        ],
+    )
+    def test_one_ladder_check_two_minimum_lengths(self, ladder, config_message, suptsq_message):
+        """MollifierConfig needs two rungs and suptsq_check one; the length
+        is checked before the values, and suptsq_check checks n first."""
+        with pytest.raises(ValidationError) as err:
+            MollifierConfig(t_ladder=ladder)
+        assert err.value.message == config_message
+        if suptsq_message is None:
+            assert suptsq_check(1.0, 0, t_ladder=ladder).rows
+        else:
+            with pytest.raises(ValidationError) as err:
+                suptsq_check(1.0, 0, t_ladder=ladder)
+            assert err.value.message == suptsq_message
+        with pytest.raises(ValidationError) as err:
+            suptsq_check(1.0, 3, t_ladder=ladder)
+        assert err.value.message == "n must be an even nonnegative integer"
 
     def test_odd_power_rejected(self):
         with pytest.raises(ValidationError):
