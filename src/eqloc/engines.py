@@ -25,8 +25,14 @@ exactly and the report does not distinguish them.  Its extra expansion
 order is held to the series work budget of ``localize`` at the same depth.
 ``localize`` (and the ``localize`` command) also keeps the series path.  The
 closed-form read itself, ``point_coeff``, lives in ``localize`` beside
-``euler_class``: the oracle's pole gate reads the principal part of the sum
-with it too.
+``euler_class``: the oracle's pole gate reads the principal part of a circle
+sum with it too.
+
+Every report can be checked numerically by ``eqloc.oracle.oracle_comparison``
+(``reduce --oracle``), which shares no code with these reads: a symplectic
+circle report by the mollified limit, every other report (torus, hyperkahler,
+Weyl, any rank) by a contour read of the same coefficient.  The comparison
+block names its route.
 
 All convention-sensitive constants (2 pi powers, group volume, the hk
 structural constant) live in a ConventionProfile and are applied outside the
@@ -133,9 +139,12 @@ def resolve_profile(profile=None) -> ConventionProfile:
             return PROFILES[profile]
         except KeyError:
             raise ValidationError(
-                f"unknown convention profile {profile!r}; known: {sorted(PROFILES)}"
+                f"unknown convention profile {profile!r}; known: {sorted(PROFILES)}",
+                profile=profile,
             ) from None
-    raise ValidationError(f"cannot interpret {profile!r} as a convention profile")
+    raise ValidationError(
+        f"cannot interpret {profile!r} as a convention profile", profile=profile
+    )
 
 
 def _cr_json(c: ComplexRational) -> dict:
@@ -267,16 +276,25 @@ class ReductionReport:
                 f"oracle:          {oc['oracle_value']} "
                 f"(abs err {oc['abs_err']:.3e}, rel err {oc['rel_err']:.3e})"
             )
-            panels = ", ".join(str(r["panels"]) for r in oc["ladder"])
-            lines.append(f"oracle panels:   {panels} (of {oc['max_panels']} per rung)")
-            verdict = "converged" if oc["converged"] else "not converged"
-            lines.append(f"oracle ladder:   {verdict} over its last two rungs")
+            if oc["route"] == "contour":
+                lines.append(
+                    f"oracle contour:  {oc['nodes']} nodes per variable on radii "
+                    f"{oc['radii']} (of {oc['max_nodes']} nodes per grid)"
+                )
+            else:
+                panels = ", ".join(str(r["panels"]) for r in oc["ladder"])
+                lines.append(f"oracle panels:   {panels} (of {oc['max_panels']} per rung)")
+                verdict = "converged" if oc["converged"] else "not converged"
+                lines.append(f"oracle ladder:   {verdict} over its last two rungs")
         return "\n".join(lines) + "\n"
 
 
 def _check_order(order: int) -> int:
     if not isinstance(order, int) or isinstance(order, bool) or order < 0:
-        raise ValidationError(f"extra expansion order must be a nonnegative integer, got {order!r}")
+        raise ValidationError(
+            f"extra expansion order must be a nonnegative integer, got {order!r}",
+            order=order,
+        )
     return order
 
 
@@ -296,13 +314,18 @@ def _run(
     check_eta_mode(eta_mode)
     if atlas.geometry != geometry:
         raise ValidationError(
-            f"engine expects {geometry} geometry, atlas declares {atlas.geometry!r}"
+            f"engine expects {geometry} geometry, atlas declares {atlas.geometry!r}",
+            geometry=atlas.geometry,
+            expected=geometry,
         )
     k = atlas.group.rank
     if require_rank is not None and k != require_rank:
+        # the even-part route has no torus form; the direct read covers rank k
+        fix = "use --mode hk, the direct y^-2 read" if via_p else "use the torus entry point"
         raise ValidationError(
-            f"this entry point handles rank {require_rank}, atlas has rank {k}; "
-            "use the torus entry point"
+            f"this entry point handles rank {require_rank}, atlas has rank {k}; {fix}",
+            rank=k,
+            expected=require_rank,
         )
     if not atlas.fixed_points:
         raise ValidationError("atlas has no fixed points; nothing to localize")
@@ -312,8 +335,6 @@ def _run(
     else:
         mask = [True] * len(atlas.fixed_points)
 
-    if via_p and k != 1:
-        raise ValidationError("the even-part route is a rank-1 computation")
     target = (-2 if geometry == "hyperkahler" else -1,) * k
     if via_p:
         # the series route is held to localize's budget at the same depth
@@ -333,7 +354,9 @@ def _run(
 
     degree_factor = atlas.degree_factor() if geometry == "hyperkahler" else 1
     if degree_factor < 1:
-        raise InternalError(f"degree factor {degree_factor} escaped validation")
+        raise InternalError(
+            f"degree factor {degree_factor} escaped validation", degree_factor=degree_factor
+        )
     prefactor = profile.prefactor(geometry, k)
     quotient = ExactValue(prefactor, raw * Fraction(1, degree_factor))
     return ReductionReport(
@@ -384,7 +407,7 @@ def _point_coeff_via_even_part(
         halved = substitute_sqrt(even, var)
     except OddExponentError as exc:  # pragma: no cover - parity guard
         raise InternalError(
-            f"odd exponent survived the even projector at {fp.name!r}"
+            f"odd exponent survived the even projector at {fp.name!r}", point=fp.name
         ) from exc
     if fp.mode == "raw":
         # raw data already carries its phase factors
@@ -493,10 +516,12 @@ def weyl_product(variables: Sequence[str], roots: RootSystemData) -> LaurentSeri
     for alpha in roots.positive_roots:
         if len(alpha) != len(variables):
             raise ValidationError(
-                f"root covector {alpha} does not match rank {len(variables)}"
+                f"root covector {alpha} does not match rank {len(variables)}",
+                root=alpha,
+                rank=len(variables),
             )
         if all(a == 0 for a in alpha):
-            raise ValidationError("zero root covector")
+            raise ValidationError("zero root covector", root=alpha)
         w = w * LaurentSeries.linear_form(variables, alpha)
     return w
 
@@ -523,14 +548,15 @@ def weyl_wrap(
             "weyl_wrap needs root system data (on the atlas group or passed explicitly)"
         )
     if roots.weyl_order < 1:
-        raise ValidationError("Weyl group order must be >= 1")
+        raise ValidationError("Weyl group order must be >= 1", weyl_order=roots.weyl_order)
     if not roots.positive_roots and roots.weyl_order == 1:
         if atlas.geometry == "hyperkahler":
             return reduce_hk_torus(atlas, profile, eta_mode=eta_mode, order=order)
         return reduce_symplectic_torus(atlas, profile, eta_mode=eta_mode, order=order)
     if atlas.geometry != "hyperkahler":
         raise ValidationError(
-            "the fourth-power root insertion applies to hyperkahler data only"
+            "the fourth-power root insertion applies to hyperkahler data only",
+            geometry=atlas.geometry,
         )
     variables = atlas.variable_order
     w = weyl_product(variables, roots)

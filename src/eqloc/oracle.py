@@ -2,19 +2,27 @@
 
 Three independent instruments:
   - mollified_oint: the Gaussian-mollified limit integral (1/vol G) *
-    lim_{t->inf} integral exp(-|y|^2/4t) f(y) dy, evaluated by a composite
-    midpoint rule on a uniform grid over a truncated window and a ladder
-    of t values with optional Richardson extrapolation.
-  - contour_coeff: trapezoid contour integration recovering a Laurent
-    coefficient numerically, for checking exact coefficient extraction.
+    lim_{t->inf} integral exp(-y^2/4t) f(y) dy over one variable, evaluated
+    by a composite midpoint rule on a uniform grid over a truncated window
+    and a ladder of t values with optional Richardson extrapolation.
+  - torus_mean: the tensor trapezoid rule on a torus |z_v| = r_v, reading
+    one Laurent coefficient of a function of k variables; contour_coeff is
+    its one-variable case on a stored series.
   - suptsq_check / shift_smoothness_check: the decay and smoothness
     diagnostics that justify trusting the mollified limits.
 
+oracle_comparison checks a reduction report by one of two routes.  A
+symplectic circle report is checked by the mollified limit of the full
+summed series, which a contour shift identifies with 2 pi i times the
+residue sum (route "mollified").  Every other report, at any rank, has its
+target coefficient read by torus_mean from the points the report selected
+(route "contour").
+
 Everything here is double precision on purpose: agreement with the exact
-side is only meaningful if the two routes share no code.  The quadrature
-evaluates numeric closures built directly from atlas data, never the exact
-Laurent arithmetic; the exact closed-form read only gates atlas integrands,
-refusing data whose summed series has a pole at the origin.
+side is only meaningful if the two routes share no code.  Both routes
+evaluate numeric closures built directly from atlas data, never the exact
+Laurent arithmetic; the exact closed-form read only gates circle
+integrands, refusing data whose summed series has a pole at the origin.
 
 An atlas integrand is a sum of per-point terms amp(y) * exp(i phase(y)),
 amp a Laurent polynomial.  On a circle the mollified quadrature sums each
@@ -33,7 +41,6 @@ call.  The exact-only CLI commands never load it.
 
 from __future__ import annotations
 
-import itertools
 import math
 import sys
 from dataclasses import asdict, dataclass, replace
@@ -244,8 +251,8 @@ class MollifierConfig:
 class OracleIntegrand:
     """Numeric closure plus the metadata quadrature needs to pace itself.
 
-    fn maps a list of k equal-shape arrays (one per variable) to a complex
-    array.  freq_linear bounds |d phase / d y| from oscillatory factors
+    fn maps a list holding one array, the nodes, to a complex array of the
+    same shape.  freq_linear bounds |d phase / d y| from oscillatory factors
     exp(i mu y); freq_quadratic bounds the lambda of exp(i lambda y^2)
     factors, whose local frequency grows with the window.
 
@@ -256,7 +263,6 @@ class OracleIntegrand:
     """
 
     fn: Callable[[List[np.ndarray]], np.ndarray]
-    k: int = 1
     freq_linear: float = 1.0
     freq_quadratic: float = 0.0
 
@@ -330,55 +336,41 @@ def _mollified_single_t(
 ) -> Tuple[complex, float]:
     window = cfg.window_sigmas * math.sqrt(2.0 * t)
     edges = _panel_edges(window, g.max_frequency(window) + _spread(t), budget.left)
+    if isinstance(g.fn, _PointSum):
+        fn = _MollifiedPanels(g.fn, t)
+    else:
 
-    if g.k == 1:
-        if isinstance(g.fn, _PointSum):
-            fn = _MollifiedPanels(g.fn, t)
-        else:
+        def fn(y: np.ndarray) -> np.ndarray:
+            return np.exp(-(y * y) / (4.0 * t)) * g.fn([y])
 
-            def fn(y: np.ndarray) -> np.ndarray:
-                return np.exp(-(y * y) / (4.0 * t)) * g.fn([y])
+    return adaptive_quadrature(fn, edges, cfg.quad_tolerance, budget)
 
-        return adaptive_quadrature(fn, edges, cfg.quad_tolerance, budget)
 
-    if g.k > 3:
+def _one_variable(rank: int, what: str) -> None:
+    """Refuse a rank >= 2 group from a one-variable instrument, naming the
+    route that reads such data."""
+    if rank != 1:
         raise ValidationError(
-            "mollified integrals support at most three variables"
+            f"{what} is a one-variable integral and the group has rank {rank}; "
+            "reduce --oracle checks a torus report by its contour read",
+            rank=rank,
         )
-
-    # nested integration: outermost variable adaptive, inner recursion
-    err_box = [0.0]
-
-    def outer(y_outer: np.ndarray) -> np.ndarray:
-        out = np.empty(len(y_outer), dtype=complex)
-        for j, y0 in enumerate(y_outer):
-            inner = OracleIntegrand(
-                fn=lambda ys, y0=y0: g.fn([np.full_like(ys[0], y0)] + list(ys)),
-                k=g.k - 1,
-                freq_linear=g.freq_linear,
-                freq_quadratic=g.freq_quadratic,
-            )
-            v, e = _mollified_single_t(inner, t, cfg, budget)
-            err_box[0] += e
-            out[j] = v * math.exp(-(y0 * y0) / (4.0 * t))
-        return out
-
-    val, err = adaptive_quadrature(outer, edges, cfg.quad_tolerance * 10, budget)
-    return val, err + err_box[0]
 
 
 def mollified_oint(
     f, group, cfg: Optional[MollifierConfig] = None
 ) -> OracleResult:
-    """(1/vol G) lim_{t->inf} integral exp(-|y|^2/4t) f(y) d^k y.
+    """(1/vol G) lim_{t->inf} integral exp(-y^2/4t) f(y) dy over a circle
+    group; a torus is refused (see _one_variable).
 
     f is an OracleIntegrand or a plain function of one array.  The limit is
-    estimated over cfg.t_ladder; the tail outside |y_v| <= window_sigmas *
+    estimated over cfg.t_ladder; the tail outside |y| <= window_sigmas *
     sqrt(2t) is dropped (bounded below 1e-30 at the default 12 sigmas).
     The grid trusts f's freq_linear and freq_quadratic, and a plain function
     counts as band-limited to frequency 1; a faster phase, such as exp(5 i y)
     at t = 100, can alias unflagged (see OracleIntegrand).
     """
+    _one_variable(group.rank, "the mollified limit")
     g = f if isinstance(f, OracleIntegrand) else OracleIntegrand(fn=lambda ys: f(ys[0]))
     cfg = cfg or MollifierConfig()
     vol = group.vol.numeric_value()
@@ -420,9 +412,10 @@ class _Term(NamedTuple):
     freqs: Tuple[float, ...]
 
 
-def _term(
-    fp: FixedPointDatum, coeffs: Dict[Tuple[int, ...], ComplexRational], freqs
-) -> Optional[_Term]:
+def _term(coeffs: Dict[Tuple[int, ...], complex], freqs) -> Optional[_Term]:
+    """The _Term of the amplitude sum_e coeffs[e] y^e, its coefficients
+    already doubles, with phase frequencies freqs; None when coeffs is
+    empty."""
     if not coeffs:
         return None
     exps = list(coeffs)
@@ -432,8 +425,8 @@ def _term(
     im = np.zeros_like(re)
     for e, c in coeffs.items():
         idx = tuple(h - x for h, x in zip(hi, e))
-        re[idx] = _double(c.re, fp, "series coefficient")
-        im[idx] = _double(c.im, fp, "series coefficient")
+        re[idx] = c.real
+        im[idx] = c.imag
     return _Term(lo, re, im if im.any() else None, tuple(freqs))
 
 
@@ -461,7 +454,9 @@ def _powers(x: np.ndarray, first, e: int, out=None):
 
 class _PointSum:
     """The summed localization series of an atlas as a numeric function of
-    k arrays: sum over the terms of amp(y) * exp(i phase(y))."""
+    a list of k arrays, one per variable, that broadcast together: the sum
+    over the terms of amp(y) * exp(i phase(y)).  The mollified oracle calls
+    it on one array of nodes, the contour read on a torus grid."""
 
     def __init__(self, terms: Sequence[_Term], quadratic: bool):
         self.terms = tuple(terms)
@@ -585,90 +580,50 @@ def _principal_part(
     atlas: FixedPointAtlas, eta_mode: str
 ) -> Dict[Tuple[int, ...], ComplexRational]:
     """The terms with a negative exponent of the summed localization series
-    trusted through y^-1 in every variable, read in closed form.
+    of a circle atlas, trusted through y^-1, read in closed form.
 
-    A structured point's series has no exponent below -n_v in variable v, so
-    its part lies in the box -n_v <= e_v <= -1.  Raw points add their stored
-    terms.  As in the sum ``localize`` forms, a term is kept only where
-    every contribution is trusted: through -1 when there is a structured
-    point, and through each raw series' own truncation order.
+    A structured point's series has no exponent below -n, n its pole order,
+    so its part lies in -n <= e <= -1.  Raw points add their stored terms.
+    As in the sum ``localize`` forms, a term is kept only where every
+    contribution is trusted: through -1 when there is a structured point,
+    and through each raw series' own truncation order.
     """
     check_eta_mode(eta_mode)
-    k = atlas.group.rank
-    # None: trusted through every exponent
-    top: List[Optional[int]] = [None] * k
+    top: Optional[int] = None  # None: trusted through every exponent
     for fp in atlas.fixed_points:
-        bounds = fp.raw_contribution.trunc if fp.mode == "raw" else (-1,) * k
-        top = [t if b is None else b if t is None else min(t, b) for t, b in zip(top, bounds)]
+        (b,) = fp.raw_contribution.trunc if fp.mode == "raw" else (-1,)
+        top = b if top is None else top if b is None else min(top, b)
     total: Dict[Tuple[int, ...], ComplexRational] = {}
     for fp in atlas.fixed_points:
         if fp.mode == "raw":
             part = fp.raw_contribution.terms
         else:
-            _, n = monomial_euler_class(fp, k)
-            box = itertools.product(*(range(-n_v, t + 1) for n_v, t in zip(n, top)))
-            part = {e: point_coeff(atlas, fp, eta_mode, e) for e in box}
-        for e, c in part.items():
-            if any(x < 0 for x in e) and all(t is None or x <= t for x, t in zip(e, top)):
-                total[e] = total.get(e, ComplexRational.zero()) + c
+            _, (n,) = monomial_euler_class(fp, 1)
+            part = {(e,): point_coeff(atlas, fp, eta_mode, (e,)) for e in range(-n, top + 1)}
+        for (e,), c in part.items():
+            if e < 0 and (top is None or e <= top):
+                total[(e,)] = total.get((e,), ComplexRational.zero()) + c
     return {e: c for e, c in total.items() if not c.is_zero()}
 
 
-def atlas_integrand(
-    atlas: FixedPointAtlas, *, eta_mode: str = "atlas", zeta: float = 0.0
-) -> OracleIntegrand:
-    """Numeric evaluator for the summed localization series of an atlas.
+def _phase(atlas: FixedPointAtlas, fp: FixedPointDatum) -> Tuple[float, ...]:
+    """A point's phase frequencies as doubles, refused beyond double range;
+    0 for a raw point, whose stored series carries its phase."""
+    if fp.mode == "raw":
+        return (0.0,) * atlas.group.rank
+    what = "squared moment length" if atlas.geometry == "hyperkahler" else "moment"
+    return tuple(_double(f, fp, what) for f in phase_covector(atlas, fp))
 
-    Built directly from the fixed-point data with double-precision
-    arithmetic: each structured point is eta(y) / (c y^n) times its phase,
-    with e(y) = c y^n its monomial Euler class, and each raw point is its
-    stored series.  The exact closed-form read is used only as a gate, to
-    refuse data whose summed series has a genuine pole at the origin and
-    therefore no mollified limit.  A raw point truncated below y^-1 in some
-    variable could hide such a pole, and is refused with
-    InsufficientTruncationError.
 
-    zeta shifts every symplectic moment by -zeta (rank 1 only): the phase
-    picks up a global factor exp(-i zeta y).
-    """
+def _point_terms(
+    atlas: FixedPointAtlas, eta_mode: str, points: Sequence[FixedPointDatum], freqs
+) -> List[_Term]:
+    """The _Terms of the given points with phase frequencies freqs: each
+    structured point is eta(y) / (c y^n), with e(y) = c y^n its monomial
+    Euler class, and each raw point its stored series."""
     k = atlas.group.rank
-    if zeta and (k != 1 or atlas.geometry != "symplectic"):
-        raise ValidationError("moment shifts are a symplectic circle diagnostic")
-
-    # refuse, before any exact work, a raw series cut below y^-1 (it would
-    # hide poles from the gate) and a phase frequency without a double
-    hk = atlas.geometry == "hyperkahler"
-    point_freqs = []
-    for fp in atlas.fixed_points:
-        if fp.mode != "raw":
-            what = "squared moment length" if hk else "moment"
-            point_freqs.append(
-                tuple(_double(f, fp, what) for f in phase_covector(atlas, fp))
-            )
-            continue
-        for var, t in zip(atlas.variable_order, fp.raw_contribution.trunc):
-            if t is not None and t < -1:
-                raise InsufficientTruncationError(
-                    f"raw point {fp.name!r} is trusted only through {var}^{t}; "
-                    f"the pole gate needs its series through {var}^-1, so store "
-                    "it with truncation order at least -1",
-                    variable=var,
-                    requested=-1,
-                    required=-1,
-                    point=fp.name,
-                )
-        point_freqs.append((0.0,) * k)
-    principal = _principal_part(atlas, eta_mode)
-    if principal:
-        raise QuadratureError(
-            "localized sum has a pole at the origin (principal exponents "
-            f"{sorted(principal)}); the mollified integral does not exist for this data"
-        )
-
     terms = []
-    lin = abs(zeta)
-    quad = 0.0
-    for fp, freqs in zip(atlas.fixed_points, point_freqs):
+    for fp, f in zip(points, freqs):
         if fp.mode == "raw":
             coeffs = fp.raw_contribution.terms
         else:
@@ -678,18 +633,73 @@ def atlas_integrand(
                 tuple(x - y for x, y in zip(j, n)): eta_j / c
                 for j, eta_j in eta.items()
             }
-            if hk:
-                quad = max(quad, max(freqs))
-            else:
-                lin = max(lin, sum(abs(f) for f in freqs))
-        if zeta:
-            freqs = (freqs[0] - zeta,)
-        term = _term(fp, coeffs, freqs)
+        what = "series coefficient"
+        term = _term(
+            {
+                e: complex(_double(v.re, fp, what), _double(v.im, fp, what))
+                for e, v in coeffs.items()
+            },
+            f,
+        )
         if term is not None:
             terms.append(term)
-    return OracleIntegrand(
-        fn=_PointSum(terms, hk), k=k, freq_linear=lin, freq_quadratic=quad
-    )
+    return terms
+
+
+def atlas_integrand(
+    atlas: FixedPointAtlas, *, eta_mode: str = "atlas", zeta: float = 0.0
+) -> OracleIntegrand:
+    """Numeric evaluator for the summed localization series of a circle
+    atlas, for the mollified oracle.
+
+    Built directly from the fixed-point data with double-precision
+    arithmetic (see _point_terms).  The exact closed-form read is used only
+    as a gate, to refuse data whose summed series has a genuine pole at the
+    origin and therefore no mollified limit.  A raw point truncated below
+    y^-1 could hide such a pole, and is refused with
+    InsufficientTruncationError.  A torus atlas is refused: reduce --oracle
+    checks its reports by the contour read.
+
+    zeta shifts every symplectic moment by -zeta: the phase picks up a
+    global factor exp(-i zeta y).
+    """
+    _one_variable(atlas.group.rank, "the mollified oracle")
+    if zeta and atlas.geometry != "symplectic":
+        raise ValidationError("moment shifts are a symplectic circle diagnostic")
+
+    # refuse, before any exact work, a raw series cut below y^-1 (it would
+    # hide poles from the gate) and a phase frequency without a double
+    hk = atlas.geometry == "hyperkahler"
+    point_freqs = []
+    for fp in atlas.fixed_points:
+        if fp.mode == "raw":
+            (t,) = fp.raw_contribution.trunc
+            if t is not None and t < -1:
+                var = atlas.variable_order[0]
+                raise InsufficientTruncationError(
+                    f"raw point {fp.name!r} is trusted only through {var}^{t}; "
+                    f"the pole gate needs its series through {var}^-1, so store "
+                    "it with truncation order at least -1",
+                    variable=var,
+                    requested=-1,
+                    required=-1,
+                    point=fp.name,
+                )
+        point_freqs.append(_phase(atlas, fp))
+    principal = _principal_part(atlas, eta_mode)
+    if principal:
+        raise QuadratureError(
+            "localized sum has a pole at the origin (principal exponents "
+            f"{sorted(principal)}); the mollified integral does not exist for this data"
+        )
+
+    structured = [f for fp, (f,) in zip(atlas.fixed_points, point_freqs) if fp.mode != "raw"]
+    lin = max([abs(zeta)] + ([] if hk else [abs(f) for f in structured]))
+    quad = max([0.0] + structured) if hk else 0.0
+    if zeta:
+        point_freqs = [(f - zeta,) for (f,) in point_freqs]
+    terms = _point_terms(atlas, eta_mode, atlas.fixed_points, point_freqs)
+    return OracleIntegrand(fn=_PointSum(terms, hk), freq_linear=lin, freq_quadratic=quad)
 
 
 def moment_gap(atlas: FixedPointAtlas) -> float:
@@ -715,7 +725,75 @@ def _double(x: Fraction, fp: FixedPointDatum, what: str) -> float:
         ) from None
 
 
-# -- numeric residue vs exact coefficient -------------------------------
+# -- contour reads of Laurent coefficients -------------------------------
+
+
+#: nodes of one torus grid, N^k, at most
+_TORUS_NODES = 1 << 20
+
+#: nodes per variable of a torus read's first grid, at least
+_TORUS_START = 32
+
+
+def torus_mean(
+    fn: Callable[[List[np.ndarray]], np.ndarray],
+    radii: Sequence[float],
+    a: Sequence[int],
+    reach: int = 0,
+) -> Tuple[complex, int]:
+    """The coefficient at z^a of fn, a function of k variables analytic
+    near the torus |z_v| = r_v, by the tensor trapezoid rule: the mean of
+    fn(z) z^-a over the grid z_v = r_v exp(2 pi i j_v / N), j_v = 0..N-1,
+    summed by _fsum.
+
+    fn takes k arrays that broadcast to the grid, one per variable.  The
+    mean adds to the coefficient at a those at a + N m, m != 0, times
+    r^(N m), which converges exponentially in N (Trefethen & Weideman, SIAM
+    Review 56, 2014) where fn's Laurent coefficients decay, as they do in
+    its entire phase factors.  A Laurent polynomial factor does not decay,
+    so reach, the largest |e_v - a_v| over its exponents e, sets the first
+    N: the smallest power of two past reach, and at least _TORUS_START, so
+    that no term of it aliases onto z^a.  N then doubles until two
+    successive reads agree to 1e-12 of the mean of |fn(z) z^-a| over the
+    finer grid.  Returns the last read and its N.
+
+    A grid of more than _TORUS_NODES nodes is refused before it is built,
+    and so is a read whose values leave double range, each with
+    QuadratureError."""
+    k = len(radii)
+    n = _TORUS_START
+    while n <= reach:
+        n *= 2
+    last = None
+    while True:
+        if n**k > _TORUS_NODES:
+            raise QuadratureError(
+                f"the contour read needs a grid of {n}^{k} = {n**k} nodes, past "
+                f"its budget of {_TORUS_NODES}",
+                nodes=n**k,
+                budget=_TORUS_NODES,
+            )
+        unit = _unit(2.0 * math.pi / n * np.arange(n))
+        zs = [
+            (r * unit).reshape([n if w == v else 1 for w in range(k)])
+            for v, r in enumerate(radii)
+        ]
+        with np.errstate(all="ignore"):
+            values = fn(zs)
+            for z, e in zip(zs, a):
+                values = _powers(z, values, -e)
+            values = np.broadcast_to(values, (n,) * k).ravel()
+            size = float(np.abs(values).sum()) / n**k
+        # a finite size also keeps math.fsum clear of intermediate overflow
+        if not math.isfinite(size):
+            raise QuadratureError(
+                "the contour values leave the range of a double; rescale the input",
+                nodes=n**k,
+            )
+        value = _fsum(values) / n**k
+        if last is not None and abs(value - last) <= 1e-12 * size:
+            return value, n
+        last, n = value, 2 * n
 
 
 def _contour_size(e: int, c, what: str = "series term") -> complex:
@@ -735,37 +813,25 @@ def _contour_size(e: int, c, what: str = "series term") -> complex:
 
 
 def contour_coeff(f: LaurentSeries, m: int, var: str) -> complex:
-    """Numeric estimate of the coefficient at var^-m by a contour average:
-    (1/2pi) integral_0^2pi f(z) z^m d theta over z = r e^(i theta) at
-    r = 1/2, trapezoid rule with 4096 nodes.
-
-    f is evaluated at every node at once by Horner's rule over its
-    exponents, highest first.  At node z_j = r w^j, w = exp(2 pi i / n),
-    a power z_j^g is r^g w^(g j mod n), read from one table of the n-th
-    roots of unity, so no angle grows with g."""
+    """Numeric estimate of the coefficient at var^-m of a one-variable
+    series: torus_mean of f(z) z^m on the circle |z| = 1/2.  Its reach is
+    the exponent span of f(z) z^m, so the first read is exact up to
+    rounding and the second confirms it."""
     if len(f.vars) != 1:
         raise ValidationError("contour extraction works on one-variable series")
     if f.vars[0] != var:
         raise ValidationError(f"series has variable {f.vars[0]!r}, not {var!r}")
-    r = 0.5
-    n = 4096
-    terms = sorted(
-        ((e, _contour_size(e, c)) for (e,), c in f.terms.items()), reverse=True
-    )
+    terms = {
+        (e,): _contour_size(e, c) for (e,), c in sorted(f.terms.items(), reverse=True)
+    }
     if not terms:
         return 0j
-    # the last Horner step multiplies by y^(lowest + m), a double too
-    _contour_size(terms[-1][0] + m, 1, f"with M = {m}, the integrand term")
-    j = np.arange(n)
-    roots = _unit(2.0 * math.pi / n * j)
-
-    def power(g: int) -> np.ndarray:
-        return r**g * roots[g % n * j % n]
-
-    acc = np.full(n, terms[0][1])
-    for (above, _), (e, c) in zip(terms, terms[1:]):
-        acc = acc * power(above - e) + c
-    return _fsum(acc * power(terms[-1][0] + m)) / n
+    # f(z) z^m is summed as is: its lowest term must be a double too
+    lowest = min(e for (e,) in terms)
+    _contour_size(lowest + m, 1, f"with M = {m}, the integrand term")
+    reach = max(abs(e + m) for (e,) in terms)
+    value, _ = torus_mean(_PointSum([_term(terms, (0.0,))], False), (0.5,), (-m,), reach)
+    return value
 
 
 # -- decay and smoothness diagnostics ------------------------------------
@@ -1066,26 +1132,27 @@ def shift_smoothness_check(
 def oracle_comparison(
     report, atlas: FixedPointAtlas, cfg: Optional[MollifierConfig] = None
 ) -> dict:
-    """Compare a symplectic circle reduction report against the mollified
-    limit of the same summed series.
+    """Compare a reduction report with a numeric value of the same
+    quotient integral from the atlas it was reduced from.
 
-    The exact raw coefficient is the residue sum over positive-moment
-    points; a contour shift identifies the mollified limit of the full sum
-    with 2 pi i times that residue sum.  The oracle-side quotient therefore
-    is prefactor * vol * oint / (2 pi i), with vol and prefactor taken from
-    the report's own profile so the convention cancels structurally.
+    A symplectic circle report is checked by the mollified limit (route
+    "mollified", configured by cfg); every other report by the contour read
+    (route "contour", which takes no configuration).  The block names the
+    route that ran.
     """
-    if atlas.geometry != "symplectic" or atlas.group.rank != 1:
+    if (report.geometry, report.rank) != (atlas.geometry, atlas.group.rank):
         raise ValidationError(
-            "oracle comparison is defined for symplectic circle reductions"
+            f"the report is a rank-{report.rank} {report.geometry} reduction, the "
+            f"atlas a rank-{atlas.group.rank} {atlas.geometry} one",
+            geometry=atlas.geometry,
+            rank=atlas.group.rank,
         )
-    cfg = cfg or MollifierConfig()
-    res = mollified_oint(
-        atlas_integrand(atlas, eta_mode=report.eta_mode), atlas.group, cfg
-    )
-    vol = atlas.group.vol.numeric_value().real
-    pref = report.prefactor.numeric_value()
-    oracle_value = pref * vol * res.estimate / (2j * math.pi)
+    if atlas.geometry == "symplectic" and atlas.group.rank == 1:
+        return _mollified_comparison(report, atlas, cfg)
+    return _contour_comparison(report, atlas)
+
+
+def _errors(oracle_value: complex, report) -> dict:
     exact_value = report.quotient_integral.numeric()
     abs_err = abs(oracle_value - exact_value)
     rel_err = abs_err / max(abs(exact_value), 1e-30)
@@ -1094,9 +1161,82 @@ def oracle_comparison(
         "exact_value": [exact_value.real, exact_value.imag],
         "abs_err": abs_err,
         "rel_err": rel_err,
+    }
+
+
+def _mollified_comparison(report, atlas: FixedPointAtlas, cfg) -> dict:
+    """The exact raw coefficient is the residue sum over positive-moment
+    points; a contour shift identifies the mollified limit of the full sum
+    with 2 pi i times that residue sum.  The oracle-side quotient therefore
+    is prefactor * vol * oint / (2 pi i), with vol and prefactor taken from
+    the report's own profile so the convention cancels structurally.
+    """
+    cfg = cfg or MollifierConfig()
+    res = mollified_oint(
+        atlas_integrand(atlas, eta_mode=report.eta_mode), atlas.group, cfg
+    )
+    vol = atlas.group.vol.numeric_value().real
+    pref = report.prefactor.numeric_value()
+    oracle_value = pref * vol * res.estimate / (2j * math.pi)
+    return {
+        "route": "mollified",
+        **_errors(oracle_value, report),
         "t_ladder": list(cfg.t_ladder),
         "extrapolation": cfg.extrapolation,
         "max_panels": cfg.max_panels,
         "ladder": [r.to_json_dict() for r in res.rows],
         "converged": res.converged(),
+    }
+
+
+def _contour_comparison(report, atlas: FixedPointAtlas) -> dict:
+    """The raw coefficient read by torus_mean from the summed series of the
+    points the report marks selected: at y^(-1, ..., -1) for symplectic
+    data, at y^(-2, ..., -2) for hyperkahler data, where the oracle-side
+    quotient divides by the atlas's degree factor.  A Weyl report's series
+    is multiplied node by node by prod_alpha <alpha, y>^4 / |W| from the
+    atlas's root data.  The prefactor is the report's own.
+
+    Each radius keeps the point phases at most 1 in size on the torus:
+    r_v = 1 / max(1, |mu_v|) over the summed points for symplectic data and
+    1 / sqrt(max(1, lambda_v)) for hyperkahler data, lambda_v = |mu_v|^2.
+    """
+    hk = atlas.geometry == "hyperkahler"
+    k = atlas.group.rank
+    selected = {p.name for p in report.contributions if p.selected}
+    points = [fp for fp in atlas.fixed_points if fp.name in selected]
+    freqs = [_phase(atlas, fp) for fp in points]
+    point_sum = _PointSum(_point_terms(atlas, report.eta_mode, points, freqs), hk)
+    phases = [f for fp, f in zip(points, freqs) if fp.mode != "raw"]
+    tops = [max([1.0] + [abs(f[v]) for f in phases]) for v in range(k)]
+    radii = [1.0 / (math.sqrt(top) if hk else top) for top in tops]
+    target = (-2 if hk else -1,) * k
+    fn, extra = point_sum, 0
+    if report.inserted_polynomial is not None:
+        roots = atlas.group.root_system
+        if roots is None:
+            raise ValidationError("a Weyl report's contour read needs the atlas's root data")
+        extra = 4 * len(roots.positive_roots)
+
+        def fn(zs: List[np.ndarray]) -> np.ndarray:
+            values = point_sum(zs) / roots.weyl_order
+            for alpha in roots.positive_roots:
+                form = sum(c * z for c, z in zip(alpha, zs))
+                form = form * form
+                values = values * (form * form)
+            return values
+
+    reach = 0
+    for term in point_sum.terms:
+        for lo, width, a in zip(term.lo, term.re.shape, target):
+            reach = max(reach, abs(lo - a), abs(lo + width - 1 + extra - a))
+    raw, n = torus_mean(fn, radii, target, reach)
+    pref = report.prefactor.numeric_value()
+    oracle_value = pref * raw / (atlas.degree_factor() if hk else 1)
+    return {
+        "route": "contour",
+        **_errors(oracle_value, report),
+        "radii": radii,
+        "nodes": n,
+        "max_nodes": _TORUS_NODES,
     }

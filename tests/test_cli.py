@@ -229,9 +229,19 @@ class TestReduce:
         doc = run_json(capsys, ["oracle", "builtin:sphere_S2", "--mode", "symplectic", "--t", "1,2"])
         assert doc["mollified"]["converged"] is False
 
-    def test_oracle_on_hk_refused(self, capsys):
-        err = run_err(capsys, ["reduce", "builtin:hk_point", "--mode", "hk", "--oracle"])
+    def test_oracle_on_hk_reads_the_contour(self, capsys):
+        argv = ["reduce", "builtin:hk_point", "--mode", "hk", "--oracle"]
+        cmp = run_json(capsys, argv)["oracle_comparison"]
+        assert cmp["route"] == "contour"
+        assert cmp["rel_err"] <= 1e-9
+        assert cmp["max_nodes"] == 2**20 and cmp["nodes"] >= 32
+
+    def test_even_part_route_at_rank_2_names_the_direct_read(self, capsys):
+        err = run_err(capsys, ["reduce", "builtin:hk_torus_rank2", "--mode", "hk-p"])
         assert err["error"] == "validation"
+        assert "use --mode hk" in err["message"]
+        assert "torus entry point" not in err["message"]
+        assert err["context"] == {"rank": "2", "expected": "1"}
 
     def test_table_output(self, capsys):
         assert (
@@ -319,6 +329,12 @@ class TestOracleCommand:
         err = run_err(capsys, ["oracle", "builtin:hk_point", "--mode", "symplectic"])
         assert err["error"] == "validation"
 
+    def test_torus_names_reduce_oracle(self, capsys):
+        err = run_err(capsys, ["oracle", "builtin:hk_torus_rank2", "--mode", "hk"])
+        assert err["error"] == "validation"
+        assert "reduce --oracle" in err["message"]
+        assert err["context"] == {"rank": "2"}
+
     def test_pole_data_is_quadrature_error(self, capsys):
         err = run_err(capsys, ["oracle", "builtin:hk_point", "--mode", "hk"])
         assert err["error"] == "quadrature"
@@ -396,6 +412,10 @@ def _contour_index_beyond_double(tmp_path):
     p = tmp_path / "s.json"
     p.write_text(json.dumps({"variables": ["y"], "terms": [{"exp": [-1], "re": [1, 1], "im": [0, 1]}]}))
     return ["oracle", "--contour", str(p), "-2000"]
+
+
+def _oracle_on_a_torus(tmp_path):
+    return ["oracle", "builtin:hk_torus_rank2", "--mode", "hk"]
 
 
 def _unparsable_shift(tmp_path):
@@ -573,6 +593,52 @@ def test_oversize_oracle_grid_exits_1(capsys, tmp_path, monkeypatch, moment, tai
     assert "panel budget exhausted" in err["message"]
 
 
+def _set_huge_eta(doc):
+    doc["fixed_points"][0]["eta"]["terms"][0]["re"] = [10**307, 1]
+
+
+def _add_deep_eta_term(doc):
+    doc["fixed_points"][0]["eta"]["terms"].append({"exp": [1100, 0], "re": [1, 1], "im": [0, 1]})
+
+
+@pytest.mark.parametrize(
+    "golden, edit, message, context",
+    [
+        # values near 1e307 on the torus: the exact report is finite
+        (
+            "hk_point.json",
+            _set_huge_eta,
+            "leave the range of a double",
+            {"nodes": "32"},
+        ),
+        # a y1^1100 term puts the first grid at 2048^2 nodes
+        (
+            "hk_torus_rank2.json",
+            _add_deep_eta_term,
+            "past its budget",
+            {"nodes": "4194304", "budget": "1048576"},
+        ),
+    ],
+)
+def test_contour_read_past_a_double_or_the_budget_exits_1(
+    capsys, tmp_path, golden, edit, message, context
+):
+    """The report itself is fine; only the contour read is refused, with
+    exit 1 and no NaN anywhere in the output."""
+    argv = _golden_variant(tmp_path, golden, edit, ["reduce", "--mode", "hk"])
+    assert cli.run(argv) == 0
+    capsys.readouterr()
+    rc = cli.run(argv + ["--oracle"])
+    out = capsys.readouterr()
+    assert rc == 1
+    assert out.out == ""
+    assert "nan" not in out.err.lower()
+    err = json.loads(out.err)
+    assert err["error"] == "quadrature"
+    assert message in err["message"]
+    assert err["context"] == context
+
+
 class TestErrorMapping:
     def test_unexpected_exception_is_internal(self, capsys, monkeypatch):
         def boom(args):
@@ -590,6 +656,7 @@ class TestErrorMapping:
             _series_fractional_trunc,
             _contour_term_beyond_double,
             _contour_index_beyond_double,
+            _oracle_on_a_torus,
             _unparsable_shift,
             _nonfinite_shift,
             _nonfinite_ladder,

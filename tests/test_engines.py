@@ -49,7 +49,7 @@ from eqloc.engines import (
     weyl_product,
     weyl_wrap,
 )
-from eqloc.errors import NonInvertibleError, ValidationError
+from eqloc.errors import EqlocError, NonInvertibleError, ValidationError
 from eqloc.exact import ComplexRational, LaurentSeries, SymbolicConstant
 from eqloc.localize import localize, monomial_euler_class, phase_factory, point_coeff
 from eqloc.roots import SU2_ROOTS, U2_ROOTS, group_spec
@@ -847,6 +847,37 @@ def test_weyl_requires_roots_and_hk():
         weyl_wrap(sphere_atlas(), SU2_ROOTS)
     with pytest.raises(ValidationError):
         weyl_wrap(su2_quartic_atlas(), RootSystemData(((2,),), 0))
+
+
+def _huge_torus_read():
+    from eqloc.oracle import torus_mean
+
+    torus_mean(lambda zs: zs[0] * zs[1], (1.0, 1.0), (0, 0), reach=1024)
+
+
+@pytest.mark.parametrize(
+    "refusal, keys",
+    [
+        (lambda: resolve_profile("nope"), {"profile"}),
+        (lambda: resolve_profile(3), {"profile"}),
+        (lambda: reduce_symplectic_circle(sphere_atlas(), order=-1), {"order"}),
+        (lambda: reduce_hk_circle(sphere_atlas()), {"geometry", "expected"}),
+        (lambda: reduce_hk_circle(hk_torus_rank2_atlas()), {"rank", "expected"}),
+        (lambda: reduce_hk_circle_viaP(hk_torus_rank2_atlas()), {"rank", "expected"}),
+        (lambda: weyl_product(("y",), RootSystemData(((1, 2),), 2)), {"root", "rank"}),
+        (lambda: weyl_product(("y",), RootSystemData(((0,),), 2)), {"root"}),
+        (lambda: weyl_wrap(su2_quartic_atlas(), RootSystemData(((2,),), 0)), {"weyl_order"}),
+        (lambda: weyl_wrap(sphere_atlas(), SU2_ROOTS), {"geometry"}),
+        (_huge_torus_read, {"nodes", "budget"}),
+    ],
+)
+def test_refusals_name_their_values(refusal, keys):
+    """Each refusal that names a value passes it as context; messages and
+    slugs are unchanged."""
+    with pytest.raises(EqlocError) as err:
+        refusal()
+    assert set(err.value.context) == keys
+    assert err.value.slug in ("validation", "quadrature")
 
 
 # -- reports -------------------------------------------------------------

@@ -357,7 +357,6 @@ class TestMollified:
         g = atlas_integrand(sphere_atlas())
         neg = OracleIntegrand(
             fn=lambda ys: g.fn([-ys[0]]),
-            k=1,
             freq_linear=g.freq_linear,
             freq_quadratic=g.freq_quadratic,
         )
@@ -366,21 +365,15 @@ class TestMollified:
         b = mollified_oint(neg, CIRCLE, cfg).estimate
         assert abs(a - b) < 1e-10
 
-    def test_rank2_gaussian_nested(self):
-        g = OracleIntegrand(
-            fn=lambda ys: np.exp(-ys[0] ** 2 - ys[1] ** 2),
-            k=2,
-            freq_linear=0.0,
-        )
-        cfg = MollifierConfig(t_ladder=(10.0, 100.0), extrapolation="richardson")
-        res = mollified_oint(g, GroupSpec.torus(2), cfg)
-        want = math.pi / (2 * math.pi) ** 2
-        assert abs(res.estimate - want) / want < 2e-4
-
-    def test_too_many_variables(self):
-        g = OracleIntegrand(fn=lambda ys: ys[0], k=4)
-        with pytest.raises(ValidationError):
-            mollified_oint(g, GroupSpec.torus(4), MollifierConfig(t_ladder=(1.0, 2.0)))
+    @pytest.mark.parametrize("rank", [2, 3, 4])
+    def test_torus_is_refused_naming_the_contour_read(self, rank):
+        """A torus has no mollified limit here: reduce --oracle reads its
+        reports on the contour."""
+        with pytest.raises(ValidationError, match="reduce --oracle") as err:
+            mollified_oint(lambda y: np.exp(-y * y), GroupSpec.torus(rank))
+        assert err.value.context == {"rank": rank}
+        with pytest.raises(ValidationError, match="reduce --oracle"):
+            atlas_integrand(builtin_atlas("hk_torus_rank2"))
 
     def test_budget_exhaustion(self):
         cfg = MollifierConfig(t_ladder=(100.0, 200.0), max_panels=16)
@@ -631,10 +624,22 @@ class TestComparison:
             cmp = oracle_comparison(report, atlas, MollifierConfig(t_ladder=ladder))
             assert cmp["converged"] is False
 
-    def test_hyperkahler_refused(self):
+    def test_hyperkahler_circle_is_read_on_the_contour(self):
+        """hk and hk-p circle reports are checked by the contour read; the
+        entire pair reads 0 on both sides."""
+        for atlas in (hk_point_atlas(), entire_hk_pair_atlas()):
+            for engine in (reduce_hk_circle, reduce_hk_circle_viaP):
+                cmp = oracle_comparison(engine(atlas), atlas)
+                assert cmp["route"] == "contour"
+                assert cmp["rel_err"] <= 1e-9 or (
+                    cmp["exact_value"] == [0.0, 0.0] and cmp["abs_err"] <= 1e-12
+                ), cmp
+
+    def test_report_of_another_atlas_refused(self):
         report = reduce_symplectic_circle(sphere_atlas())
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="rank-1 symplectic reduction") as err:
             oracle_comparison(report, entire_hk_pair_atlas())
+        assert err.value.context == {"geometry": "hyperkahler", "rank": 1}
 
 
 # -- contour coefficient extraction -------------------------------------
@@ -1081,7 +1086,7 @@ def _direct_value(atlas, eta_mode, ys):
 
 
 class TestPoleGate:
-    @given(gated_atlases())
+    @given(gated_atlases(max_rank=1))
     @settings(max_examples=80, deadline=None)
     def test_matches_localized_sum(self, case):
         atlas, eta_mode = case
