@@ -117,11 +117,19 @@ class FixedPointAtlas:
 def check_variable_order(variables: Sequence[str], rank: int) -> None:
     """One distinct, nonempty string per variable of a rank-``rank`` group."""
     if not all(isinstance(v, str) for v in variables):
-        raise ValidationError("variable_order must be a list of strings")
+        raise ValidationError(
+            "variable_order must be a list of strings", variable_order=variables
+        )
     if len(variables) != rank:
-        raise ValidationError(f"variable_order has {len(variables)} names for rank {rank}")
+        raise ValidationError(
+            f"variable_order has {len(variables)} names for rank {rank}",
+            variable_order=variables,
+            rank=rank,
+        )
     if len(set(variables)) != rank or not all(variables):
-        raise ValidationError("variable names must be distinct and nonempty")
+        raise ValidationError(
+            "variable names must be distinct and nonempty", variable_order=variables
+        )
 
 
 def validate_atlas(atlas: FixedPointAtlas) -> None:
@@ -133,50 +141,69 @@ def validate_atlas(atlas: FixedPointAtlas) -> None:
 
 
 def _check_header(atlas: FixedPointAtlas) -> None:
-    """Group, dimensions, variables and submanifold: all but the points."""
+    """Group, dimensions, variables and submanifold: all but the points.  A
+    refusal's context holds the values its message names."""
     g = atlas.group
     if atlas.geometry not in GEOMETRIES:
-        raise ValidationError(f"unknown geometry {atlas.geometry!r}")
+        raise ValidationError(
+            f"unknown geometry {atlas.geometry!r}", geometry=atlas.geometry
+        )
     if g.kind not in GROUP_KINDS:
-        raise ValidationError(f"unknown group kind {g.kind!r}")
+        raise ValidationError(f"unknown group kind {g.kind!r}", kind=g.kind)
     if g.rank < 1:
-        raise ValidationError(f"group rank must be >= 1, got {g.rank}")
+        raise ValidationError(f"group rank must be >= 1, got {g.rank}", rank=g.rank)
     if g.kind == "circle" and (g.rank != 1 or g.s != 1):
-        raise ValidationError("a circle group has rank 1 and dimension 1")
+        raise ValidationError(
+            "a circle group has rank 1 and dimension 1", rank=g.rank, s=g.s
+        )
     if g.kind == "torus" and g.s != g.rank:
         raise ValidationError(
-            f"a torus has dimension equal to its rank, got s={g.s}, rank={g.rank}"
+            f"a torus has dimension equal to its rank, got s={g.s}, rank={g.rank}",
+            s=g.s,
+            rank=g.rank,
         )
     if g.kind == "compact_with_torus":
         if g.root_system is None:
             raise ValidationError(
-                "compact_with_torus groups must carry root system data"
+                "compact_with_torus groups must carry root system data", kind=g.kind
             )
         expect = g.rank + 2 * len(g.root_system.positive_roots)
         if g.s != expect:
             raise ValidationError(
                 f"group dimension {g.s} does not match rank + 2 * positive roots "
-                f"= {expect}"
+                f"= {expect}",
+                s=g.s,
+                expected=expect,
             )
     if g.root_system is not None:
         if g.root_system.weyl_order < 1:
-            raise ValidationError("Weyl group order must be >= 1")
+            raise ValidationError(
+                "Weyl group order must be >= 1", weyl_order=g.root_system.weyl_order
+            )
         for alpha in g.root_system.positive_roots:
             if len(alpha) != g.rank:
                 raise ValidationError(
-                    f"root covector {alpha} does not have rank {g.rank}"
+                    f"root covector {alpha} does not have rank {g.rank}",
+                    root=alpha,
+                    rank=g.rank,
                 )
             if all(a == 0 for a in alpha):
-                raise ValidationError("zero root covector")
+                raise ValidationError("zero root covector", root=alpha)
     if g.vol.q <= 0 or g.vol.i_pow != 0:
-        raise ValidationError("group volume must be a positive real constant")
+        raise ValidationError(
+            "group volume must be a positive real constant", vol=g.vol.text()
+        )
 
     if atlas.dim_m < 0 or atlas.dim_m % 2 != 0:
-        raise ValidationError(f"dim_M must be a nonnegative even integer, got {atlas.dim_m}")
+        raise ValidationError(
+            f"dim_M must be a nonnegative even integer, got {atlas.dim_m}",
+            dim_M=atlas.dim_m,
+        )
     if atlas.geometry == "hyperkahler":
         if atlas.dim_m % 4 != 0:
             raise ValidationError(
-                f"hyperkahler dim_M must be a multiple of 4, got {atlas.dim_m}"
+                f"hyperkahler dim_M must be a multiple of 4, got {atlas.dim_m}",
+                dim_M=atlas.dim_m,
             )
         expect_q = atlas.dim_m - 4 * g.s
     else:
@@ -184,20 +211,27 @@ def _check_header(atlas: FixedPointAtlas) -> None:
     if atlas.dim_quotient != expect_q:
         raise ValidationError(
             f"dim_quotient must equal {expect_q} for dim_M={atlas.dim_m} and "
-            f"group dimension {g.s}, got {atlas.dim_quotient}"
+            f"group dimension {g.s}, got {atlas.dim_quotient}",
+            dim_quotient=atlas.dim_quotient,
+            expected=expect_q,
         )
     if atlas.dim_quotient < 0:
         raise ValidationError(
             f"quotient dimension is negative ({atlas.dim_quotient}); the data "
-            "describe an empty reduction"
+            "describe an empty reduction",
+            dim_quotient=atlas.dim_quotient,
         )
     if not (0 <= atlas.deg_eta0 <= atlas.dim_quotient):
         raise ValidationError(
-            f"deg_eta0 must lie in [0, {atlas.dim_quotient}], got {atlas.deg_eta0}"
+            f"deg_eta0 must lie in [0, {atlas.dim_quotient}], got {atlas.deg_eta0}",
+            deg_eta0=atlas.deg_eta0,
+            dim_quotient=atlas.dim_quotient,
         )
     check_variable_order(atlas.variable_order, g.rank)
     if atlas.submanifold is not None and atlas.submanifold.codim < 0:
-        raise ValidationError("submanifold codimension must be >= 0")
+        raise ValidationError(
+            "submanifold codimension must be >= 0", codim_L=atlas.submanifold.codim
+        )
 
 
 def _check_point(atlas: FixedPointAtlas, fp: FixedPointDatum, seen: set) -> None:

@@ -272,9 +272,12 @@ class ReductionReport:
             lines.append(f"  {p.name}: {p.coefficient}{tag}")
         if self.oracle_comparison is not None:
             oc = self.oracle_comparison
+            if oc.get("checks") == "abs_err":
+                err = "checked, as the exact value is 0"
+            else:
+                err = f"rel err {oc['rel_err']:.3e}"
             lines.append(
-                f"oracle:          {oc['oracle_value']} "
-                f"(abs err {oc['abs_err']:.3e}, rel err {oc['rel_err']:.3e})"
+                f"oracle:          {oc['oracle_value']} (abs err {oc['abs_err']:.3e}, {err})"
             )
             if oc["route"] == "contour":
                 lines.append(
@@ -535,8 +538,9 @@ def weyl_wrap(
     order: int = 0,
 ) -> ReductionReport:
     """Nonabelian reduction through the maximal torus: multiply every
-    restriction by the fourth power of the positive-root product, run the
-    torus engine, divide by the Weyl group order.
+    restriction, and every raw point's stored series, by the fourth power
+    of the positive-root product, run the torus engine, divide by the Weyl
+    group order.
 
     With no positive roots and trivial Weyl group this is literally the torus
     engine.  The nontrivial insertion is specific to hyperKahler data.
@@ -563,10 +567,15 @@ def weyl_wrap(
     w4 = w * w * w * w
     points = []
     for fp in atlas.fixed_points:
-        base = (
-            LaurentSeries.const(variables, 1) if eta_mode == "one" else fp.eta
-        )
-        points.append(replace(fp, eta=base * w4))
+        if fp.mode == "raw":
+            # w^4 has no negative exponents, so the stored series' trust
+            # through its truncation order carries over to the product
+            raw = fp.raw_contribution
+            product = LaurentSeries(variables, (raw * w4).terms, raw.trunc)
+            points.append(replace(fp, raw_contribution=product))
+        else:
+            base = LaurentSeries.const(variables, 1) if eta_mode == "one" else fp.eta
+            points.append(replace(fp, eta=base * w4))
     wrapped = replace(atlas, fixed_points=tuple(points))
     rep = _run(
         wrapped,

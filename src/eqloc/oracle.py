@@ -4,7 +4,9 @@ Three independent instruments:
   - mollified_oint: the Gaussian-mollified limit integral (1/vol G) *
     lim_{t->inf} integral exp(-y^2/4t) f(y) dy over one variable, evaluated
     by a composite midpoint rule on a uniform grid over a truncated window
-    and a ladder of t values with optional Richardson extrapolation.
+    and a ladder of t values with optional Richardson extrapolation.  A
+    rung's grid is three numbers (mid, h, n): n panels of 15 nodes h apart
+    about mid; the node arrays are built a round at a time.
   - torus_mean: the tensor trapezoid rule on a torus |z_v| = r_v, reading
     one Laurent coefficient of a function of k variables; contour_coeff is
     its one-variable case on a stored series.
@@ -23,6 +25,9 @@ side is only meaningful if the two routes share no code.  Both routes
 evaluate numeric closures built directly from atlas data, never the exact
 Laurent arithmetic; the exact closed-form read only gates circle
 integrands, refusing data whose summed series has a pole at the origin.
+Each exact coefficient (p + i q) / d becomes doubles straight from its
+ints, as the int quotients p / d and q / d, which Python rounds correctly:
+the doubles float(Fraction) would give, with no Fraction built.
 
 An atlas integrand is a sum of per-point terms amp(y) * exp(i phase(y)),
 amp a Laurent polynomial.  On a circle the mollified quadrature sums each
@@ -42,8 +47,10 @@ call.  The exact-only CLI commands never load it.
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from dataclasses import asdict, dataclass, replace
+from functools import cached_property
 from fractions import Fraction
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -105,12 +112,14 @@ def _spacing(h: float) -> float:
     return math.ldexp(math.floor(math.ldexp(m, _SPACING_BITS)), e - _SPACING_BITS)
 
 
-def _panel_edges(window: float, freq: float, max_panels: int = sys.maxsize) -> np.ndarray:
-    """Symmetric uniform edges covering [-window, window] for an integrand
-    of band limit freq: an even number of panels with 0 an edge, each
-    holding 15 midpoint nodes h = 2 pi / (3 freq) apart (see _spacing), so
-    no node is ever at 0, where integrands with a removable singularity are
-    not sampled.
+def _panel_grid(
+    window: float, freq: float, max_panels: int = sys.maxsize
+) -> Tuple[float, float, int]:
+    """The grid (mid, h, n) covering [-window, window] for an integrand of
+    band limit freq: n panels about mid = 0, n even so that 0 is a panel
+    edge, each holding 15 midpoint nodes h = 2 pi / (3 freq) apart (see
+    _spacing), so no node is ever at 0, where integrands with a removable
+    singularity are not sampled.
 
     The midpoint rule of spacing s on an integrand whose Fourier transform
     is F has the error sum_(j != 0) F(2 pi j / s).  The 5-node rule nested
@@ -118,14 +127,15 @@ def _panel_edges(window: float, freq: float, max_panels: int = sys.maxsize) -> n
     bound plus the Gaussian's spread it misses by about exp(-_MARGIN), and
     the 15-node rule by far less.
 
-    The panels are counted before any array is built, and more than
-    max_panels, or a width too small for window / width to be finite, is
-    refused as an exhausted budget."""
-    width = 15 * _spacing(2 * math.pi / (3 * freq))
+    The panels are counted, and more than max_panels, or a width too small
+    for window / width to be finite, is refused as an exhausted budget;
+    no array is built here."""
+    h = _spacing(2 * math.pi / (3 * freq))
+    width = 15 * h
     count = window / width if width > 0 else math.inf
     m = max(1, math.ceil(count)) if count < math.inf else math.inf
     _Budget(max_panels).spend(2 * m)
-    return np.linspace(-m * width, m * width, 2 * m + 1)
+    return 0.0, h, 2 * m
 
 
 def _eval_panels(fn, centers: np.ndarray, h: float) -> np.ndarray:
@@ -151,14 +161,6 @@ def _fsum(values: np.ndarray):
     return sums if values.ndim > 1 else sums[0]
 
 
-def _grid(edges) -> Tuple[float, float, int]:
-    """(centre, node spacing, panel count) of a uniform grid; only its
-    ends and its length are read."""
-    edges = np.asarray(edges, dtype=float)
-    n = len(edges) - 1
-    return (edges[0] + edges[-1]) / 2, _spacing((edges[-1] - edges[0]) / (15 * n)), n
-
-
 def _centers(mid: float, h: float, n: int) -> np.ndarray:
     """The n panel centres of a grid of spacing h about mid."""
     return mid + (15 * (2 * np.arange(n) + 1 - n)) * (h / 2)
@@ -166,11 +168,12 @@ def _centers(mid: float, h: float, n: int) -> np.ndarray:
 
 def adaptive_quadrature(
     fn: Callable[[np.ndarray], np.ndarray],
-    edges: np.ndarray,
+    grid: Tuple[float, float, int],
     tol_panel: float,
     budget: _Budget,
 ) -> Tuple[complex, float]:
-    """Composite midpoint integration over a uniform grid of panels.
+    """Composite midpoint integration over a uniform grid (mid, h, n): n
+    panels of 15 nodes h apart, centred on mid.
 
     fn is a function of an array of nodes, or a _MollifiedPanels evaluated a
     panel at a time.  A round sums every panel by the 15-node rule and by
@@ -184,7 +187,7 @@ def adaptive_quadrature(
     refined, never single panels.  Returns the 15-node total and
     |15-node total - 5-node total|.
     """
-    mid, h, n = _grid(edges)
+    mid, h, n = grid
     while True:
         budget.spend(n)
         values = _eval_panels(fn, _centers(mid, h, n), h)
@@ -196,11 +199,12 @@ def adaptive_quadrature(
 
 
 def fixed_quadrature(
-    fn: Callable[[np.ndarray], np.ndarray], edges: np.ndarray
+    fn: Callable[[np.ndarray], np.ndarray], grid: Tuple[float, float, int]
 ) -> complex:
-    """Single 15-node midpoint pass over a uniform grid, not refined.  Used
-    when two integrands must be compared on the identical nodes."""
-    mid, h, n = _grid(edges)
+    """Single 15-node midpoint pass over a uniform grid (mid, h, n), not
+    refined.  Used when two integrands must be compared on the identical
+    nodes."""
+    mid, h, n = grid
     return _fsum(_eval_panels(fn, _centers(mid, h, n), h)[:, 0])
 
 
@@ -335,7 +339,7 @@ def _mollified_single_t(
     g: OracleIntegrand, t: float, cfg: MollifierConfig, budget: _Budget
 ) -> Tuple[complex, float]:
     window = cfg.window_sigmas * math.sqrt(2.0 * t)
-    edges = _panel_edges(window, g.max_frequency(window) + _spread(t), budget.left)
+    grid = _panel_grid(window, g.max_frequency(window) + _spread(t), budget.left)
     if isinstance(g.fn, _PointSum):
         fn = _MollifiedPanels(g.fn, t)
     else:
@@ -343,7 +347,7 @@ def _mollified_single_t(
         def fn(y: np.ndarray) -> np.ndarray:
             return np.exp(-(y * y) / (4.0 * t)) * g.fn([y])
 
-    return adaptive_quadrature(fn, edges, cfg.quad_tolerance, budget)
+    return adaptive_quadrature(fn, grid, cfg.quad_tolerance, budget)
 
 
 def _one_variable(rank: int, what: str) -> None:
@@ -397,9 +401,14 @@ def mollified_oint(
 # -- atlas integrands ----------------------------------------------------
 
 
+#: a point's amplitude coefficients as doubles, keyed by exponent
+_Coeffs = Dict[Tuple[int, ...], complex]
+
+
 class _Term(NamedTuple):
     """One fixed point's term amp(y) * exp(i sum_v freqs_v y_v^s) in double
-    precision, s = 2 for hyperkahler data and 1 otherwise.
+    precision, s = 2 for hyperkahler data and 1 otherwise, laid out for
+    evaluation node by node.
 
     amp is the Laurent polynomial y^lo * (re(y) + i im(y)); re and im hold
     real coefficients, one axis per variable, highest power first, for
@@ -412,12 +421,9 @@ class _Term(NamedTuple):
     freqs: Tuple[float, ...]
 
 
-def _term(coeffs: Dict[Tuple[int, ...], complex], freqs) -> Optional[_Term]:
-    """The _Term of the amplitude sum_e coeffs[e] y^e, its coefficients
-    already doubles, with phase frequencies freqs; None when coeffs is
-    empty."""
-    if not coeffs:
-        return None
+def _term(coeffs: _Coeffs, freqs) -> _Term:
+    """The _Term of the amplitude sum_e coeffs[e] y^e, coeffs a nonempty
+    dict of doubles, with phase frequencies freqs."""
     exps = list(coeffs)
     lo = tuple(map(min, zip(*exps)))
     hi = tuple(map(max, zip(*exps)))
@@ -455,15 +461,28 @@ def _powers(x: np.ndarray, first, e: int, out=None):
 class _PointSum:
     """The summed localization series of an atlas as a numeric function of
     a list of k arrays, one per variable, that broadcast together: the sum
-    over the terms of amp(y) * exp(i phase(y)).  The mollified oracle calls
-    it on one array of nodes, the contour read on a torus grid."""
+    over the points of amp(y) * exp(i phase(y)).
 
-    def __init__(self, terms: Sequence[_Term], quadratic: bool):
-        self.terms = tuple(terms)
+    points holds each point's (coefficients, frequencies), the amplitude's
+    coefficients a dict of doubles keyed by exponent (see _point_coeffs);
+    points without coefficients are dropped.  The mollified oracle reads
+    only the rank-1 coefficient matrix.  The contour read and the
+    moment-shift check call the sum on arrays of nodes, which evaluates
+    per-point _Terms.  Both are built on first use and kept."""
+
+    def __init__(self, points: Sequence[Tuple[_Coeffs, Tuple[float, ...]]], quadratic: bool):
+        self.points = [(coeffs, freqs) for coeffs, freqs in points if coeffs]
         self.quadratic = quadratic
-        # what _MollifiedPanels integrates on every rung of a rank-1 ladder
-        rank1 = all(len(term.lo) == 1 for term in self.terms)
-        self.matrix = _coefficient_matrix(self.terms) if rank1 else None
+
+    @cached_property
+    def terms(self) -> Tuple[_Term, ...]:
+        return tuple(_term(coeffs, freqs) for coeffs, freqs in self.points)
+
+    @cached_property
+    def matrix(self) -> Tuple[int, int, np.ndarray, np.ndarray]:
+        """What _MollifiedPanels integrates on every rung of a rank-1
+        ladder; see _coefficient_matrix."""
+        return _coefficient_matrix(self.points)
 
     def __call__(self, ys: List[np.ndarray]) -> np.ndarray:
         acc = np.zeros_like(ys[0], dtype=complex)
@@ -481,18 +500,19 @@ class _PointSum:
         return acc
 
 
-def _coefficient_matrix(terms: Sequence[_Term]) -> Tuple[int, int, np.ndarray, np.ndarray]:
-    """(lo, hi, freqs, C) of rank-1 terms: C[e - lo, j] sums the
-    coefficients of y^e over the terms of frequency freqs[j]."""
-    lo = min([0] + [term.lo[0] for term in terms])
-    hi = max([0] + [term.lo[0] + len(term.re) - 1 for term in terms])
-    freqs = sorted({term.freqs[0] for term in terms})
-    coeffs = np.zeros((hi - lo + 1, len(freqs)), dtype=complex)
-    for term in terms:
-        start = term.lo[0] - lo
-        col = coeffs[start : start + len(term.re), freqs.index(term.freqs[0])]
-        col += term.re[::-1] if term.im is None else term.re[::-1] + 1j * term.im[::-1]
-    return lo, hi, np.array(freqs), coeffs
+def _coefficient_matrix(points) -> Tuple[int, int, np.ndarray, np.ndarray]:
+    """(lo, hi, freqs, C) of rank-1 points: C[e - lo, j] sums, in point
+    order, the coefficients of y^e of the points of frequency freqs[j]."""
+    exps = [0] + [e for coeffs, _ in points for (e,) in coeffs]
+    lo, hi = min(exps), max(exps)
+    freqs = sorted({f for _, (f,) in points})
+    column = {f: j for j, f in enumerate(freqs)}
+    matrix = np.zeros((hi - lo + 1, len(freqs)), dtype=complex)
+    for coeffs, (f,) in points:
+        col = matrix[:, column[f]]
+        for (e,), c in coeffs.items():
+            col[e - lo] += c
+    return lo, hi, np.array(freqs), matrix
 
 
 def _unit(theta: np.ndarray) -> np.ndarray:
@@ -612,38 +632,33 @@ def _phase(atlas: FixedPointAtlas, fp: FixedPointDatum) -> Tuple[float, ...]:
     if fp.mode == "raw":
         return (0.0,) * atlas.group.rank
     what = "squared moment length" if atlas.geometry == "hyperkahler" else "moment"
-    return tuple(_double(f, fp, what) for f in phase_covector(atlas, fp))
+    return tuple(_double(*f.as_integer_ratio(), fp, what) for f in phase_covector(atlas, fp))
 
 
-def _point_terms(
-    atlas: FixedPointAtlas, eta_mode: str, points: Sequence[FixedPointDatum], freqs
-) -> List[_Term]:
-    """The _Terms of the given points with phase frequencies freqs: each
-    structured point is eta(y) / (c y^n), with e(y) = c y^n its monomial
-    Euler class, and each raw point its stored series."""
-    k = atlas.group.rank
-    terms = []
-    for fp, f in zip(points, freqs):
-        if fp.mode == "raw":
-            coeffs = fp.raw_contribution.terms
-        else:
-            c, n = monomial_euler_class(fp, k)
-            eta = {(0,) * k: ComplexRational.one()} if eta_mode == "one" else fp.eta.terms
-            coeffs = {
-                tuple(x - y for x, y in zip(j, n)): eta_j / c
-                for j, eta_j in eta.items()
-            }
-        what = "series coefficient"
-        term = _term(
-            {
-                e: complex(_double(v.re, fp, what), _double(v.im, fp, what))
-                for e, v in coeffs.items()
-            },
-            f,
-        )
-        if term is not None:
-            terms.append(term)
-    return terms
+def _point_coeffs(atlas: FixedPointAtlas, eta_mode: str, fp: FixedPointDatum) -> _Coeffs:
+    """A point's amplitude coefficients as doubles: eta_j / c at y^(j - n)
+    for a structured point, e(y) = c y^n its monomial Euler class, and the
+    stored series of a raw point.  Each part of an exact (p + i q) / d
+    becomes the int quotient p / (d c), which Python rounds correctly, so
+    it is the double float(Fraction) gives, without building one."""
+    if fp.mode == "raw":
+        terms, c, n = fp.raw_contribution.terms, 1, None
+    else:
+        c, n = monomial_euler_class(fp, atlas.group.rank)
+        terms = {(0,) * len(n): ComplexRational.one()} if eta_mode == "one" else fp.eta.terms
+    # the sign goes onto the numerators, so that a zero part is +0.0
+    sign, c = (-1, -c) if c < 0 else (1, c)
+    out = {}
+    for j, v in terms.items():
+        p, q, d = v._v
+        p, q, d = sign * p, sign * q, d * c
+        try:
+            value = complex(p / d, q / d)
+        except OverflowError:
+            what = "series coefficient"
+            value = complex(_double(p, d, fp, what), _double(q, d, fp, what))
+        out[j if n is None else tuple(map(operator.sub, j, n))] = value
+    return out
 
 
 def atlas_integrand(
@@ -653,7 +668,7 @@ def atlas_integrand(
     atlas, for the mollified oracle.
 
     Built directly from the fixed-point data with double-precision
-    arithmetic (see _point_terms).  The exact closed-form read is used only
+    arithmetic (see _point_coeffs).  The exact closed-form read is used only
     as a gate, to refuse data whose summed series has a genuine pole at the
     origin and therefore no mollified limit.  A raw point truncated below
     y^-1 could hide such a pole, and is refused with
@@ -698,8 +713,10 @@ def atlas_integrand(
     quad = max([0.0] + structured) if hk else 0.0
     if zeta:
         point_freqs = [(f - zeta,) for (f,) in point_freqs]
-    terms = _point_terms(atlas, eta_mode, atlas.fixed_points, point_freqs)
-    return OracleIntegrand(fn=_PointSum(terms, hk), freq_linear=lin, freq_quadratic=quad)
+    points = [
+        (_point_coeffs(atlas, eta_mode, fp), f) for fp, f in zip(atlas.fixed_points, point_freqs)
+    ]
+    return OracleIntegrand(fn=_PointSum(points, hk), freq_linear=lin, freq_quadratic=quad)
 
 
 def moment_gap(atlas: FixedPointAtlas) -> float:
@@ -707,21 +724,22 @@ def moment_gap(atlas: FixedPointAtlas) -> float:
     gap = math.inf
     for fp in atlas.fixed_points:
         for m in fp.moment:
-            gap = min(gap, abs(_double(m, fp, "moment")))
+            gap = min(gap, abs(_double(*m.as_integer_ratio(), fp, "moment")))
     return gap
 
 
-def _double(x: Fraction, fp: FixedPointDatum, what: str) -> float:
-    """float(x) for an atlas value of fixed point fp; a value beyond double
-    range is refused with ValidationError naming the point and the value."""
+def _double(n: int, d: int, fp: FixedPointDatum, what: str) -> float:
+    """n / d, d > 0, for an atlas value of fixed point fp: Python's int true
+    division, the correctly rounded double.  A value beyond double range is
+    refused with ValidationError naming the point and the value."""
     try:
-        return float(x)
+        return n / d
     except OverflowError:
         raise ValidationError(
             f"{what} at {fp.name!r} is beyond the range of a double, so the "
             "oracle cannot evaluate it; rescale the atlas data",
             point=fp.name,
-            value=x,
+            value=Fraction(n, d),
         ) from None
 
 
@@ -830,7 +848,7 @@ def contour_coeff(f: LaurentSeries, m: int, var: str) -> complex:
     lowest = min(e for (e,) in terms)
     _contour_size(lowest + m, 1, f"with M = {m}, the integrand term")
     reach = max(abs(e + m) for (e,) in terms)
-    value, _ = torus_mean(_PointSum([_term(terms, (0.0,))], False), (0.5,), (-m,), reach)
+    value, _ = torus_mean(_PointSum([(terms, (0.0,))], False), (0.5,), (-m,), reach)
     return value
 
 
@@ -990,7 +1008,8 @@ def suptsq_check(
         )
 
     def edge(m: int) -> float:
-        return float(_panel_edges(*_suptsq_grid(x, m, top, window_sigmas))[-1])
+        _, h, panels = _panel_grid(*_suptsq_grid(x, m, top, window_sigmas))
+        return panels // 2 * (15 * h)
 
     def fits(m: int) -> bool:
         limit = _max_finite_power(edge(m))
@@ -1011,14 +1030,14 @@ def suptsq_check(
 
     values = []
     for t, size in zip(ladder, sizes):
-        edges = _panel_edges(*_suptsq_grid(x, power, t, window_sigmas))
+        grid = _panel_grid(*_suptsq_grid(x, power, t, window_sigmas))
         budget = _Budget(SUPTSQ_MAX_PANELS)
 
         def fn(y: np.ndarray, t=t) -> np.ndarray:
             base = np.exp(-(y * y) / (4.0 * t) + 1j * x * y)
             return base * y**power if power else base
 
-        val, _ = adaptive_quadrature(fn, edges, quad_tolerance * size, budget)
+        val, _ = adaptive_quadrature(fn, grid, quad_tolerance * size, budget)
         values.append(val)
 
     if x == 0:
@@ -1088,12 +1107,12 @@ def shift_smoothness_check(
     gap = moment_gap(atlas)
     zmax = max((abs(z) for z in zeta_list), default=0.0)
     window = cfg.window_sigmas * math.sqrt(2.0 * t)
-    edges = _panel_edges(window, g0.max_frequency(window) + zmax + _spread(t), cfg.max_panels)
+    grid = _panel_grid(window, g0.max_frequency(window) + zmax + _spread(t), cfg.max_panels)
 
     def base_fn(y: np.ndarray) -> np.ndarray:
         return np.exp(-(y * y) / (4.0 * t)) * g0.fn([y])
 
-    base = fixed_quadrature(base_fn, edges) / vol
+    base = fixed_quadrature(base_fn, grid) / vol
 
     rows = []
     diffs = {}
@@ -1107,7 +1126,7 @@ def shift_smoothness_check(
             # exp(-i z y) - 1 without cancellation
             return base_fn(y) * (-2j * np.sin(zeta * y / 2) * np.exp(-1j * zeta * y / 2))
 
-        d = abs(fixed_quadrature(diff_fn, edges)) / vol
+        d = abs(fixed_quadrature(diff_fn, grid)) / vol
         asserted = abs(zeta) < gap / 2
         rows.append(ShiftRow(float(zeta), d, asserted))
         if asserted:
@@ -1153,15 +1172,21 @@ def oracle_comparison(
 
 
 def _errors(oracle_value: complex, report) -> dict:
+    """The values and their errors.  rel_err is abs_err / |exact|, with
+    1e-30 for |exact| where the exact value is 0; it means nothing there,
+    so such a block says that it checks abs_err instead."""
     exact_value = report.quotient_integral.numeric()
     abs_err = abs(oracle_value - exact_value)
     rel_err = abs_err / max(abs(exact_value), 1e-30)
-    return {
+    block = {
         "oracle_value": [oracle_value.real, oracle_value.imag],
         "exact_value": [exact_value.real, exact_value.imag],
         "abs_err": abs_err,
         "rel_err": rel_err,
     }
+    if not report.quotient_integral.coeff:
+        block["checks"] = "abs_err"
+    return block
 
 
 def _mollified_comparison(report, atlas: FixedPointAtlas, cfg) -> dict:
@@ -1206,7 +1231,9 @@ def _contour_comparison(report, atlas: FixedPointAtlas) -> dict:
     selected = {p.name for p in report.contributions if p.selected}
     points = [fp for fp in atlas.fixed_points if fp.name in selected]
     freqs = [_phase(atlas, fp) for fp in points]
-    point_sum = _PointSum(_point_terms(atlas, report.eta_mode, points, freqs), hk)
+    point_sum = _PointSum(
+        [(_point_coeffs(atlas, report.eta_mode, fp), f) for fp, f in zip(points, freqs)], hk
+    )
     phases = [f for fp, f in zip(points, freqs) if fp.mode != "raw"]
     tops = [max([1.0] + [abs(f[v]) for f in phases]) for v in range(k)]
     radii = [1.0 / (math.sqrt(top) if hk else top) for top in tops]
@@ -1227,9 +1254,10 @@ def _contour_comparison(report, atlas: FixedPointAtlas) -> dict:
             return values
 
     reach = 0
-    for term in point_sum.terms:
-        for lo, width, a in zip(term.lo, term.re.shape, target):
-            reach = max(reach, abs(lo - a), abs(lo + width - 1 + extra - a))
+    for coeffs, _ in point_sum.points:
+        for e in coeffs:
+            for e_v, a in zip(e, target):
+                reach = max(reach, abs(e_v - a), abs(e_v + extra - a))
     raw, n = torus_mean(fn, radii, target, reach)
     pref = report.prefactor.numeric_value()
     oracle_value = pref * raw / (atlas.degree_factor() if hk else 1)

@@ -220,6 +220,63 @@ def test_group_invariants():
         validate_atlas(_mutated(group=GroupSpec("upq", 1, 1, GroupSpec.circle().vol)))
 
 
+def _compact(s, roots=None):
+    return GroupSpec("compact_with_torus", 1, s, GroupSpec.circle().vol, roots)
+
+
+@pytest.mark.parametrize(
+    "atlas, context",
+    [
+        (lambda: _mutated(geometry="kahler"), {"geometry": "kahler"}),
+        (lambda: _mutated(group=GroupSpec("upq", 1, 1, GroupSpec.circle().vol)), {"kind": "upq"}),
+        (lambda: _mutated(group=GroupSpec.torus(0)), {"rank": 0}),
+        (
+            lambda: _mutated(group=GroupSpec("circle", 2, 2, GroupSpec.circle().vol)),
+            {"rank": 2, "s": 2},
+        ),
+        (
+            lambda: _mutated(group=GroupSpec("torus", 1, 3, GroupSpec.circle().vol)),
+            {"s": 3, "rank": 1},
+        ),
+        (lambda: _mutated(group=_compact(3)), {"kind": "compact_with_torus"}),
+        (
+            lambda: _mutated(group=_compact(4, RootSystemData(((2,),), 2))),
+            {"s": 4, "expected": 3},
+        ),
+        (lambda: _mutated(group=_compact(3, RootSystemData(((2,),), 0))), {"weyl_order": 0}),
+        (
+            lambda: _mutated(group=_compact(3, RootSystemData(((2, 1),), 2))),
+            {"root": (2, 1), "rank": 1},
+        ),
+        (lambda: _mutated(group=_compact(3, RootSystemData(((0,),), 2))), {"root": (0,)}),
+        (
+            lambda: _mutated(
+                group=GroupSpec.circle(SymbolicConstant(Fraction(-2), pi_pow=1))
+            ),
+            {"vol": "-2 * i^0 * pi^1 * sqrt2^0"},
+        ),
+        (lambda: _mutated(dim_m=3, dim_quotient=1), {"dim_M": 3}),
+        (lambda: replace(hk_point_atlas(), dim_m=6, dim_quotient=2), {"dim_M": 6}),
+        (lambda: _mutated(dim_quotient=2), {"dim_quotient": 2, "expected": 0}),
+        (lambda: _mutated(dim_m=0, dim_quotient=-2), {"dim_quotient": -2}),
+        (lambda: _mutated(deg_eta0=1), {"deg_eta0": 1, "dim_quotient": 0}),
+        (lambda: _mutated(variable_order=(3,)), {"variable_order": (3,)}),
+        (
+            lambda: _mutated(variable_order=("y", "z")),
+            {"variable_order": ("y", "z"), "rank": 1},
+        ),
+        (lambda: _mutated(variable_order=("",)), {"variable_order": ("",)}),
+        (lambda: _mutated(submanifold=SubmanifoldRestriction(-1)), {"codim_L": -1}),
+    ],
+)
+def test_header_refusals_name_their_values(atlas, context):
+    """Every refusal of the header and the variable order passes the values
+    its message names as context."""
+    with pytest.raises(ValidationError) as err:
+        validate_atlas(atlas())
+    assert context and err.value.context == context
+
+
 def test_zero_root_and_bad_weyl_rejected():
     vol = GroupSpec.circle().vol
     bad_root = GroupSpec("compact_with_torus", 1, 3, vol, RootSystemData(((0,),), 2))

@@ -260,6 +260,50 @@ class TestReduce:
         assert doc["weyl_divisor"] == 2
         assert doc["inserted_polynomial"] == "(16,0) y^4"
 
+    @pytest.mark.parametrize("trunc", [None, -2])
+    def test_weyl_mode_inserts_into_raw_points(self, capsys, tmp_path, trunc):
+        """A raw point's stored series is multiplied by w^4 = 16 y^4 as the
+        structured points' eta are: its y^-6 reads 16 / 2 at y^-2, which the
+        contour read of the whole sum confirms, and its truncation order is
+        kept."""
+        base = su2_weyl_atlas()
+        (fp,) = base.fixed_points
+        raw = FixedPointDatum(
+            name="raw",
+            moment=fp.moment,
+            weights=(),
+            eta=LaurentSeries.const(("y",), 1),
+            moment_hk=fp.moment_hk,
+            mode="raw",
+            raw_contribution=LaurentSeries(("y",), {(-6,): 1}, None if trunc is None else (trunc,)),
+        )
+        atlas = FixedPointAtlas(**{**vars(base), "fixed_points": (fp, raw)})
+        validate_atlas(atlas)
+        p = tmp_path / "su2_raw.json"
+        p.write_text(serialize_atlas(atlas))
+        doc = run_json(capsys, ["reduce", str(p), "--mode", "weyl", "--oracle"])
+        contributions = {c["name"]: c["coefficient"] for c in doc["contributions"]}
+        assert contributions["raw"] == {"re": [8, 1], "im": [0, 1]}
+        cmp = doc["oracle_comparison"]
+        assert cmp["route"] == "contour" and "checks" not in cmp
+        assert cmp["rel_err"] <= 1e-9, cmp
+
+    def test_exact_zero_is_checked_by_its_absolute_error(self, capsys, tmp_path):
+        """su2_weyl_atlas reduces to exactly 0: the comparison says that it
+        checks abs_err, and the table prints no relative error."""
+        p = tmp_path / "su2.json"
+        p.write_text(serialize_atlas(su2_weyl_atlas()))
+        argv = ["reduce", str(p), "--mode", "weyl", "--oracle"]
+        cmp = run_json(capsys, argv)["oracle_comparison"]
+        assert cmp["exact_value"] == [0.0, 0.0]
+        assert cmp["checks"] == "abs_err" and cmp["abs_err"] <= 1e-12
+        assert type(cmp["rel_err"]) is float
+        assert cli.run(argv + ["--table"]) == 0
+        table = capsys.readouterr().out
+        abs_err = f"{cmp['abs_err']:.3e}"
+        assert f"(abs err {abs_err}, checked, as the exact value is 0)" in table
+        assert "rel err" not in table
+
     def test_weyl_without_roots(self, capsys):
         err = run_err(capsys, ["reduce", "builtin:hk_point", "--mode", "weyl"])
         assert err["error"] == "validation"
@@ -576,13 +620,14 @@ def _suptsq_power_past_double(tmp_path):
 )
 def test_oversize_oracle_grid_exits_1(capsys, tmp_path, monkeypatch, moment, tail):
     """A moment whose grid would not fit the panel budget is refused before
-    the grid is built (a built grid fails the test instead of allocating)."""
-    import numpy
+    the grid is built (building the panel centres that every quadrature
+    round lays its nodes about fails the test instead of allocating)."""
+    import eqloc.oracle
 
     def refuse(*args, **kwargs):
         raise AssertionError("a grid was built")
 
-    monkeypatch.setattr(numpy, "linspace", refuse)
+    monkeypatch.setattr(eqloc.oracle, "_centers", refuse)
     doc = json.loads((GOLDEN_DIR / "sphere_s2.json").read_text())
     for fp in doc["fixed_points"]:
         fp["moment"] = [[moment if fp["moment"][0][0] > 0 else -moment, 1]]

@@ -1,9 +1,13 @@
 import cmath
+import contextlib
+import io
+import json
 import math
 import re
 import runpy
 import subprocess
 import sys
+import tempfile
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
@@ -13,6 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import eqloc.oracle as oracle_module
+from eqloc import cli
 from eqloc.atlas import (
     FixedPointAtlas,
     FixedPointDatum,
@@ -21,13 +26,14 @@ from eqloc.atlas import (
     hk_point_atlas,
     mirror_pair_atlas,
     parse_atlas,
+    serialize_atlas,
     sphere_atlas,
     validate_atlas,
 )
 from eqloc.engines import reduce_hk_circle, reduce_hk_circle_viaP, reduce_symplectic_circle
 from eqloc.errors import InsufficientTruncationError, QuadratureError, ValidationError
 from eqloc.exact import ComplexRational, LaurentSeries, exp_series
-from eqloc.localize import localize, phase_covector, phase_factory
+from eqloc.localize import localize, monomial_euler_class, phase_covector, phase_factory
 from eqloc.oracle import (
     PANEL_NODES,
     RULES,
@@ -37,10 +43,9 @@ from eqloc.oracle import (
     _centers,
     _eval_panels,
     _fsum,
-    _grid,
     _MollifiedPanels,
     _PointSum,
-    _panel_edges,
+    _panel_grid,
     _principal_part,
     _spacing,
     _spread,
@@ -114,9 +119,9 @@ class TestGaussKronrod:
     def test_no_node_on_a_panel_edge(self):
         """Every node is a midpoint, h / 2 from its cell's edges, so none
         is at a panel edge and none is at 0, an edge of every grid."""
-        edges = _panel_edges(50.0, 3.0)
-        mid, h, n = _grid(edges)
-        assert mid == 0.0 and n == len(edges) - 1 and n % 2 == 0
+        mid, h, n = _panel_grid(50.0, 3.0)
+        assert mid == 0.0 and n % 2 == 0
+        edges = mid + 15 * h * np.arange(-(n // 2), n // 2 + 1)
         x = (_centers(mid, h, n)[:, None] + h * PANEL_NODES).ravel()
         assert np.min(np.abs(x)) == h / 2
         assert np.all(np.diff(x) == h)
@@ -141,8 +146,7 @@ class TestGaussKronrod:
         has exp(-y^2/4t) exp(i f y) to rounding: its first alias sits past
         the Gaussian's spread, where the transform is below exp(-60)."""
         window = 12.0 * math.sqrt(2.0 * t)
-        edges = _panel_edges(window, f + _spread(t))
-        mid, h, n = _grid(edges)
+        mid, h, n = _panel_grid(window, f + _spread(t))
         values = _eval_panels(
             lambda y: np.exp(-(y * y) / (4.0 * t) + 1j * f * y), _centers(mid, h, n), h
         )
@@ -157,24 +161,24 @@ class TestGaussKronrod:
         assert np.count_nonzero(RULES[:, 1]) == 5
 
     def test_adaptive_gaussian(self):
-        edges = np.linspace(-12.0, 12.0, 25)
+        # 24 panels of width 1 about 0
+        grid = (0.0, _spacing(1.0 / 15), 24)
         val, err = adaptive_quadrature(
-            lambda y: np.exp(-y * y), edges, 1e-12, _Budget(10_000)
+            lambda y: np.exp(-y * y), grid, 1e-12, _Budget(10_000)
         )
         assert abs(val - math.sqrt(math.pi)) < 1e-12
         assert err < 1e-10
 
     def test_panel_edges_shape(self):
         # 15 nodes h = 2 pi / (3 freq) apart per panel, 0 an edge
-        e = _panel_edges(100.0, 2.0)
-        assert len(e) % 2 == 1
-        assert e[len(e) // 2] == 0.0
-        width = e[1] - e[0]
+        mid, h, n = _panel_grid(100.0, 2.0)
+        assert mid == 0.0 and n % 2 == 0
+        width = 15 * h
         assert abs(width - 5.0 * math.pi) < 1e-7
-        assert width == 15 * _spacing(math.pi / 3)
-        assert len(e) - 1 == 2 * math.ceil(100.0 / width)
+        assert h == _spacing(math.pi / 3)
+        assert n == 2 * math.ceil(100.0 / width)
         # h keeps 28 significant bits, so every node is exact
-        m, _ = math.frexp(width / 15)
+        m, _ = math.frexp(h)
         assert math.ldexp(m, 28).is_integer()
 
 
@@ -279,7 +283,7 @@ class TestExactSum:
         zeros, and the same values with their mirror images, whose
         imaginary parts cancel exactly."""
         g = atlas_integrand(sphere_atlas())
-        mid, h, n = _grid(_panel_edges(12.0 * math.sqrt(20.0), g.max_frequency(0.0)))
+        mid, h, n = _panel_grid(12.0 * math.sqrt(20.0), g.max_frequency(0.0))
         i15 = _eval_panels(_MollifiedPanels(g.fn, 10.0), _centers(mid, h, n), h)[:, 0]
         mirrored = np.concatenate([i15, -i15[::-1]])
         assert not i15.real.any() and mirrored.imag.any()
@@ -430,9 +434,9 @@ class TestMollified:
         seen = []
         real = oracle_module.adaptive_quadrature
 
-        def spy(fn, edges, tol, budget):
-            seen.append(len(edges) - 1)
-            return real(fn, edges, tol, budget)
+        def spy(fn, grid, tol, budget):
+            seen.append(grid[2])
+            return real(fn, grid, tol, budget)
 
         monkeypatch.setattr(oracle_module, "adaptive_quadrature", spy)
         atlas = builtin_atlas(name)
@@ -473,7 +477,7 @@ class TestMollified:
         res = mollified_oint(g, CIRCLE, MollifierConfig(t_ladder=(1.0, 10.0)))
         first = res.rows[0]
         window = 12.0 * math.sqrt(2.0)
-        laid = len(_panel_edges(window, 1.0 + _spread(1.0))) - 1
+        _, _, laid = _panel_grid(window, 1.0 + _spread(1.0))
         assert first.panels > laid
         for row in res.rows:
             want = math.sqrt(4 * math.pi * row.t) * math.exp(-25.0 * row.t) / (2 * math.pi)
@@ -490,13 +494,14 @@ def _sphere_with_moment(m):
 
 @pytest.fixture
 def no_grid(monkeypatch):
-    """Make building any grid fail, so that a refusal is seen to come
-    before the allocation it guards against."""
+    """Make building any node array fail, so that a refusal is seen to
+    come before the allocation it guards against: every quadrature round
+    lays its nodes about the panel centres that _centers builds."""
 
     def refuse(*args, **kwargs):
         raise AssertionError("a grid was built")
 
-    monkeypatch.setattr(np, "linspace", refuse)
+    monkeypatch.setattr(oracle_module, "_centers", refuse)
 
 
 class TestGridRefusal:
@@ -508,10 +513,10 @@ class TestGridRefusal:
             (1.0e155, 1.0e307),  # window / width overflows
         ):
             with pytest.raises(QuadratureError, match="budget exhausted"):
-                _panel_edges(*args)
+                _panel_grid(*args)
 
     def test_panel_edges_at_the_budget(self):
-        assert len(_panel_edges(75.0, math.pi, 16)) == 17
+        assert _panel_grid(75.0, math.pi, 16) == (0.0, _spacing(2.0 / 3.0), 16)
 
     @pytest.mark.parametrize(
         "moment, ladder",
@@ -851,8 +856,8 @@ class TestSuptsq:
             suptsq_check(-1.001 * x_max, 2)
         # the outer grid of the largest x fits the budget, at every rung
         for t in (1.0, 3.0, 10.0, 30.0):
-            edges = _panel_edges(*oracle_module._suptsq_grid(0.999 * x_max, 1, t, 12.0))
-            assert len(edges) - 1 <= 300_000
+            _, _, n = _panel_grid(*oracle_module._suptsq_grid(0.999 * x_max, 1, t, 12.0))
+            assert n <= 300_000
 
     @pytest.mark.parametrize("ladder", [(1.0, 3.0, 10.0, 30.0), (0.5, 1000.0)])
     def test_power_past_double_names_the_largest_fit(self, ladder):
@@ -860,10 +865,10 @@ class TestSuptsq:
             suptsq_check(0.0, 10**6, t_ladder=ladder)
         max_n = exc.value.context["max_n"]
         # the window widens with n, so each n is held to its own window's edge
-        edges = [
-            float(_panel_edges(*oracle_module._suptsq_grid(0.0, n // 2, ladder[-1], 12.0))[-1])
-            for n in (max_n, max_n + 2)
-        ]
+        edges = []
+        for n in (max_n, max_n + 2):
+            _, h, panels = _panel_grid(*oracle_module._suptsq_grid(0.0, n // 2, ladder[-1], 12.0))
+            edges.append(panels // 2 * 15 * h)
         assert math.isfinite(edges[0] ** (max_n // 2))
         with pytest.raises(OverflowError):
             edges[1] ** (max_n // 2 + 1)
@@ -973,13 +978,15 @@ class TestAtlasIntegrand:
 
 
 @st.composite
-def gated_atlases(draw, max_rank=3, pole_free=None, min_trunc=-3):
+def gated_atlases(draw, max_rank=3, pole_free=None, min_trunc=-3, bits=None):
     """(atlas, eta_mode) for rank 1..max_rank, either geometry: structured
     points with several signed weights, each involving one variable, moments
     of either sign and eta terms up to past the pole order; raw points with
     random terms and truncation orders from min_trunc up; and, when
     pole_free (drawn if None), one more raw point holding the negated
-    principal part of the localized sum, so that the sum has no pole."""
+    principal part of the localized sum, so that the sum has no pole.  With
+    bits, eta and raw coefficients have numerators and denominators of up
+    to that many bits, more than a double holds."""
     k = draw(st.integers(1, max_rank))
     hk = draw(st.booleans())
     eta_mode = draw(st.sampled_from(["atlas", "one"]))
@@ -988,7 +995,12 @@ def gated_atlases(draw, max_rank=3, pole_free=None, min_trunc=-3):
     small = st.integers(-3, 3)
     nonzero = small.filter(bool)
     rational = st.builds(Fraction, small, st.integers(1, 2))
-    coeff = st.builds(ComplexRational, rational, rational)
+    if bits:
+        big = 2**bits
+        wide = st.builds(Fraction, st.integers(-big, big), st.integers(1, big))
+        coeff = st.builds(ComplexRational, st.one_of(rational, wide), st.one_of(rational, wide))
+    else:
+        coeff = st.builds(ComplexRational, rational, rational)
 
     def moments():
         if hk:
@@ -1065,6 +1077,19 @@ def gated_atlases(draw, max_rank=3, pole_free=None, min_trunc=-3):
     return atlas, eta_mode
 
 
+def _exact_doubles(atlas, eta_mode, fp):
+    """The reference for _point_coeffs: each exact coefficient as a
+    ComplexRational quotient, eta_j / c for a structured point, and float of
+    its Fraction parts."""
+    if fp.mode == "raw":
+        exact = fp.raw_contribution.terms
+    else:
+        c, n = monomial_euler_class(fp, atlas.group.rank)
+        eta = {(0,) * len(n): ComplexRational.one()} if eta_mode == "one" else fp.eta.terms
+        exact = {tuple(x - y for x, y in zip(j, n)): v / c for j, v in eta.items()}
+    return {e: (float(v.re), float(v.im)) for e, v in exact.items()}
+
+
 def _direct_value(atlas, eta_mode, ys):
     """The summed series at one point straight from the atlas data, and the
     summed magnitudes of its terms."""
@@ -1116,6 +1141,83 @@ class TestPoleGate:
             assert abs(got - value) <= 1e-12 * scale
 
 
+class TestPointCoefficients:
+    @given(gated_atlases(bits=80), st.sampled_from([0.0, 0.3, -0.7]))
+    @settings(max_examples=80, deadline=None)
+    def test_doubles_are_the_rounded_exact_quotients(self, case, zeta):
+        """Every double _point_coeffs builds from the (p, q, d) ints is
+        float of the exact quotient's parts, bit for bit, signed zeros
+        included; at rank 1 the coefficient matrix sums them in point
+        order, one column per shifted frequency."""
+        atlas, eta_mode = case
+        want = [_exact_doubles(atlas, eta_mode, fp) for fp in atlas.fixed_points]
+        for fp, doubles in zip(atlas.fixed_points, want):
+            got = oracle_module._point_coeffs(atlas, eta_mode, fp)
+            assert list(got) == list(doubles)
+            for e, (re_part, im_part) in doubles.items():
+                assert got[e].real.hex() == re_part.hex(), (fp.name, e)
+                assert got[e].imag.hex() == im_part.hex(), (fp.name, e)
+        if atlas.group.rank != 1:
+            return
+        if atlas.geometry == "hyperkahler":
+            zeta = 0.0
+        try:
+            g = atlas_integrand(atlas, eta_mode=eta_mode, zeta=zeta)
+        except (QuadratureError, InsufficientTruncationError):
+            return  # the pole gate refused the data
+        lo, hi, freqs, matrix = g.fn.matrix
+        points = []
+        for fp, doubles in zip(atlas.fixed_points, want):
+            if doubles:
+                f = 0.0 if fp.mode == "raw" else float(phase_covector(atlas, fp)[0])
+                points.append((doubles, f - zeta))
+        assert list(freqs) == sorted({f for _, f in points})
+        ref = {}
+        for doubles, f in points:
+            for (e,), (re_part, im_part) in doubles.items():
+                key = (e - lo, list(freqs).index(f))
+                ref[key] = ref.get(key, 0j) + complex(re_part, im_part)
+        assert matrix.shape == (hi - lo + 1, len(freqs))
+        for (row, col), v in np.ndenumerate(matrix):
+            assert v.real.hex() == ref.get((row, col), 0j).real.hex()
+            assert v.imag.hex() == ref.get((row, col), 0j).imag.hex()
+
+    @given(
+        gated_atlases(max_rank=1, pole_free=True, min_trunc=-1, bits=80),
+        st.integers(400, 2000),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_coefficient_beyond_double_exits_1_naming_the_point(self, case, digits):
+        """A raw point's term 10^digits y^5 passes the pole gate and has no
+        double: reduce --oracle exits 1 with the point in its context, on
+        the mollified route and on the contour route."""
+        atlas, eta_mode = case
+        huge = FixedPointDatum(
+            name="huge",
+            moment=atlas.fixed_points[0].moment,
+            weights=(),
+            eta=LaurentSeries.const(atlas.variable_order, 1),
+            moment_hk=atlas.fixed_points[0].moment_hk,
+            mode="raw",
+            raw_contribution=LaurentSeries(atlas.variable_order, {(5,): 10**digits}),
+        )
+        atlas = replace(atlas, fixed_points=atlas.fixed_points + (huge,))
+        with pytest.raises(ValidationError) as err:
+            atlas_integrand(atlas, eta_mode=eta_mode)
+        assert err.value.context == {"point": "huge", "value": Fraction(10**digits)}
+        mode = "hk" if atlas.geometry == "hyperkahler" else "symplectic"
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "atlas.json"
+            path.write_text(serialize_atlas(atlas))
+            stderr = io.StringIO()
+            with contextlib.redirect_stderr(stderr):
+                argv = ["reduce", str(path), "--mode", mode, "--eta-mode", eta_mode]
+                assert cli.run(argv + ["--oracle"]) == 1
+        doc = json.loads(stderr.getvalue())
+        assert doc["error"] == "validation" and doc["context"]["point"] == "'huge'"
+        assert "series coefficient at 'huge' is beyond the range of a double" in doc["message"]
+
+
 class TestPanelEvaluation:
     @given(
         gated_atlases(max_rank=1, pole_free=True, min_trunc=-1),
@@ -1135,13 +1237,13 @@ class TestPanelEvaluation:
             zeta = 0.0
         g = atlas_integrand(atlas, eta_mode=eta_mode, zeta=zeta)
         window = 12.0 * math.sqrt(2.0 * t)
-        uniform = _grid(np.linspace(-window, window, 65))
-        real = _grid(_panel_edges(12.0 * math.sqrt(2.0e4), 3.0))
+        uniform = (0.0, _spacing(2.0 * window / (15 * 64)), 64)
+        real = _panel_grid(12.0 * math.sqrt(2.0e4), 3.0)
         for (mid, h, n), t_grid, keep in ((uniform, t, 64), (real, 1.0e4, 128)):
             centers = _centers(mid, h, n)[(n - keep) // 2 : (n + keep) // 2]
             x = centers[:, None] + h * PANEL_NODES
             gauss = np.exp(-(x * x) / (4.0 * t_grid))
-            scale = sum(np.abs(_PointSum([p], g.fn.quadratic)([x])) for p in g.fn.terms)
+            scale = sum(np.abs(_PointSum([p], g.fn.quadratic)([x])) for p in g.fn.points)
             got = _MollifiedPanels(g.fn, t_grid).sums(centers, h)
             want = (gauss * g.fn([x])) @ RULES
             assert got.shape == (len(centers), 2)
@@ -1167,13 +1269,13 @@ class TestPanelEvaluation:
         for row in res.rows:
             t = row.t
             window = 12.0 * math.sqrt(2.0 * t)
-            edges = _panel_edges(window, g.max_frequency(window) + _spread(t))
-            assert row.panels == len(edges) - 1
-            dense = np.linspace(edges[0], edges[-1], 3 * len(edges) - 2)
+            mid, h, n = _panel_grid(window, g.max_frequency(window) + _spread(t))
+            assert row.panels == n
+            dense = (mid, _spacing(h / 3), 3 * n)
             value = oracle_module.fixed_quadrature(_MollifiedPanels(g.fn, t), dense)
 
             def size(y, t=t):
-                terms = (_PointSum([p], False)([y]) for p in g.fn.terms)
+                terms = (_PointSum([p], False)([y]) for p in g.fn.points)
                 return np.exp(-(y * y) / (4.0 * t)) * sum(np.abs(v) for v in terms)
 
             l1 = oracle_module.fixed_quadrature(size, dense).real
@@ -1198,9 +1300,9 @@ class TestPanelEvaluation:
         built = []
         build = oracle_module._coefficient_matrix
 
-        def spy(terms):
-            built.append(len(terms))
-            return build(terms)
+        def spy(points):
+            built.append(len(points))
+            return build(points)
 
         monkeypatch.setattr(oracle_module, "_coefficient_matrix", spy)
         atlas = mirror_pair_atlas(7)
