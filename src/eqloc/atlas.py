@@ -20,7 +20,6 @@ import json
 import math
 import random
 from collections.abc import Mapping
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _encode_str
 from operator import le
@@ -28,28 +27,40 @@ from typing import Optional, Sequence, Tuple
 
 from .errors import ValidationError, VariableMismatchError
 from .exact import ComplexRational, LaurentSeries, SymbolicConstant, _limits, _normal
+from .record import Record, replace
 
 GEOMETRIES = ("symplectic", "hyperkahler")
 GROUP_KINDS = ("circle", "torus", "compact_with_torus")
 POINT_MODES = ("structured", "raw")
 
 
-@dataclass(frozen=True)
-class RootSystemData:
+class RootSystemData(Record):
     """Positive roots as integer covectors on the torus, plus the order of
     the Weyl group."""
 
-    positive_roots: Tuple[Tuple[int, ...], ...]
-    weyl_order: int
+    __slots__ = ("positive_roots", "weyl_order")
+
+    def __init__(self, positive_roots: Tuple[Tuple[int, ...], ...], weyl_order: int):
+        object.__setattr__(self, "positive_roots", positive_roots)
+        object.__setattr__(self, "weyl_order", weyl_order)
 
 
-@dataclass(frozen=True)
-class GroupSpec:
-    kind: str
-    rank: int
-    s: int  # real dimension of the acting group
-    vol: SymbolicConstant
-    root_system: Optional[RootSystemData] = None
+class GroupSpec(Record):
+    __slots__ = ("kind", "rank", "s", "vol", "root_system")
+
+    def __init__(
+        self,
+        kind: str,
+        rank: int,
+        s: int,  # real dimension of the acting group
+        vol: SymbolicConstant,
+        root_system: Optional[RootSystemData] = None,
+    ):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "s", s)
+        object.__setattr__(self, "vol", vol)
+        object.__setattr__(self, "root_system", root_system)
 
     @classmethod
     def circle(cls, vol: Optional[SymbolicConstant] = None) -> "GroupSpec":
@@ -64,22 +75,36 @@ class GroupSpec:
         return cls("torus", rank, rank, vol)
 
 
-@dataclass(frozen=True)
-class FixedPointDatum:
-    name: str
-    moment: Tuple[Fraction, ...]
-    weights: Tuple[Tuple[int, ...], ...]
-    eta: LaurentSeries
-    moment_hk: Optional[Tuple[Tuple[Fraction, Fraction, Fraction], ...]] = None
-    mode: str = "structured"
-    raw_contribution: Optional[LaurentSeries] = None
+class FixedPointDatum(Record):
+    __slots__ = (
+        "name", "moment", "weights", "eta", "moment_hk", "mode", "raw_contribution"
+    )
+
+    def __init__(
+        self,
+        name: str,
+        moment: Tuple[Fraction, ...],
+        weights: Tuple[Tuple[int, ...], ...],
+        eta: LaurentSeries,
+        moment_hk: Optional[Tuple[Tuple[Fraction, Fraction, Fraction], ...]] = None,
+        mode: str = "structured",
+        raw_contribution: Optional[LaurentSeries] = None,
+    ):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "moment", moment)
+        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "eta", eta)
+        object.__setattr__(self, "moment_hk", moment_hk)
+        object.__setattr__(self, "mode", mode)
+        object.__setattr__(self, "raw_contribution", raw_contribution)
 
     def hk_norm_sq(self, factor: int) -> Fraction:
         """Exact squared length of the three-component moment value attached
         to one circle factor."""
         if self.moment_hk is None:
             raise ValidationError(
-                f"fixed point {self.name!r} carries no three-component moment data"
+                f"fixed point {self.name!r} carries no three-component moment data",
+                point=self.name,
             )
         # sum n^2 / d^2 over one running denominator, reduced once
         num, den = 0, 1
@@ -89,21 +114,44 @@ class FixedPointDatum:
         return Fraction(num, den)
 
 
-@dataclass(frozen=True)
-class SubmanifoldRestriction:
-    codim: int
+class SubmanifoldRestriction(Record):
+    __slots__ = ("codim",)
+
+    def __init__(self, codim: int):
+        object.__setattr__(self, "codim", codim)
 
 
-@dataclass(frozen=True)
-class FixedPointAtlas:
-    group: GroupSpec
-    geometry: str
-    dim_m: int
-    dim_quotient: int
-    deg_eta0: int
-    variable_order: Tuple[str, ...]
-    fixed_points: Tuple[FixedPointDatum, ...]
-    submanifold: Optional[SubmanifoldRestriction] = None
+class FixedPointAtlas(Record):
+    __slots__ = (
+        "group",
+        "geometry",
+        "dim_m",
+        "dim_quotient",
+        "deg_eta0",
+        "variable_order",
+        "fixed_points",
+        "submanifold",
+    )
+
+    def __init__(
+        self,
+        group: GroupSpec,
+        geometry: str,
+        dim_m: int,
+        dim_quotient: int,
+        deg_eta0: int,
+        variable_order: Tuple[str, ...],
+        fixed_points: Tuple[FixedPointDatum, ...],
+        submanifold: Optional[SubmanifoldRestriction] = None,
+    ):
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "geometry", geometry)
+        object.__setattr__(self, "dim_m", dim_m)
+        object.__setattr__(self, "dim_quotient", dim_quotient)
+        object.__setattr__(self, "deg_eta0", deg_eta0)
+        object.__setattr__(self, "variable_order", variable_order)
+        object.__setattr__(self, "fixed_points", fixed_points)
+        object.__setattr__(self, "submanifold", submanifold)
 
     def degree_factor(self) -> int:
         """dim of the quotient minus the degree of the integrand class plus
@@ -317,31 +365,37 @@ def validate_respected(atlas: FixedPointAtlas) -> bool:
 # -- canonical JSON ------------------------------------------------------
 
 
-def _parse_pair(doc, *where) -> tuple:
+def _parse_pair(doc, where: str, key: str, term=None) -> tuple:
     """The ints (n, d) of a [numerator, denominator] pair, d nonzero.  A
-    refusal's message starts with the parts of ``where``, joined only then."""
+    refusal names ``key`` of the object at ``where``, or of its term
+    ``term``; its text and context are built only then."""
     if isinstance(doc, (list, tuple)) and len(doc) == 2:
         n, d = doc
         if type(n) is int and type(d) is int:
-            if d == 0:
-                raise ValidationError(f"{''.join(map(str, where))}: zero denominator")
-            return n, d
-    raise ValidationError(
-        f"{''.join(map(str, where))}: rational values are [numerator, denominator] "
-        "integer pairs"
+            if d != 0:
+                return n, d
+            raise _pair_refusal(where, key, term, "zero denominator")
+    raise _pair_refusal(
+        where, key, term, "rational values are [numerator, denominator] integer pairs"
     )
 
 
-def _parse_frac(doc, *where) -> Fraction:
-    return Fraction(*_parse_pair(doc, *where))
+def _pair_refusal(where: str, key: str, term, reason: str) -> ValidationError:
+    if term is None:
+        return ValidationError(f"{where} {key}: {reason}", key=key)
+    return ValidationError(f"{where}: term {term} {key}: {reason}", term=term, key=key)
+
+
+def _parse_frac(doc, where: str, key: str) -> Fraction:
+    return Fraction(*_parse_pair(doc, where, key))
 
 
 def _parse_coeff(re_doc, im_doc, where: str, n: int) -> ComplexRational:
     """a/b + i c/e from the two pairs of term n, as one (p, q, d) triple: the
     signs of the denominators go onto the numerators and one gcd reduces the
     whole."""
-    a, b = _parse_pair(re_doc, where, ": term ", n, " re")
-    c, e = _parse_pair(im_doc, where, ": term ", n, " im")
+    a, b = _parse_pair(re_doc, where, "re", n)
+    c, e = _parse_pair(im_doc, where, "im", n)
     if b < 0:
         a, b = -a, -b
     if e < 0:
@@ -349,10 +403,19 @@ def _parse_coeff(re_doc, im_doc, where: str, n: int) -> ComplexRational:
     return _normal(a * e, c * b, b * e)
 
 
-def _parse_series(doc, variables, where: str) -> LaurentSeries:
+def _parse_series(doc, variables, where: str, key: str) -> LaurentSeries:
+    """The series under ``key`` of the point at ``where``.  A refusal names
+    the key as ``series``, here or on its way out of the term parser."""
+    where = f"{where} {key}"
     if not isinstance(doc, Mapping) or len(doc) != 1 or "terms" not in doc:
-        raise ValidationError(f"{where}: series documents have exactly one key, 'terms'")
-    return parse_series_terms(doc["terms"], variables, where)
+        raise ValidationError(
+            f"{where}: series documents have exactly one key, 'terms'", series=key
+        )
+    try:
+        return parse_series_terms(doc["terms"], variables, where)
+    except ValidationError as exc:
+        exc.context["series"] = key
+        raise
 
 
 _TERM_KEYS = frozenset(("exp", "re", "im"))
@@ -366,33 +429,40 @@ def parse_series_terms(terms, variables: tuple, where: str, trunc=None) -> Laure
     Each term is checked once here and the series is wrapped without a
     second check: zero coefficients and terms beyond ``trunc`` are dropped,
     as the LaurentSeries constructor drops them.  ``variables`` is taken as
-    checked (distinct names, see ``check_variable_order``); error text is
+    checked (distinct names, see ``check_variable_order``); error text and
+    context (the term index, and the key or exponents the message names) are
     built only when a term is refused.
     """
     if not isinstance(terms, list):
-        raise ValidationError(f"{where}: 'terms' must be a list")
+        raise ValidationError(f"{where}: 'terms' must be a list", key="terms")
     k = len(variables)
     tr = (None,) * k if trunc is None else tuple(trunc)
     if len(tr) != k:
         raise VariableMismatchError(
-            f"truncation vector length {len(tr)} does not match {k} variables"
+            f"truncation vector length {len(tr)} does not match {k} variables",
+            trunc=tr,
+            variables=variables,
         )
     parsed = {}
     for n, entry in enumerate(terms):
         if not isinstance(entry, Mapping) or entry.keys() != _TERM_KEYS:
             raise ValidationError(
-                f"{where}: term {n} must have exactly the keys exp, re, im"
+                f"{where}: term {n} must have exactly the keys exp, re, im", term=n
             )
         exps = entry["exp"]
         if not isinstance(exps, list) or len(exps) != k or not all(
             type(x) is int for x in exps
         ):
             raise ValidationError(
-                f"{where}: term {n} exponent vector must list one integer per variable"
+                f"{where}: term {n} exponent vector must list one integer per variable",
+                term=n,
+                key="exp",
             )
         key = tuple(exps)
         if key in parsed:
-            raise ValidationError(f"{where}: duplicate exponent vector {key}")
+            raise ValidationError(
+                f"{where}: duplicate exponent vector {key}", term=n, exp=key
+            )
         parsed[key] = _parse_coeff(entry["re"], entry["im"], where, n)
     if trunc is not None or not all(parsed.values()):
         lim = _limits(tr)
@@ -405,9 +475,11 @@ def _require_keys(doc: Mapping, required: set, optional: set, where: str):
     missing = required - keys
     unknown = keys - required - optional
     if missing:
-        raise ValidationError(f"{where}: missing keys {sorted(missing)}")
+        missing = sorted(missing)
+        raise ValidationError(f"{where}: missing keys {missing}", missing=missing)
     if unknown:
-        raise ValidationError(f"{where}: unknown keys {sorted(unknown)}")
+        unknown = sorted(unknown)
+        raise ValidationError(f"{where}: unknown keys {unknown}", unknown=unknown)
 
 
 #: Largest magnitude of the i, pi and sqrt(2) powers of a parsed group volume
@@ -415,15 +487,16 @@ def _require_keys(doc: Mapping, required: set, optional: set, where: str):
 MAX_VOLUME_POWER = 64
 
 
-def _parse_int(doc, where: str) -> int:
+def _parse_int(doc, key: str, where: str = "") -> int:
+    """An int (not a bool); a refusal names ``key``, after ``where``."""
     if type(doc) is not int:
-        raise ValidationError(f"{where}: expected an integer")
+        raise ValidationError(f"{where}{key}: expected an integer", key=key)
     return doc
 
 
-def _parse_str(doc, what: str) -> str:
+def _parse_str(doc, key: str, where: str = "") -> str:
     if not isinstance(doc, str):
-        raise ValidationError(f"{what} must be a string")
+        raise ValidationError(f"{where}{key} must be a string", key=key)
     return doc
 
 
@@ -606,14 +679,20 @@ def serialize_atlas(atlas: FixedPointAtlas) -> str:
 def parse_atlas(document) -> FixedPointAtlas:
     """Parse and fully validate an atlas document (JSON text or mapping):
     the header first, then each fixed point as it is built, by the check
-    ``validate_atlas`` runs per point, so the atlas is walked once."""
+    ``validate_atlas`` runs per point, so the atlas is walked once.  A
+    refusal's context holds the keys its message names, and the index of
+    the fixed point being parsed."""
     if isinstance(document, (str, bytes)):
         try:
             document = json.loads(document)
         except json.JSONDecodeError as exc:
-            raise ValidationError(f"atlas document is not valid JSON: {exc}") from exc
+            raise ValidationError(
+                f"atlas document is not valid JSON: {exc}", line=exc.lineno, column=exc.colno
+            ) from exc
     if not isinstance(document, Mapping):
-        raise ValidationError("atlas document must be a JSON object")
+        raise ValidationError(
+            "atlas document must be a JSON object", type=type(document).__name__
+        )
     _require_keys(
         document,
         {
@@ -630,56 +709,65 @@ def parse_atlas(document) -> FixedPointAtlas:
     )
     gdoc = document["group"]
     if not isinstance(gdoc, Mapping):
-        raise ValidationError("atlas group must be an object")
+        raise ValidationError("atlas group must be an object", key="group")
     _require_keys(gdoc, {"kind", "rank", "s", "vol"}, {"roots"}, "group")
     roots = None
     if "roots" in gdoc:
         rdoc = gdoc["roots"]
         if not isinstance(rdoc, Mapping):
-            raise ValidationError("group roots must be an object")
+            raise ValidationError("group roots must be an object", key="roots")
         _require_keys(rdoc, {"positive", "weyl_order"}, set(), "group roots")
         pos = rdoc["positive"]
         if not isinstance(pos, list):
-            raise ValidationError("positive roots must be a list of covectors")
+            raise ValidationError(
+                "positive roots must be a list of covectors", key="positive"
+            )
         parsed_roots = []
         for a in pos:
             if not isinstance(a, list) or not all(type(x) is int for x in a):
-                raise ValidationError("each positive root is a list of integers")
+                raise ValidationError(
+                    "each positive root is a list of integers", key="positive", root=a
+                )
             parsed_roots.append(tuple(a))
         roots = RootSystemData(tuple(parsed_roots), _parse_int(rdoc["weyl_order"], "weyl_order"))
     if not isinstance(gdoc["vol"], Mapping):
-        raise ValidationError("group vol must be an object")
+        raise ValidationError("group vol must be an object", key="vol")
     _require_keys(
         gdoc["vol"], {"q"}, {"i_pow", "pi_pow", "sqrt2_pow"}, "group vol"
     )
     vdoc = gdoc["vol"]
     powers = []
     for key in ("i_pow", "pi_pow", "sqrt2_pow"):
-        power = _parse_int(vdoc.get(key, 0), f"group vol {key}")
+        power = _parse_int(vdoc.get(key, 0), key, "group vol ")
         # SymbolicConstant folds sqrt2^(2m) into q as 2^m
         if abs(power) > MAX_VOLUME_POWER:
             raise ValidationError(
-                f"group vol {key}: {power} is beyond +-{MAX_VOLUME_POWER}"
+                f"group vol {key}: {power} is beyond +-{MAX_VOLUME_POWER}",
+                key=key,
+                power=power,
+                limit=MAX_VOLUME_POWER,
             )
         powers.append(power)
-    vol = SymbolicConstant(_parse_frac(vdoc["q"], "group vol q"), *powers)
+    vol = SymbolicConstant(_parse_frac(vdoc["q"], "group vol", "q"), *powers)
     group = GroupSpec(
-        kind=_parse_str(gdoc["kind"], "group kind"),
-        rank=_parse_int(gdoc["rank"], "group rank"),
-        s=_parse_int(gdoc["s"], "group s"),
+        kind=_parse_str(gdoc["kind"], "kind", "group "),
+        rank=_parse_int(gdoc["rank"], "rank", "group "),
+        s=_parse_int(gdoc["s"], "s", "group "),
         vol=vol,
         root_system=roots,
     )
 
     variables = document["variable_order"]
     if not isinstance(variables, list):
-        raise ValidationError("variable_order must be a list of strings")
+        raise ValidationError(
+            "variable_order must be a list of strings", variable_order=variables
+        )
     variables = tuple(variables)
     submanifold = None
     if "submanifold" in document:
         sdoc = document["submanifold"]
         if not isinstance(sdoc, Mapping):
-            raise ValidationError("submanifold must be an object")
+            raise ValidationError("submanifold must be an object", key="submanifold")
         _require_keys(sdoc, {"codim_L"}, set(), "submanifold")
         submanifold = SubmanifoldRestriction(_parse_int(sdoc["codim_L"], "codim_L"))
     header = FixedPointAtlas(
@@ -697,61 +785,72 @@ def parse_atlas(document) -> FixedPointAtlas:
 
     fps_doc = document["fixed_points"]
     if not isinstance(fps_doc, list):
-        raise ValidationError("fixed_points must be a list")
+        raise ValidationError("fixed_points must be a list", key="fixed_points")
     points = []
     seen: set = set()
     for n, fdoc in enumerate(fps_doc):
-        where = f"fixed point {n}"
-        if not isinstance(fdoc, Mapping):
-            raise ValidationError(f"{where}: must be an object")
-        _require_keys(
-            fdoc,
-            {"name", "mode", "moment", "weights", "eta"},
-            {"moment_hk", "raw"},
-            where,
-        )
-        name = fdoc["name"]
-        if not isinstance(name, str):
-            raise ValidationError(f"{where}: name must be a string")
-        mdoc = fdoc["moment"]
-        if not isinstance(mdoc, list):
-            raise ValidationError(f"{where}: moment must be a list")
-        moment = tuple(_parse_frac(m, where, " moment") for m in mdoc)
-        wdoc = fdoc["weights"]
-        if not isinstance(wdoc, list):
-            raise ValidationError(f"{where}: weights must be a list")
-        if not all(isinstance(w, list) for w in wdoc) or not all(
-            type(x) is int for w in wdoc for x in w
-        ):
-            raise ValidationError(f"{where}: each weight is a list of integers")
-        moment_hk = None
-        if "moment_hk" in fdoc:
-            hdoc = fdoc["moment_hk"]
-            if not isinstance(hdoc, list):
-                raise ValidationError(f"{where}: moment_hk must be a list")
-            vecs = []
-            for vec in hdoc:
-                if not isinstance(vec, list) or len(vec) != 3:
-                    raise ValidationError(
-                        f"{where}: each moment_hk entry is a three-component vector"
-                    )
-                vecs.append(tuple(_parse_frac(c, where, " moment_hk") for c in vec))
-            moment_hk = tuple(vecs)
-        raw = None
-        if "raw" in fdoc:
-            raw = _parse_series(fdoc["raw"], variables, f"{where} raw")
-        fp = FixedPointDatum(
-            name=name,
-            moment=moment,
-            weights=tuple(map(tuple, wdoc)),
-            eta=_parse_series(fdoc["eta"], variables, f"{where} eta"),
-            moment_hk=moment_hk,
-            mode=_parse_str(fdoc["mode"], f"{where}: mode"),
-            raw_contribution=raw,
-        )
+        try:
+            fp = _parse_point(fdoc, variables, f"fixed point {n}")
+        except ValidationError as exc:
+            exc.context["point_index"] = n
+            raise
         _check_point(header, fp, seen)
         points.append(fp)
     return replace(header, fixed_points=tuple(points))
+
+
+def _parse_point(fdoc, variables: tuple, where: str) -> FixedPointDatum:
+    """One fixed point's document, its checks against the header left to
+    ``_check_point``.  A refusal's context names the key its message names;
+    ``parse_atlas`` adds the point's index."""
+    if not isinstance(fdoc, Mapping):
+        raise ValidationError(f"{where}: must be an object", type=type(fdoc).__name__)
+    _require_keys(
+        fdoc,
+        {"name", "mode", "moment", "weights", "eta"},
+        {"moment_hk", "raw"},
+        where,
+    )
+    name = fdoc["name"]
+    if not isinstance(name, str):
+        raise ValidationError(f"{where}: name must be a string", key="name")
+    mdoc = fdoc["moment"]
+    if not isinstance(mdoc, list):
+        raise ValidationError(f"{where}: moment must be a list", key="moment")
+    moment = tuple(_parse_frac(m, where, "moment") for m in mdoc)
+    wdoc = fdoc["weights"]
+    if not isinstance(wdoc, list):
+        raise ValidationError(f"{where}: weights must be a list", key="weights")
+    if not all(isinstance(w, list) for w in wdoc) or not all(
+        type(x) is int for w in wdoc for x in w
+    ):
+        raise ValidationError(f"{where}: each weight is a list of integers", key="weights")
+    moment_hk = None
+    if "moment_hk" in fdoc:
+        hdoc = fdoc["moment_hk"]
+        if not isinstance(hdoc, list):
+            raise ValidationError(f"{where}: moment_hk must be a list", key="moment_hk")
+        vecs = []
+        for vec in hdoc:
+            if not isinstance(vec, list) or len(vec) != 3:
+                raise ValidationError(
+                    f"{where}: each moment_hk entry is a three-component vector",
+                    key="moment_hk",
+                )
+            vecs.append(tuple(_parse_frac(c, where, "moment_hk") for c in vec))
+        moment_hk = tuple(vecs)
+    raw = None
+    if "raw" in fdoc:
+        raw = _parse_series(fdoc["raw"], variables, where, "raw")
+    return FixedPointDatum(
+        name=name,
+        moment=moment,
+        weights=tuple(map(tuple, wdoc)),
+        eta=_parse_series(fdoc["eta"], variables, where, "eta"),
+        moment_hk=moment_hk,
+        mode=_parse_str(fdoc["mode"], "mode", f"{where}: "),
+        raw_contribution=raw,
+    )
 
 
 # -- built-in atlases ----------------------------------------------------
@@ -935,7 +1034,9 @@ def permute_atlas_variables(
     new_order = tuple(new_order)
     if sorted(new_order) != sorted(atlas.variable_order):
         raise ValidationError(
-            f"{new_order} is not a permutation of {atlas.variable_order}"
+            f"{new_order} is not a permutation of {atlas.variable_order}",
+            variable_order=new_order,
+            expected=atlas.variable_order,
         )
     idx = tuple(atlas.variable_order.index(v) for v in new_order)
 
@@ -991,24 +1092,30 @@ def builtin_atlas(name: str, seed: Optional[int] = None) -> FixedPointAtlas:
     name = name.strip()
     if name in _BUILTIN_PLAIN:
         if seed is not None:
-            raise ValidationError(f"atlas {name!r} does not take a seed")
+            raise ValidationError(
+                f"atlas {name!r} does not take a seed", builtin=name, seed=seed
+            )
         return _BUILTIN_PLAIN[name]()
     base, sep, rest = name.partition("(")
     if sep:
         if not rest.endswith(")"):
-            raise ValidationError(f"malformed builtin atlas name {name!r}")
+            raise ValidationError(f"malformed builtin atlas name {name!r}", builtin=name)
         if seed is not None:
-            raise ValidationError("seed given both inline and as an argument")
+            raise ValidationError(
+                "seed given both inline and as an argument", builtin=name, seed=seed
+            )
         try:
             seed = int(rest[:-1])
         except ValueError:
-            raise ValidationError(f"malformed seed in {name!r}") from None
+            raise ValidationError(f"malformed seed in {name!r}", builtin=name) from None
         name = base
     if name in _BUILTIN_SEEDED:
         if seed is None:
-            raise ValidationError(f"atlas {name!r} needs a seed")
+            raise ValidationError(f"atlas {name!r} needs a seed", builtin=name)
         atlas = _BUILTIN_SEEDED[name](seed)
         validate_atlas(atlas)
         return atlas
     known = sorted(_BUILTIN_PLAIN) + sorted(_BUILTIN_SEEDED)
-    raise ValidationError(f"unknown builtin atlas {name!r}; known: {known}")
+    raise ValidationError(
+        f"unknown builtin atlas {name!r}; known: {known}", builtin=name, known=known
+    )

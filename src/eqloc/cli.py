@@ -20,7 +20,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from .atlas import (
@@ -36,6 +35,7 @@ from .atlas import (
 )
 from .errors import EqlocError, InternalError, QuadratureError, SeriesError, ValidationError
 from .exact import LaurentSeries
+from .record import replace
 from .roots import known_groups, table_json_dict
 
 

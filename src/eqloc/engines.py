@@ -42,7 +42,6 @@ exact coefficient, which the report always exposes raw.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Dict, Optional, Sequence, Tuple
 
@@ -71,10 +70,10 @@ from .localize import (  # noqa: F401
     localize,
     point_coeff,
 )
+from .record import Record, replace
 
 
-@dataclass(frozen=True)
-class ConventionProfile:
+class ConventionProfile(Record):
     """The one place normalization constants live.
 
     vol_circle is the volume assigned to one circle factor (a rank-k torus
@@ -82,17 +81,26 @@ class ConventionProfile:
     engines raise them to the rank.
     """
 
-    name: str
-    vol_circle: SymbolicConstant
-    prefactor_symplectic_circle: SymbolicConstant
-    prefactor_hk_circle: SymbolicConstant
+    __slots__ = (
+        "name", "vol_circle", "prefactor_symplectic_circle", "prefactor_hk_circle"
+    )
 
-    def __post_init__(self):
-        if self.vol_circle.q <= 0 or self.vol_circle.i_pow != 0:
+    def __init__(
+        self,
+        name: str,
+        vol_circle: SymbolicConstant,
+        prefactor_symplectic_circle: SymbolicConstant,
+        prefactor_hk_circle: SymbolicConstant,
+    ):
+        if vol_circle.q <= 0 or vol_circle.i_pow != 0:
             raise ValidationError("profile volume must be a positive real constant")
-        for c in (self.prefactor_symplectic_circle, self.prefactor_hk_circle):
+        for c in (prefactor_symplectic_circle, prefactor_hk_circle):
             if c.q == 0:
                 raise ValidationError("profile prefactors must be nonzero")
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "vol_circle", vol_circle)
+        object.__setattr__(self, "prefactor_symplectic_circle", prefactor_symplectic_circle)
+        object.__setattr__(self, "prefactor_hk_circle", prefactor_hk_circle)
 
     @classmethod
     def from_volume(cls, name: str, vol_circle: SymbolicConstant) -> "ConventionProfile":
@@ -156,14 +164,19 @@ def _as_is(value):
     return value
 
 
-@dataclass(frozen=True)
-class ExactValue:
+class ExactValue(Record):
     """unit * coeff with the transcendental part kept symbolic."""
 
-    unit: SymbolicConstant
-    coeff: ComplexRational
+    __slots__ = ("unit", "coeff")
+
+    def __init__(self, unit: SymbolicConstant, coeff: ComplexRational):
+        object.__setattr__(self, "unit", unit)
+        object.__setattr__(self, "coeff", coeff)
 
     def numeric(self) -> complex:
+        if not self.coeff:
+            # 0j, not 0j times the unit: a negative unit would sign the zero
+            return 0j
         try:
             value = complex(self.coeff) * self.unit.numeric_value()
             if cmath.isfinite(value):
@@ -184,29 +197,64 @@ class ExactValue:
         }
 
 
-@dataclass(frozen=True)
-class PointEntry:
-    name: str
-    selected: bool
-    coefficient: ComplexRational
+class PointEntry(Record):
+    __slots__ = ("name", "selected", "coefficient")
+
+    def __init__(self, name: str, selected: bool, coefficient: ComplexRational):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "selected", selected)
+        object.__setattr__(self, "coefficient", coefficient)
 
 
-@dataclass(frozen=True)
-class ReductionReport:
-    path: str  # which entry point computed this; not part of the canonical form
-    geometry: str
-    rank: int
-    profile: ConventionProfile
-    variable_order: Tuple[str, ...]
-    eta_mode: str
-    contributions: Tuple[PointEntry, ...]
-    raw_coefficient: ComplexRational
-    degree_factor: int
-    prefactor: SymbolicConstant
-    quotient_integral: ExactValue
-    inserted_polynomial: Optional[str] = None
-    weyl_divisor: Optional[int] = None
-    oracle_comparison: Optional[dict] = None
+class ReductionReport(Record):
+    __slots__ = (
+        "path",  # which entry point computed this; not part of the canonical form
+        "geometry",
+        "rank",
+        "profile",
+        "variable_order",
+        "eta_mode",
+        "contributions",
+        "raw_coefficient",
+        "degree_factor",
+        "prefactor",
+        "quotient_integral",
+        "inserted_polynomial",
+        "weyl_divisor",
+        "oracle_comparison",
+    )
+
+    def __init__(
+        self,
+        path: str,
+        geometry: str,
+        rank: int,
+        profile: ConventionProfile,
+        variable_order: Tuple[str, ...],
+        eta_mode: str,
+        contributions: Tuple[PointEntry, ...],
+        raw_coefficient: ComplexRational,
+        degree_factor: int,
+        prefactor: SymbolicConstant,
+        quotient_integral: ExactValue,
+        inserted_polynomial: Optional[str] = None,
+        weyl_divisor: Optional[int] = None,
+        oracle_comparison: Optional[dict] = None,
+    ):
+        object.__setattr__(self, "path", path)
+        object.__setattr__(self, "geometry", geometry)
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "profile", profile)
+        object.__setattr__(self, "variable_order", variable_order)
+        object.__setattr__(self, "eta_mode", eta_mode)
+        object.__setattr__(self, "contributions", contributions)
+        object.__setattr__(self, "raw_coefficient", raw_coefficient)
+        object.__setattr__(self, "degree_factor", degree_factor)
+        object.__setattr__(self, "prefactor", prefactor)
+        object.__setattr__(self, "quotient_integral", quotient_integral)
+        object.__setattr__(self, "inserted_polynomial", inserted_polynomial)
+        object.__setattr__(self, "weyl_divisor", weyl_divisor)
+        object.__setattr__(self, "oracle_comparison", oracle_comparison)
 
     def to_json_dict(self, include_path: bool = True) -> dict:
         return self._doc(include_path, _cr_json, SymbolicConstant.to_json_dict)

@@ -36,7 +36,6 @@ the product of ``exp_series``' closed-form factors and the power loop of
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, le, sub
 from typing import Mapping, Optional, Sequence, Union
@@ -49,6 +48,7 @@ from .errors import (
     OddExponentError,
     VariableMismatchError,
 )
+from .record import Record
 
 RationalLike = Union[int, Fraction]
 
@@ -228,8 +228,7 @@ def _coerce_cr(x) -> ComplexRational:
     raise TypeError(f"cannot interpret {type(x).__name__} as ComplexRational")
 
 
-@dataclass(frozen=True)
-class SymbolicConstant:
+class SymbolicConstant(Record):
     """An exact constant of the form q * i^a * pi^b * sqrt(2)^c.
 
     q is rational, a is kept in {0,1,2,3} (i^4 = 1, so wrapping the exponent
@@ -238,14 +237,12 @@ class SymbolicConstant:
     makes structural equality canonical.
     """
 
-    q: Fraction
-    i_pow: int = 0
-    pi_pow: int = 0
-    sqrt2_pow: int = 0
+    __slots__ = ("q", "i_pow", "pi_pow", "sqrt2_pow")
 
-    def __post_init__(self):
-        q = _frac(self.q)
-        i_pow, pi_pow, sqrt2_pow = self.i_pow, self.pi_pow, self.sqrt2_pow
+    def __init__(
+        self, q: RationalLike, i_pow: int = 0, pi_pow: int = 0, sqrt2_pow: int = 0
+    ):
+        q = _frac(q)
         if q == 0:
             i_pow = pi_pow = sqrt2_pow = 0
         else:

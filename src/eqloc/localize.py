@@ -12,7 +12,6 @@ coefficient the engines later read is certified.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Tuple
 
 from .atlas import FixedPointAtlas, FixedPointDatum
@@ -26,6 +25,7 @@ from .exact import (
     exp_series,
     invert_series,
 )
+from .record import Record
 
 Orders = Tuple[Optional[int], ...]
 IntegrandFactory = Callable[[FixedPointAtlas, FixedPointDatum, Orders], LaurentSeries]
@@ -287,10 +287,14 @@ def check_eta_mode(eta_mode: str) -> None:
         raise ValidationError(f"unknown eta mode {eta_mode!r}")
 
 
-@dataclass(frozen=True)
-class LocalizationResult:
-    total: LaurentSeries
-    contributions: Tuple[Tuple[str, LaurentSeries], ...]
+class LocalizationResult(Record):
+    __slots__ = ("total", "contributions")
+
+    def __init__(
+        self, total: LaurentSeries, contributions: Tuple[Tuple[str, LaurentSeries], ...]
+    ):
+        object.__setattr__(self, "total", total)
+        object.__setattr__(self, "contributions", contributions)
 
     def contribution(self, name: str) -> LaurentSeries:
         for n, c in self.contributions:

@@ -49,7 +49,6 @@ from __future__ import annotations
 import math
 import operator
 import sys
-from dataclasses import asdict, dataclass, replace
 from functools import cached_property
 from fractions import Fraction
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
@@ -60,6 +59,7 @@ from .atlas import FixedPointAtlas, FixedPointDatum
 from .errors import InsufficientTruncationError, QuadratureError, ValidationError
 from .exact import ComplexRational, LaurentSeries
 from .localize import check_eta_mode, monomial_euler_class, phase_covector, point_coeff
+from .record import Record, replace
 
 # a panel's 15 nodes c + k h, k = -7..7, in units of the spacing h
 PANEL_NODES = np.arange(-7.0, 8.0)
@@ -225,34 +225,35 @@ def _check_ladder(t_ladder: Sequence[float], min_len: int) -> Tuple[float, ...]:
     return ladder
 
 
-@dataclass(frozen=True)
-class MollifierConfig:
-    t_ladder: Tuple[float, ...] = (1.0, 10.0, 100.0, 1000.0, 10000.0)
-    quad_tolerance: float = 1e-10
-    window_sigmas: float = 12.0
-    extrapolation: str = "last_value"
-    max_panels: int = 300_000
+class MollifierConfig(Record):
+    __slots__ = ("t_ladder", "quad_tolerance", "window_sigmas", "extrapolation", "max_panels")
 
-    def __post_init__(self):
-        object.__setattr__(self, "t_ladder", _check_ladder(self.t_ladder, 2))
-        if not (
-            0 < self.quad_tolerance < math.inf and 0 < self.window_sigmas < math.inf
-        ):
+    def __init__(
+        self,
+        t_ladder: Tuple[float, ...] = (1.0, 10.0, 100.0, 1000.0, 10000.0),
+        quad_tolerance: float = 1e-10,
+        window_sigmas: float = 12.0,
+        extrapolation: str = "last_value",
+        max_panels: int = 300_000,
+    ):
+        t_ladder = _check_ladder(t_ladder, 2)
+        if not (0 < quad_tolerance < math.inf and 0 < window_sigmas < math.inf):
             raise ValidationError("tolerance and window size must be finite and positive")
-        if self.extrapolation not in ("last_value", "richardson"):
-            raise ValidationError(
-                f"unknown extrapolation rule {self.extrapolation!r}"
-            )
+        if extrapolation not in ("last_value", "richardson"):
+            raise ValidationError(f"unknown extrapolation rule {extrapolation!r}")
         # NaN or inf would switch the panel budget off
-        panels = self.max_panels
-        if not isinstance(panels, int) or isinstance(panels, bool) or panels < 16:
+        if not isinstance(max_panels, int) or isinstance(max_panels, bool) or max_panels < 16:
             raise ValidationError(
-                f"max_panels must be an integer of at least 16, got {panels!r}"
+                f"max_panels must be an integer of at least 16, got {max_panels!r}"
             )
+        object.__setattr__(self, "t_ladder", t_ladder)
+        object.__setattr__(self, "quad_tolerance", quad_tolerance)
+        object.__setattr__(self, "window_sigmas", window_sigmas)
+        object.__setattr__(self, "extrapolation", extrapolation)
+        object.__setattr__(self, "max_panels", max_panels)
 
 
-@dataclass(frozen=True)
-class OracleIntegrand:
+class OracleIntegrand(Record):
     """Numeric closure plus the metadata quadrature needs to pace itself.
 
     fn maps a list holding one array, the nodes, to a complex array of the
@@ -266,23 +267,33 @@ class OracleIntegrand:
     where the integral is about 0, with an error estimate of 2e-16.
     """
 
-    fn: Callable[[List[np.ndarray]], np.ndarray]
-    freq_linear: float = 1.0
-    freq_quadratic: float = 0.0
+    __slots__ = ("fn", "freq_linear", "freq_quadratic")
+
+    def __init__(
+        self,
+        fn: Callable[[List[np.ndarray]], np.ndarray],
+        freq_linear: float = 1.0,
+        freq_quadratic: float = 0.0,
+    ):
+        object.__setattr__(self, "fn", fn)
+        object.__setattr__(self, "freq_linear", freq_linear)
+        object.__setattr__(self, "freq_quadratic", freq_quadratic)
 
     def max_frequency(self, window: float) -> float:
         return self.freq_linear + 2.0 * self.freq_quadratic * window
 
 
-@dataclass(frozen=True)
-class LadderRow:
+class LadderRow(Record):
     """One rung of the t ladder; panels counts the panels it evaluated,
     against the rung's budget of MollifierConfig.max_panels."""
 
-    t: float
-    value: complex
-    err_estimate: float
-    panels: int
+    __slots__ = ("t", "value", "err_estimate", "panels")
+
+    def __init__(self, t: float, value: complex, err_estimate: float, panels: int):
+        object.__setattr__(self, "t", t)
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "err_estimate", err_estimate)
+        object.__setattr__(self, "panels", panels)
 
     def to_json_dict(self) -> dict:
         return {
@@ -293,12 +304,20 @@ class LadderRow:
         }
 
 
-@dataclass(frozen=True)
-class OracleResult:
-    rows: Tuple[LadderRow, ...]
-    estimate: complex
-    extrapolation: str
-    max_panels: int
+class OracleResult(Record):
+    __slots__ = ("rows", "estimate", "extrapolation", "max_panels")
+
+    def __init__(
+        self,
+        rows: Tuple[LadderRow, ...],
+        estimate: complex,
+        extrapolation: str,
+        max_panels: int,
+    ):
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "estimate", estimate)
+        object.__setattr__(self, "extrapolation", extrapolation)
+        object.__setattr__(self, "max_panels", max_panels)
 
     def deltas(self) -> List[float]:
         return [
@@ -855,11 +874,13 @@ def contour_coeff(f: LaurentSeries, m: int, var: str) -> complex:
 # -- decay and smoothness diagnostics ------------------------------------
 
 
-@dataclass(frozen=True)
-class DecayRow:
-    t: float
-    value: complex
-    bound: Optional[float]
+class DecayRow(Record):
+    __slots__ = ("t", "value", "bound")
+
+    def __init__(self, t: float, value: complex, bound: Optional[float]):
+        object.__setattr__(self, "t", t)
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "bound", bound)
 
     def to_json_dict(self) -> dict:
         return {
@@ -869,13 +890,22 @@ class DecayRow:
         }
 
 
-@dataclass(frozen=True)
-class DecayTable:
-    x: float
-    n: int
-    rows: Tuple[DecayRow, ...]
-    constant: Optional[float]
-    decay_ok: Optional[bool]
+class DecayTable(Record):
+    __slots__ = ("x", "n", "rows", "constant", "decay_ok")
+
+    def __init__(
+        self,
+        x: float,
+        n: int,
+        rows: Tuple[DecayRow, ...],
+        constant: Optional[float],
+        decay_ok: Optional[bool],
+    ):
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "constant", constant)
+        object.__setattr__(self, "decay_ok", decay_ok)
 
     def to_json_dict(self) -> dict:
         return {
@@ -1054,23 +1084,34 @@ def suptsq_check(
     return DecayTable(x=x, n=n, rows=tuple(rows), constant=constant, decay_ok=ok)
 
 
-@dataclass(frozen=True)
-class ShiftRow:
-    zeta: float
-    difference: float
-    asserted: bool
+class ShiftRow(Record):
+    __slots__ = ("zeta", "difference", "asserted")
+
+    def __init__(self, zeta: float, difference: float, asserted: bool):
+        object.__setattr__(self, "zeta", zeta)
+        object.__setattr__(self, "difference", difference)
+        object.__setattr__(self, "asserted", asserted)
 
     def to_json_dict(self) -> dict:
-        return asdict(self)
+        return {"zeta": self.zeta, "difference": self.difference, "asserted": self.asserted}
 
 
-@dataclass(frozen=True)
-class ShiftTable:
-    t: float
-    gap: float
-    base_value: complex
-    rows: Tuple[ShiftRow, ...]
-    linear_ok: bool
+class ShiftTable(Record):
+    __slots__ = ("t", "gap", "base_value", "rows", "linear_ok")
+
+    def __init__(
+        self,
+        t: float,
+        gap: float,
+        base_value: complex,
+        rows: Tuple[ShiftRow, ...],
+        linear_ok: bool,
+    ):
+        object.__setattr__(self, "t", t)
+        object.__setattr__(self, "gap", gap)
+        object.__setattr__(self, "base_value", base_value)
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "linear_ok", linear_ok)
 
     def to_json_dict(self) -> dict:
         return {

@@ -8,7 +8,6 @@ of the guarantee and asserted here, not tuned to the test machine.
 import json
 import random
 import time
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -50,6 +49,7 @@ from eqloc.oracle import (
     shift_smoothness_check,
     suptsq_check,
 )
+from eqloc.record import replace
 from eqloc.roots import group_spec
 
 GOLDEN_DIR = Path(__file__).parent / "golden"

@@ -2,7 +2,6 @@
 
 import json
 import math
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -28,8 +27,9 @@ from eqloc.atlas import (
     validate_respected,
 )
 from eqloc.engines import _cr_json
-from eqloc.errors import ValidationError
+from eqloc.errors import ValidationError, VariableMismatchError
 from eqloc.exact import ComplexRational, LaurentSeries, SymbolicConstant
+from eqloc.record import replace
 
 
 def test_sphere_atlas_shape():
@@ -680,6 +680,141 @@ def test_parse_rejects_non_json_and_non_object():
     assert "JSON" in str(err.value)
     with pytest.raises(ValidationError):
         parse_atlas([1, 2])
+
+
+def _doc_with(*edits, base=sphere_atlas):
+    """base's document with each (path, value) edit made; DROP deletes."""
+    doc = json.loads(serialize_atlas(base()))
+    for path, value in edits:
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        if value is DROP:
+            del node[path[-1]]
+        else:
+            node[path[-1]] = value
+    return doc
+
+
+DROP = object()
+ROOTS = {"positive": [[2]], "weyl_order": 2}
+PAIRS = "rational values are [numerator, denominator] integer pairs"
+ETA0 = ("fixed_points", 1, "eta", "terms", 0)
+
+#: (document, message, context) for every refusal of the parser itself
+PARSE_REFUSALS = [
+    ("{not json", "atlas document is not valid JSON: Expecting property name enclosed "
+     "in double quotes: line 1 column 2 (char 1)", {"line": 1, "column": 2}),
+    ([1, 2], "atlas document must be a JSON object", {"type": "list"}),
+    (_doc_with((("geometry",), DROP)), "atlas: missing keys ['geometry']",
+     {"missing": ["geometry"]}),
+    (_doc_with((("group", "extra"), 1)), "group: unknown keys ['extra']", {"unknown": ["extra"]}),
+    (_doc_with((("group",), 7)), "atlas group must be an object", {"key": "group"}),
+    (_doc_with((("group", "roots"), 7)), "group roots must be an object", {"key": "roots"}),
+    (_doc_with((("group", "roots"), {**ROOTS, "positive": 7})),
+     "positive roots must be a list of covectors", {"key": "positive"}),
+    (_doc_with((("group", "roots"), {**ROOTS, "positive": [[1.5]]})),
+     "each positive root is a list of integers", {"key": "positive", "root": [1.5]}),
+    (_doc_with((("group", "roots"), {**ROOTS, "weyl_order": "2"})),
+     "weyl_order: expected an integer", {"key": "weyl_order"}),
+    (_doc_with((("group", "vol"), 7)), "group vol must be an object", {"key": "vol"}),
+    (_doc_with((("group", "vol", "pi_pow"), 65)), "group vol pi_pow: 65 is beyond +-64",
+     {"key": "pi_pow", "power": 65, "limit": 64}),
+    (_doc_with((("group", "vol", "i_pow"), True)), "group vol i_pow: expected an integer",
+     {"key": "i_pow"}),
+    (_doc_with((("group", "vol", "q"), [1, 0])), "group vol q: zero denominator", {"key": "q"}),
+    (_doc_with((("group", "kind"), 1)), "group kind must be a string", {"key": "kind"}),
+    (_doc_with((("group", "rank"), 1.0)), "group rank: expected an integer", {"key": "rank"}),
+    (_doc_with((("variable_order",), "y")), "variable_order must be a list of strings",
+     {"variable_order": "y"}),
+    (_doc_with((("submanifold",), 7)), "submanifold must be an object", {"key": "submanifold"}),
+    (_doc_with((("submanifold",), {"codim_L": None})), "codim_L: expected an integer",
+     {"key": "codim_L"}),
+    (_doc_with((("geometry",), 7)), "geometry must be a string", {"key": "geometry"}),
+    (_doc_with((("dim_M",), "2")), "dim_M: expected an integer", {"key": "dim_M"}),
+    (_doc_with((("fixed_points",), {})), "fixed_points must be a list", {"key": "fixed_points"}),
+    (_doc_with((("fixed_points", 1), 7)), "fixed point 1: must be an object",
+     {"point_index": 1, "type": "int"}),
+    (_doc_with((("fixed_points", 1, "extra"), 0)), "fixed point 1: unknown keys ['extra']",
+     {"point_index": 1, "unknown": ["extra"]}),
+    (_doc_with((("fixed_points", 1, "name"), 7)), "fixed point 1: name must be a string",
+     {"point_index": 1, "key": "name"}),
+    (_doc_with((("fixed_points", 1, "moment"), 7)), "fixed point 1: moment must be a list",
+     {"point_index": 1, "key": "moment"}),
+    (_doc_with((("fixed_points", 1, "moment"), [[1, 0]])),
+     "fixed point 1 moment: zero denominator", {"point_index": 1, "key": "moment"}),
+    (_doc_with((("fixed_points", 1, "weights"), 7)), "fixed point 1: weights must be a list",
+     {"point_index": 1, "key": "weights"}),
+    (_doc_with((("fixed_points", 1, "weights"), [[1.0]])),
+     "fixed point 1: each weight is a list of integers", {"point_index": 1, "key": "weights"}),
+    (_doc_with((("fixed_points", 0, "moment_hk"), 7), base=hk_point_atlas),
+     "fixed point 0: moment_hk must be a list", {"point_index": 0, "key": "moment_hk"}),
+    (_doc_with((("fixed_points", 0, "moment_hk"), [[[1, 1]] * 2]), base=hk_point_atlas),
+     "fixed point 0: each moment_hk entry is a three-component vector",
+     {"point_index": 0, "key": "moment_hk"}),
+    (_doc_with((("fixed_points", 0, "moment_hk", 0, 2), 0), base=hk_point_atlas),
+     f"fixed point 0 moment_hk: {PAIRS}", {"point_index": 0, "key": "moment_hk"}),
+    (_doc_with((("fixed_points", 1, "mode"), 7)), "fixed point 1: mode must be a string",
+     {"point_index": 1, "key": "mode"}),
+    (_doc_with((("fixed_points", 1, "raw"), [])),
+     "fixed point 1 raw: series documents have exactly one key, 'terms'",
+     {"point_index": 1, "series": "raw"}),
+    (_doc_with((("fixed_points", 1, "eta", "terms"), {})),
+     "fixed point 1 eta: 'terms' must be a list",
+     {"point_index": 1, "series": "eta", "key": "terms"}),
+    (_doc_with((ETA0 + ("im",), DROP)),
+     "fixed point 1 eta: term 0 must have exactly the keys exp, re, im",
+     {"point_index": 1, "series": "eta", "term": 0}),
+    (_doc_with((ETA0 + ("exp",), [0, 0])),
+     "fixed point 1 eta: term 0 exponent vector must list one integer per variable",
+     {"point_index": 1, "series": "eta", "term": 0, "key": "exp"}),
+    (_doc_with((("fixed_points", 1, "eta", "terms"), [{"exp": [0], "re": [1, 1], "im": [0, 1]}] * 2)),
+     "fixed point 1 eta: duplicate exponent vector (0,)",
+     {"point_index": 1, "series": "eta", "term": 1, "exp": (0,)}),
+    (_doc_with((ETA0 + ("re",), [1.5, 1])), f"fixed point 1 eta: term 0 re: {PAIRS}",
+     {"point_index": 1, "series": "eta", "term": 0, "key": "re"}),
+]
+
+
+@pytest.mark.parametrize("doc, message, context", PARSE_REFUSALS)
+def test_parse_refusals_name_their_subject(doc, message, context):
+    """Every refusal of the parser passes the keys its message names, and
+    the point's index and term's index where it is inside one."""
+    with pytest.raises(ValidationError) as err:
+        parse_atlas(doc)
+    assert err.value.message == message
+    assert err.value.context == context
+
+
+def test_series_truncation_refusal_names_its_lengths():
+    with pytest.raises(VariableMismatchError) as err:
+        parse_series_terms([], ("y",), "s", (1, 2))
+    assert err.value.message == "truncation vector length 2 does not match 1 variables"
+    assert err.value.context == {"trunc": (1, 2), "variables": ("y",)}
+
+
+@pytest.mark.parametrize(
+    "name, seed, message, context",
+    [
+        ("sphere_S2", 1, "atlas 'sphere_S2' does not take a seed", {"seed": 1}),
+        ("mirror_pair(3", None, "malformed builtin atlas name 'mirror_pair(3'", {}),
+        ("mirror_pair(3)", 1, "seed given both inline and as an argument", {"seed": 1}),
+        ("mirror_pair(x)", None, "malformed seed in 'mirror_pair(x)'", {}),
+        ("mirror_pair", None, "atlas 'mirror_pair' needs a seed", {}),
+        (
+            "nope",
+            None,
+            "unknown builtin atlas 'nope'; known: ['hk_point', 'hk_torus_rank2', "
+            "'sphere_S2', 'hk_synthetic', 'mirror_pair']",
+            {"known": ["hk_point", "hk_torus_rank2", "sphere_S2", "hk_synthetic", "mirror_pair"]},
+        ),
+    ],
+)
+def test_builtin_refusals_name_the_builtin(name, seed, message, context):
+    with pytest.raises(ValidationError) as err:
+        builtin_atlas(name, seed)
+    assert err.value.message == message
+    assert err.value.context == {"builtin": name, **context}
 
 
 def test_parse_runs_semantic_validation():

@@ -21,6 +21,7 @@ from eqloc.atlas import (
 )
 from eqloc.exact import LaurentSeries
 from eqloc.localize import SERIES_WORK_BUDGET
+from eqloc.record import replace
 from eqloc.roots import group_spec
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -277,7 +278,7 @@ class TestReduce:
             mode="raw",
             raw_contribution=LaurentSeries(("y",), {(-6,): 1}, None if trunc is None else (trunc,)),
         )
-        atlas = FixedPointAtlas(**{**vars(base), "fixed_points": (fp, raw)})
+        atlas = replace(base, fixed_points=(fp, raw))
         validate_atlas(atlas)
         p = tmp_path / "su2_raw.json"
         p.write_text(serialize_atlas(atlas))
@@ -303,6 +304,25 @@ class TestReduce:
         abs_err = f"{cmp['abs_err']:.3e}"
         assert f"(abs err {abs_err}, checked, as the exact value is 0)" in table
         assert "rel err" not in table
+
+    def test_exact_zero_is_written_as_a_positive_zero(self, capsys, tmp_path):
+        """The unit of su2_weyl_atlas's report is negative; its exact 0 is
+        still +0.0 in both parts in "numeric", on the table's quotient line
+        and in the oracle block's exact_value."""
+        p = tmp_path / "su2.json"
+        p.write_text(serialize_atlas(su2_weyl_atlas()))
+        argv = ["reduce", str(p), "--mode", "weyl"]
+        assert cli.run(argv) == 0
+        out = capsys.readouterr().out
+        assert "-0.0" not in out
+        doc = json.loads(out)
+        assert doc["quotient_integral"]["unit"]["q"][0] < 0
+        assert [math.copysign(1.0, x) for x in doc["quotient_integral"]["numeric"]] == [1.0, 1.0]
+        cmp = run_json(capsys, argv + ["--oracle"])["oracle_comparison"]
+        assert [math.copysign(1.0, x) for x in cmp["exact_value"]] == [1.0, 1.0]
+        assert cli.run(argv + ["--table"]) == 0
+        (line,) = [x for x in capsys.readouterr().out.splitlines() if x.startswith("quotient:")]
+        assert line.endswith(" = 0j"), line
 
     def test_weyl_without_roots(self, capsys):
         err = run_err(capsys, ["reduce", "builtin:hk_point", "--mode", "weyl"])
@@ -981,6 +1001,46 @@ class TestLazyModules:
         assert got["reduce_calls"] == 1
         assert got["wrappers_left"] == []
         assert got["package_sees_original"]
+
+
+# `import eqloc` (no argv) or python -m eqloc.cli ARGV, then its exit code
+# and which of the class-generator modules it loaded, on stderr
+_CLASS_GENERATOR_MODULES = f"""
+import json, runpy, sys
+argv = json.loads(sys.argv[1])
+code = 0
+if argv:
+    sys.argv = ["eqloc", *argv]
+    try:
+        runpy.run_module("eqloc.cli", run_name="__main__", alter_sys=True)
+    except SystemExit as exc:
+        code = exc.code
+else:
+    import eqloc
+sys.stderr.write(json.dumps([code, [m for m in ("dataclasses", "inspect") if m in sys.modules]]))
+"""
+
+
+class TestColdPathStdlib:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            [],
+            ["check", str(GOLDEN_DIR / "sphere_s2.json")],
+            ["reduce", str(GOLDEN_DIR / "mirror_pair_7.json"), "--mode", "symplectic"],
+            ["reduce", str(GOLDEN_DIR / "hk_point.json"), "--mode", "hk"],
+            ["reduce", str(GOLDEN_DIR / "hk_point.json"), "--mode", "hk-p"],
+            ["localize", str(GOLDEN_DIR / "sphere_s2.json"), "--depth", "2"],
+            ["roots", "SU(2)"],
+            ["examples", "--out", "{tmp}"],
+        ],
+    )
+    def test_cold_commands_load_no_class_generator(self, tmp_path, argv):
+        """The records are slots classes: `import eqloc` and every command
+        that does not run the oracle leave dataclasses and inspect unloaded."""
+        argv = [arg.format(tmp=tmp_path) for arg in argv]
+        proc = _fresh_python(["-c", _CLASS_GENERATOR_MODULES, json.dumps(argv)])
+        assert json.loads(proc.stderr.splitlines()[-1]) == [0, []], proc.stderr
 
 
 # -- mutated goldens -----------------------------------------------------

@@ -14,7 +14,6 @@ Hand-derived values used below:
 import itertools
 import json
 import math
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -52,6 +51,7 @@ from eqloc.engines import (
 from eqloc.errors import EqlocError, NonInvertibleError, ValidationError
 from eqloc.exact import ComplexRational, LaurentSeries, SymbolicConstant
 from eqloc.localize import localize, monomial_euler_class, phase_factory, point_coeff
+from eqloc.record import replace
 from eqloc.roots import SU2_ROOTS, U2_ROOTS, group_spec
 
 

@@ -6,7 +6,6 @@ Taylor coefficients at y^0, y^2, y^4, y^6 are 2i, -i/3, i/60, -i/2520.
 """
 
 import importlib
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -34,6 +33,7 @@ from eqloc.localize import (
     restriction_factory,
     series_work,
 )
+from eqloc.record import replace
 
 
 def cr(re, im=0):

@@ -8,7 +8,6 @@ import runpy
 import subprocess
 import sys
 import tempfile
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -58,6 +57,7 @@ from eqloc.oracle import (
     shift_smoothness_check,
     suptsq_check,
 )
+from eqloc.record import replace
 
 CIRCLE = GroupSpec.circle()
 GOLDEN_DIR = Path(__file__).parent / "golden"

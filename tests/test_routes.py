@@ -9,7 +9,6 @@ test runs the contour read over random torus atlases of rank 1-3.
 
 import json
 import re
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -36,6 +35,7 @@ from eqloc.engines import (
     weyl_wrap,
 )
 from eqloc.exact import LaurentSeries
+from eqloc.record import replace
 from eqloc.roots import group_spec
 from test_acceptance import _tensor_circle_atlases
 from test_engines import product_atlases

@@ -7,7 +7,6 @@ reference below, for reports by ``to_json_dict``) and written by
 ``canonical_dumps``; the two texts must be the same bytes."""
 
 import json
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -41,6 +40,7 @@ from eqloc.engines import (
     weyl_wrap,
 )
 from eqloc.exact import ComplexRational, LaurentSeries, SymbolicConstant
+from eqloc.record import replace
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 ATLAS_GOLDENS = ("sphere_s2.json", "mirror_pair_7.json", "hk_point.json", "hk_torus_rank2.json")
