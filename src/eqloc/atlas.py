@@ -318,6 +318,11 @@ def _check_point(atlas: FixedPointAtlas, fp: FixedPointDatum, seen: set) -> None
                 raise refuse(
                     f"e(y) is a zero divisor at {name!r}: zero tangent weight", weight=w
                 )
+            if k > 1 and len(w) - w.count(0) > 1:
+                raise refuse(
+                    f"tangent weight {w} at {name!r} involves more than one variable; "
+                    "mixed weights are not supported yet", weight=w
+                )
     elif fp.raw_contribution is None:
         raise refuse(f"raw-mode fixed point {name!r} has no contribution series")
     elif fp.raw_contribution.vars != atlas.variable_order:
@@ -407,7 +412,8 @@ def _parse_series(doc, variables, where: str, key: str) -> LaurentSeries:
     """The series under ``key`` of the point at ``where``.  A refusal names
     the key as ``series``, here or on its way out of the term parser."""
     where = f"{where} {key}"
-    if not isinstance(doc, Mapping) or len(doc) != 1 or "terms" not in doc:
+    is_map = type(doc) is dict or isinstance(doc, Mapping)
+    if not is_map or len(doc) != 1 or "terms" not in doc:
         raise ValidationError(
             f"{where}: series documents have exactly one key, 'terms'", series=key
         )
@@ -445,14 +451,18 @@ def parse_series_terms(terms, variables: tuple, where: str, trunc=None) -> Laure
         )
     parsed = {}
     for n, entry in enumerate(terms):
-        if not isinstance(entry, Mapping) or entry.keys() != _TERM_KEYS:
+        is_map = type(entry) is dict or isinstance(entry, Mapping)
+        if not is_map or entry.keys() != _TERM_KEYS:
             raise ValidationError(
                 f"{where}: term {n} must have exactly the keys exp, re, im", term=n
             )
         exps = entry["exp"]
-        if not isinstance(exps, list) or len(exps) != k or not all(
-            type(x) is int for x in exps
-        ):
+        ok = isinstance(exps, list) and len(exps) == k
+        for x in exps if ok else ():
+            if type(x) is not int:
+                ok = False
+                break
+        if not ok:
             raise ValidationError(
                 f"{where}: term {n} exponent vector must list one integer per variable",
                 term=n,
@@ -470,10 +480,31 @@ def parse_series_terms(terms, variables: tuple, where: str, trunc=None) -> Laure
     return LaurentSeries._canonical(tuple(variables), parsed, tr)
 
 
-def _require_keys(doc: Mapping, required: set, optional: set, where: str):
+def _keys(required: str, optional: str = "") -> tuple:
+    """(required, allowed) key sets, from space-separated key names."""
+    return frozenset(required.split()), frozenset(f"{required} {optional}".split())
+
+
+_ATLAS_KEYS = _keys(
+    "group geometry dim_M dim_quotient deg_eta0 variable_order fixed_points", "submanifold"
+)
+_GROUP_KEYS = _keys("kind rank s vol", "roots")
+_ROOTS_KEYS = _keys("positive weyl_order")
+_VOL_KEYS = _keys("q", "i_pow pi_pow sqrt2_pow")
+_SUBMANIFOLD_KEYS = _keys("codim_L")
+_POINT_KEYS = _keys("name mode moment weights eta", "moment_hk raw")
+
+
+def _require_keys(doc: Mapping, keys: tuple, where: str) -> None:
+    """Refuse a document whose keys miss one of the required ``keys[0]``
+    (named first) or fall outside the allowed ``keys[1]``; the refusal's
+    sets are built only then."""
+    required, allowed = keys
+    if required <= doc.keys() <= allowed:
+        return
     keys = set(doc.keys())
     missing = required - keys
-    unknown = keys - required - optional
+    unknown = keys - allowed
     if missing:
         missing = sorted(missing)
         raise ValidationError(f"{where}: missing keys {missing}", missing=missing)
@@ -510,28 +541,24 @@ def canonical_dumps(doc) -> str:
     containers on one line.  dicts, lists and tuples nest; any other type,
     and any dict key that is not a str, raises TypeError.  With an indent,
     json falls back to its pure-Python encoder, which takes about twice as
-    long.
+    long.  Atlases and reports are written by their own templates
+    (``serialize_atlas``, ``ReductionReport.canonical_json``) in this form.
     """
-    return _dumps(doc, {})
+    return _json_text(doc, "\n") + "\n"
 
 
-def _dumps(doc, exact: Mapping) -> str:
-    """canonical_dumps, with each value whose type ``exact`` maps written by
-    that function: ``_EXACT_WRITERS`` writes the exact values."""
+def _json_text(o, nl: str) -> str:
+    """o's canonical text, nl being a newline plus the indent of o's line."""
     parts: list = []
-    _dump(doc, parts, "\n", exact)
-    return "".join(parts) + "\n"
+    _dump(o, parts, nl)
+    return "".join(parts)
 
 
-def _dump(o, parts: list, nl: str, exact: Mapping) -> None:
+def _dump(o, parts: list, nl: str) -> None:
     """Append o's canonical text to parts; nl is a newline plus the indent
-    of o's own line, and ``exact`` maps a type to the function that gives
-    its text.  int and str members skip the recursion, as they are most of
-    a document."""
-    text = exact.get(type(o))
-    if text is not None:
-        parts.append(text(o, nl))
-    elif isinstance(o, dict):
+    of o's own line.  int and str members skip the recursion, as they are
+    most of a document."""
+    if isinstance(o, dict):
         if not o:
             parts.append("{}")
             return
@@ -547,7 +574,7 @@ def _dump(o, parts: list, nl: str, exact: Mapping) -> None:
                 parts.append(sep + _encode_str(key) + ": " + _encode_str(v))
             else:
                 parts.append(sep + _encode_str(key) + ": ")
-                _dump(v, parts, inner, exact)
+                _dump(v, parts, inner)
             sep = "," + inner
         parts.append(nl + "}")
     elif isinstance(o, (list, tuple)):
@@ -561,7 +588,7 @@ def _dump(o, parts: list, nl: str, exact: Mapping) -> None:
                 parts.append(sep + int.__repr__(v))
             else:
                 parts.append(sep)
-                _dump(v, parts, inner, exact)
+                _dump(v, parts, inner)
             sep = "," + inner
         parts.append(nl + "]")
     elif isinstance(o, str):
@@ -621,10 +648,13 @@ def _constant_text(c: SymbolicConstant, nl: str) -> str:
 def _series_text(s: LaurentSeries, nl: str) -> str:
     """{"terms": [...]}, each term {"exp", "im", "re"}, sorted by exponents."""
     i, j, k = nl + "  ", nl + "    ", nl + "      "
-    terms = (
-        f'{{{k}"exp": {_list(map(str, e), k)},{k}{_im_re(s.terms[e], k)}{j}}}'
+    m = k + "  "
+    comma = "," + m
+    terms = [
+        f'{{{k}"exp": {f"[{m}{comma.join(map(str, e))}{k}]" if e else "[]"},'
+        f'{k}{_im_re(s.terms[e], k)}{j}}}'
         for e in sorted(s.terms)
-    )
+    ]
     return f'{{{i}"terms": {_list(terms, i)}{nl}}}'
 
 
@@ -640,40 +670,38 @@ def _point_text(fp: FixedPointDatum, nl: str) -> str:
     text += f',{i}"name": {_encode_str(fp.name)}'
     if fp.raw_contribution is not None:
         text += f',{i}"raw": {_series_text(fp.raw_contribution, i)}'
-    weights = (_list(map(int.__repr__, w), j) for w in fp.weights)
-    return f'{text},{i}"weights": {_list(weights, i)}{nl}}}'
-
-
-#: Exact values in the JSON form their ``to_json_dict``, ``to_json_terms``
-#: or ``serialize_atlas`` gives them, written straight from their ints.
-_EXACT_WRITERS = {
-    ComplexRational: _coeff_text,
-    SymbolicConstant: _constant_text,
-    LaurentSeries: _series_text,
-    FixedPointDatum: _point_text,
-}
+    # one join over the weights, each weight's ints joined inside its brackets
+    k = j + "  "
+    comma = "," + k
+    weights = f",{j}".join(
+        [f"[{k}{comma.join(map(int.__repr__, w))}{j}]" if w else "[]" for w in fp.weights]
+    )
+    weights = f"[{j}{weights}{i}]" if weights else "[]"
+    return f'{text},{i}"weights": {weights}{nl}}}'
 
 
 def serialize_atlas(atlas: FixedPointAtlas) -> str:
+    """The atlas's canonical JSON text, written from its fields."""
     g = atlas.group
-    group_doc = {"kind": g.kind, "rank": g.rank, "s": g.s, "vol": g.vol}
+    i, j, k = "\n  ", "\n    ", "\n      "
+    group = f'{{{j}"kind": {_encode_str(g.kind)},{j}"rank": {g.rank},'
     if g.root_system is not None:
-        group_doc["roots"] = {
-            "positive": g.root_system.positive_roots,
-            "weyl_order": g.root_system.weyl_order,
-        }
-    doc = {
-        "group": group_doc,
-        "geometry": atlas.geometry,
-        "dim_M": atlas.dim_m,
-        "dim_quotient": atlas.dim_quotient,
-        "deg_eta0": atlas.deg_eta0,
-        "variable_order": atlas.variable_order,
-        "fixed_points": atlas.fixed_points,
-    }
+        roots = (_list(map(int.__repr__, a), k + "  ") for a in g.root_system.positive_roots)
+        group += (
+            f'{j}"roots": {{{k}"positive": {_list(roots, k)},'
+            f'{k}"weyl_order": {g.root_system.weyl_order}{j}}},'
+        )
+    group += f'{j}"s": {g.s},{j}"vol": {_constant_text(g.vol, j)}{i}}}'
+    sub = ""
     if atlas.submanifold is not None:
-        doc["submanifold"] = {"codim_L": atlas.submanifold.codim}
-    return _dumps(doc, _EXACT_WRITERS)
+        sub = f'{i}"submanifold": {{{j}"codim_L": {atlas.submanifold.codim}{i}}},'
+    points = _list([_point_text(fp, j) for fp in atlas.fixed_points], i)
+    return (
+        f'{{{i}"deg_eta0": {atlas.deg_eta0},{i}"dim_M": {atlas.dim_m},'
+        f'{i}"dim_quotient": {atlas.dim_quotient},{i}"fixed_points": {points},'
+        f'{i}"geometry": {_encode_str(atlas.geometry)},{i}"group": {group},{sub}'
+        f'{i}"variable_order": {_list(map(_encode_str, atlas.variable_order), i)}\n}}\n'
+    )
 
 
 def parse_atlas(document) -> FixedPointAtlas:
@@ -689,34 +717,21 @@ def parse_atlas(document) -> FixedPointAtlas:
             raise ValidationError(
                 f"atlas document is not valid JSON: {exc}", line=exc.lineno, column=exc.colno
             ) from exc
-    if not isinstance(document, Mapping):
+    if type(document) is not dict and not isinstance(document, Mapping):
         raise ValidationError(
             "atlas document must be a JSON object", type=type(document).__name__
         )
-    _require_keys(
-        document,
-        {
-            "group",
-            "geometry",
-            "dim_M",
-            "dim_quotient",
-            "deg_eta0",
-            "variable_order",
-            "fixed_points",
-        },
-        {"submanifold"},
-        "atlas",
-    )
+    _require_keys(document, _ATLAS_KEYS, "atlas")
     gdoc = document["group"]
-    if not isinstance(gdoc, Mapping):
+    if type(gdoc) is not dict and not isinstance(gdoc, Mapping):
         raise ValidationError("atlas group must be an object", key="group")
-    _require_keys(gdoc, {"kind", "rank", "s", "vol"}, {"roots"}, "group")
+    _require_keys(gdoc, _GROUP_KEYS, "group")
     roots = None
     if "roots" in gdoc:
         rdoc = gdoc["roots"]
         if not isinstance(rdoc, Mapping):
             raise ValidationError("group roots must be an object", key="roots")
-        _require_keys(rdoc, {"positive", "weyl_order"}, set(), "group roots")
+        _require_keys(rdoc, _ROOTS_KEYS, "group roots")
         pos = rdoc["positive"]
         if not isinstance(pos, list):
             raise ValidationError(
@@ -730,12 +745,10 @@ def parse_atlas(document) -> FixedPointAtlas:
                 )
             parsed_roots.append(tuple(a))
         roots = RootSystemData(tuple(parsed_roots), _parse_int(rdoc["weyl_order"], "weyl_order"))
-    if not isinstance(gdoc["vol"], Mapping):
-        raise ValidationError("group vol must be an object", key="vol")
-    _require_keys(
-        gdoc["vol"], {"q"}, {"i_pow", "pi_pow", "sqrt2_pow"}, "group vol"
-    )
     vdoc = gdoc["vol"]
+    if type(vdoc) is not dict and not isinstance(vdoc, Mapping):
+        raise ValidationError("group vol must be an object", key="vol")
+    _require_keys(vdoc, _VOL_KEYS, "group vol")
     powers = []
     for key in ("i_pow", "pi_pow", "sqrt2_pow"):
         power = _parse_int(vdoc.get(key, 0), key, "group vol ")
@@ -768,7 +781,7 @@ def parse_atlas(document) -> FixedPointAtlas:
         sdoc = document["submanifold"]
         if not isinstance(sdoc, Mapping):
             raise ValidationError("submanifold must be an object", key="submanifold")
-        _require_keys(sdoc, {"codim_L"}, set(), "submanifold")
+        _require_keys(sdoc, _SUBMANIFOLD_KEYS, "submanifold")
         submanifold = SubmanifoldRestriction(_parse_int(sdoc["codim_L"], "codim_L"))
     header = FixedPointAtlas(
         group=group,
@@ -803,14 +816,9 @@ def _parse_point(fdoc, variables: tuple, where: str) -> FixedPointDatum:
     """One fixed point's document, its checks against the header left to
     ``_check_point``.  A refusal's context names the key its message names;
     ``parse_atlas`` adds the point's index."""
-    if not isinstance(fdoc, Mapping):
+    if type(fdoc) is not dict and not isinstance(fdoc, Mapping):
         raise ValidationError(f"{where}: must be an object", type=type(fdoc).__name__)
-    _require_keys(
-        fdoc,
-        {"name", "mode", "moment", "weights", "eta"},
-        {"moment_hk", "raw"},
-        where,
-    )
+    _require_keys(fdoc, _POINT_KEYS, where)
     name = fdoc["name"]
     if not isinstance(name, str):
         raise ValidationError(f"{where}: name must be a string", key="name")
@@ -821,10 +829,16 @@ def _parse_point(fdoc, variables: tuple, where: str) -> FixedPointDatum:
     wdoc = fdoc["weights"]
     if not isinstance(wdoc, list):
         raise ValidationError(f"{where}: weights must be a list", key="weights")
-    if not all(isinstance(w, list) for w in wdoc) or not all(
-        type(x) is int for w in wdoc for x in w
-    ):
-        raise ValidationError(f"{where}: each weight is a list of integers", key="weights")
+    weights = []
+    for w in wdoc:
+        ok = isinstance(w, list)
+        for x in w if ok else ():
+            if type(x) is not int:
+                ok = False
+                break
+        if not ok:
+            raise ValidationError(f"{where}: each weight is a list of integers", key="weights")
+        weights.append(tuple(w))
     moment_hk = None
     if "moment_hk" in fdoc:
         hdoc = fdoc["moment_hk"]
@@ -845,7 +859,7 @@ def _parse_point(fdoc, variables: tuple, where: str) -> FixedPointDatum:
     return FixedPointDatum(
         name=name,
         moment=moment,
-        weights=tuple(map(tuple, wdoc)),
+        weights=tuple(weights),
         eta=_parse_series(fdoc["eta"], variables, where, "eta"),
         moment_hk=moment_hk,
         mode=_parse_str(fdoc["mode"], "mode", f"{where}: "),

@@ -45,7 +45,8 @@ import cmath
 from fractions import Fraction
 from typing import Dict, Optional, Sequence, Tuple
 
-from .atlas import _EXACT_WRITERS, FixedPointAtlas, FixedPointDatum, RootSystemData, _dumps
+from .atlas import FixedPointAtlas, FixedPointDatum, RootSystemData
+from .atlas import _coeff_text, _constant_text, _encode_str, _json_text, _list
 from .errors import (
     InternalError,
     OddExponentError,
@@ -118,12 +119,12 @@ class ConventionProfile(Record):
     def volume(self, rank: int) -> SymbolicConstant:
         return self.vol_circle ** rank
 
-    def to_json_dict(self, constant=SymbolicConstant.to_json_dict) -> dict:
+    def to_json_dict(self) -> dict:
         return {
             "name": self.name,
-            "vol_circle": constant(self.vol_circle),
-            "prefactor_symplectic_circle": constant(self.prefactor_symplectic_circle),
-            "prefactor_hk_circle": constant(self.prefactor_hk_circle),
+            "vol_circle": self.vol_circle.to_json_dict(),
+            "prefactor_symplectic_circle": self.prefactor_symplectic_circle.to_json_dict(),
+            "prefactor_hk_circle": self.prefactor_hk_circle.to_json_dict(),
         }
 
 
@@ -158,10 +159,6 @@ def resolve_profile(profile=None) -> ConventionProfile:
 def _cr_json(c: ComplexRational) -> dict:
     re, im = c.json_pairs()
     return {"re": re, "im": im}
-
-
-def _as_is(value):
-    return value
 
 
 class ExactValue(Record):
@@ -257,37 +254,20 @@ class ReductionReport(Record):
         object.__setattr__(self, "oracle_comparison", oracle_comparison)
 
     def to_json_dict(self, include_path: bool = True) -> dict:
-        return self._doc(include_path, _cr_json, SymbolicConstant.to_json_dict)
-
-    def canonical_json(self) -> str:
-        """Deterministic serialized form.  The computing path is excluded so
-        that different routes to the same numbers serialize identically;
-        the exact values are written straight from their ints."""
-        return _dumps(self._doc(False, _as_is, _as_is), _EXACT_WRITERS)
-
-    def _doc(self, include_path: bool, coeff, constant) -> dict:
-        """The report, each coefficient and constant passed through coeff
-        and constant."""
-        value = self.quotient_integral
-        n = value.numeric()
         doc = {
             "geometry": self.geometry,
             "rank": self.rank,
-            "profile": self.profile.to_json_dict(constant),
+            "profile": self.profile.to_json_dict(),
             "variable_order": list(self.variable_order),
             "eta_mode": self.eta_mode,
             "contributions": [
-                {"name": p.name, "selected": p.selected, "coefficient": coeff(p.coefficient)}
+                {"name": p.name, "selected": p.selected, "coefficient": _cr_json(p.coefficient)}
                 for p in self.contributions
             ],
-            "raw_coefficient": coeff(self.raw_coefficient),
+            "raw_coefficient": _cr_json(self.raw_coefficient),
             "degree_factor": self.degree_factor,
-            "prefactor": constant(self.prefactor),
-            "quotient_integral": {
-                "coeff": coeff(value.coeff),
-                "unit": constant(value.unit),
-                "numeric": [n.real, n.imag],
-            },
+            "prefactor": self.prefactor.to_json_dict(),
+            "quotient_integral": self.quotient_integral.to_json_dict(),
         }
         if self.inserted_polynomial is not None:
             doc["inserted_polynomial"] = self.inserted_polynomial
@@ -297,6 +277,45 @@ class ReductionReport(Record):
         if include_path:
             doc["path"] = self.path
         return doc
+
+    def canonical_json(self) -> str:
+        """``canonical_dumps(self.to_json_dict(include_path=False))``,
+        written from the fields.  The computing path is excluded so that
+        different routes to the same numbers serialize identically."""
+        i, j, k = "\n  ", "\n    ", "\n      "
+        profile, value = self.profile, self.quotient_integral
+        n = value.numeric()  # finite: it raises otherwise
+        entries = [
+            f'{{{k}"coefficient": {_coeff_text(p.coefficient, k)},'
+            f'{k}"name": {_encode_str(p.name)},'
+            f'{k}"selected": {"true" if p.selected else "false"}{j}}}'
+            for p in self.contributions
+        ]
+        text = (
+            f'{{{i}"contributions": {_list(entries, i)},{i}"degree_factor": {self.degree_factor},'
+            f'{i}"eta_mode": {_encode_str(self.eta_mode)},'
+            f'{i}"geometry": {_encode_str(self.geometry)},'
+        )
+        if self.inserted_polynomial is not None:
+            text += f'{i}"inserted_polynomial": {_encode_str(self.inserted_polynomial)},'
+        if self.oracle_comparison is not None:
+            text += f'{i}"oracle_comparison": {_json_text(self.oracle_comparison, i)},'
+        text += (
+            f'{i}"prefactor": {_constant_text(self.prefactor, i)},'
+            f'{i}"profile": {{{j}"name": {_encode_str(profile.name)},'
+            f'{j}"prefactor_hk_circle": {_constant_text(profile.prefactor_hk_circle, j)},'
+            f'{j}"prefactor_symplectic_circle": '
+            f"{_constant_text(profile.prefactor_symplectic_circle, j)},"
+            f'{j}"vol_circle": {_constant_text(profile.vol_circle, j)}{i}}},'
+            f'{i}"quotient_integral": {{{j}"coeff": {_coeff_text(value.coeff, j)},'
+            f'{j}"numeric": [{k}{n.real!r},{k}{n.imag!r}{j}],'
+            f'{j}"unit": {_constant_text(value.unit, j)}{i}}},'
+            f'{i}"rank": {self.rank},{i}"raw_coefficient": {_coeff_text(self.raw_coefficient, i)},'
+            f'{i}"variable_order": {_list(map(_encode_str, self.variable_order), i)}'
+        )
+        if self.inserted_polynomial is not None:
+            text += f',{i}"weyl_divisor": {_json_text(self.weyl_divisor, i)}'
+        return text + "\n}\n"
 
     def with_oracle(self, comparison: dict) -> "ReductionReport":
         return replace(self, oracle_comparison=comparison)

@@ -500,7 +500,7 @@ class LaurentSeries:
         return tuple(map(min, zip(*self.terms)))
 
     def has_negative_exponents(self) -> bool:
-        return any(any(x < 0 for x in e) for e in self.terms)
+        return any(x < 0 for e in self.terms for x in e)
 
     def principal_terms(self) -> dict:
         """Terms with at least one negative exponent."""

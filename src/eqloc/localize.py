@@ -105,11 +105,13 @@ def euler_class(fp: FixedPointDatum, variables: Sequence[str]) -> LaurentSeries:
     for w in fp.weights:
         if not any(w):
             raise ValidationError(
-                f"e(y) is a zero divisor at {fp.name!r}: zero tangent weight"
+                f"e(y) is a zero divisor at {fp.name!r}: zero tangent weight",
+                point=fp.name, weight=w,
             )
         if len(w) != k:
             raise VariableMismatchError(
-                f"covector length {len(w)} does not match variables {variables}"
+                f"covector length {len(w)} does not match variables {variables}",
+                weight=w, variables=variables,
             )
         nonzero = [v for v, x in enumerate(w) if x]
         if len(nonzero) == 1:
@@ -156,7 +158,8 @@ def monomial_euler_class(fp: FixedPointDatum, k: int) -> Tuple[int, Tuple[int, .
         nonzero = [v for v, x in enumerate(w) if x != 0]
         if not nonzero:
             raise ValidationError(
-                f"e(y) is a zero divisor at {fp.name!r}: zero tangent weight"
+                f"e(y) is a zero divisor at {fp.name!r}: zero tangent weight",
+                point=fp.name, weight=w,
             )
         if len(nonzero) > 1:
             raise NonInvertibleError(
@@ -284,7 +287,7 @@ def phase_factory(eta_mode: str = "atlas") -> IntegrandFactory:
 
 def check_eta_mode(eta_mode: str) -> None:
     if eta_mode not in ("atlas", "one"):
-        raise ValidationError(f"unknown eta mode {eta_mode!r}")
+        raise ValidationError(f"unknown eta mode {eta_mode!r}", eta_mode=eta_mode)
 
 
 class LocalizationResult(Record):
@@ -322,7 +325,8 @@ def localize(
         orders = tuple(order)
         if len(orders) != k:
             raise ValidationError(
-                f"order vector length {len(orders)} does not match rank {k}"
+                f"order vector length {len(orders)} does not match rank {k}",
+                order=orders, rank=k,
             )
     check_series_budget(atlas, orders)
     contributions = []

@@ -29,21 +29,22 @@ def known_groups() -> list:
     return sorted(_TABLES)
 
 
+def _entry(name: str) -> dict:
+    entry = _TABLES.get(name)
+    if entry is None:
+        known = known_groups()
+        raise ValidationError(f"unknown group {name!r}; known: {known}", group=name, known=known)
+    return entry
+
+
 def root_system(name: str) -> RootSystemData:
-    try:
-        return _TABLES[name]["roots"]
-    except KeyError:
-        raise ValidationError(
-            f"unknown group {name!r}; known: {known_groups()}"
-        ) from None
+    return _entry(name)["roots"]
 
 
 def group_spec(name: str, vol_circle: Optional[SymbolicConstant] = None) -> GroupSpec:
     """GroupSpec for a bundled compact group, presented through its maximal
     torus.  vol is the torus volume: vol_circle per rank."""
-    entry = _TABLES.get(name)
-    if entry is None:
-        raise ValidationError(f"unknown group {name!r}; known: {known_groups()}")
+    entry = _entry(name)
     if vol_circle is None:
         vol_circle = SymbolicConstant(Fraction(2), pi_pow=1)
     return GroupSpec(
@@ -56,9 +57,7 @@ def group_spec(name: str, vol_circle: Optional[SymbolicConstant] = None) -> Grou
 
 
 def table_json_dict(name: str) -> dict:
-    entry = _TABLES.get(name)
-    if entry is None:
-        raise ValidationError(f"unknown group {name!r}; known: {known_groups()}")
+    entry = _entry(name)
     roots: RootSystemData = entry["roots"]
     return {
         "name": name,

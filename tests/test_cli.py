@@ -19,10 +19,11 @@ from eqloc.atlas import (
     serialize_atlas,
     validate_atlas,
 )
+from eqloc.errors import ValidationError
 from eqloc.exact import LaurentSeries
 from eqloc.localize import SERIES_WORK_BUDGET
 from eqloc.record import replace
-from eqloc.roots import group_spec
+from eqloc.roots import group_spec, root_system, table_json_dict
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -429,6 +430,15 @@ class TestRoots:
     def test_unknown_group(self, capsys):
         err = run_err(capsys, ["roots", "E8"])
         assert err["error"] == "validation"
+        assert err["message"] == "unknown group 'E8'; known: ['SU(2)', 'U(2)']"
+        assert err["context"] == {"group": "'E8'", "known": "['SU(2)', 'U(2)']"}
+
+    @pytest.mark.parametrize("lookup", [root_system, group_spec, table_json_dict])
+    def test_unknown_group_context(self, lookup):
+        with pytest.raises(ValidationError) as info:
+            lookup("U(3)")
+        assert info.value.message == "unknown group 'U(3)'; known: ['SU(2)', 'U(2)']"
+        assert info.value.context == {"group": "U(3)", "known": ["SU(2)", "U(2)"]}
 
 
 class TestExamples:
@@ -786,13 +796,13 @@ class TestErrorMapping:
         doc["fixed_points"][0]["weights"] = [[1, 1], [1, 0], [0, 1], [1, -1]]
         path = tmp_path / "mixed.json"
         path.write_text(json.dumps(doc))
-        assert cli.run(["check", str(path)]) == 0
-        capsys.readouterr()
-        err = run_err(capsys, ["reduce", str(path), "--mode", "hk"])
-        assert err["error"] == "series"
-        assert err["slug"] == "non-invertible"
-        assert err["context"] == {"point": "'product'", "weight": "(1, 1)"}
-        assert "'product'" in err["message"]
+        for argv in (["check", str(path)], ["reduce", str(path), "--mode", "hk"]):
+            err = run_err(capsys, argv)
+            assert err["error"] == "validation"
+            assert err["slug"] == "validation"
+            assert err["context"] == {"point": "'product'", "weight": "(1, 1)"}
+            assert "'product'" in err["message"]
+            assert "mixed weights are not supported yet" in err["message"]
 
 
 # -- numpy is loaded only by the oracle ------------------------------------

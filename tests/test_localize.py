@@ -26,8 +26,10 @@ from eqloc.errors import NonInvertibleError, ValidationError, VariableMismatchEr
 from eqloc.exact import ComplexRational, LaurentSeries
 from eqloc.localize import (
     SERIES_WORK_BUDGET,
+    check_eta_mode,
     euler_class,
     localize,
+    monomial_euler_class,
     phase_covector,
     phase_factory,
     restriction_factory,
@@ -195,14 +197,59 @@ def test_mixed_weight_inverse_rejected():
         base.fixed_points[0], weights=((1, 1), (1, 0), (0, 1), (1, -1))
     )
     atlas = replace(base, fixed_points=(fp,))
-    validate_atlas(atlas)
+    with pytest.raises(ValidationError, match="mixed weights are not supported yet"):
+        validate_atlas(atlas)
     with pytest.raises(NonInvertibleError):
         localize(atlas, phase_factory(), 0)
 
 
 def test_order_vector_must_match_rank():
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError) as info:
         localize(sphere_atlas(), phase_factory(), (1, 2))
+    assert info.value.message == "order vector length 2 does not match rank 1"
+    assert info.value.context == {"order": (1, 2), "rank": 1}
+
+
+_ZERO = replace(sphere_atlas().fixed_points[0], weights=((1,), (0,)))
+_ZERO_TEXT = "e(y) is a zero divisor at 'north': zero tangent weight"
+
+
+@pytest.mark.parametrize(
+    "call, error, message, context",
+    [
+        (
+            lambda: check_eta_mode("bogus"),
+            ValidationError,
+            "unknown eta mode 'bogus'",
+            {"eta_mode": "bogus"},
+        ),
+        (
+            lambda: euler_class(_ZERO, ("y",)),
+            ValidationError,
+            _ZERO_TEXT,
+            {"point": "north", "weight": (0,)},
+        ),
+        (
+            lambda: monomial_euler_class(_ZERO, 1),
+            ValidationError,
+            _ZERO_TEXT,
+            {"point": "north", "weight": (0,)},
+        ),
+        (
+            lambda: euler_class(sphere_atlas().fixed_points[0], ("y", "z")),
+            VariableMismatchError,
+            "covector length 1 does not match variables ('y', 'z')",
+            {"weight": (1,), "variables": ("y", "z")},
+        ),
+    ],
+    ids=["eta_mode", "euler_zero_weight", "monomial_zero_weight", "covector_length"],
+)
+def test_refusal_context_names_its_values(call, error, message, context):
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error
+    assert info.value.message == message
+    assert info.value.context == context
 
 
 @given(st.integers(0, 300))
