@@ -1,10 +1,12 @@
 #!/usr/bin/env python3
 """t-ladder convergence study for the mollified oracle.
 
+Reads a symplectic circle atlas, the one kind the mollified oracle checks.
 Prints the ladder value, successive difference, quadrature error estimate
 and panels spent per t, whether the last two rungs agree (the oracle's
-converged verdict), the extrapolated limits under both rules, and (for
-symplectic circle data) the exact engine value the ladder should approach.
+converged verdict), the extrapolated limits under both rules, and the exact
+engine value the ladder should approach.  Any other atlas is refused with
+the oracle's own error, which names reduce --oracle, and exit code 1.
 
 Usage:
   python scripts/oracle_convergence.py builtin:sphere_S2 --t 1,10,100,1000,10000
@@ -38,15 +40,10 @@ def main() -> int:
     args = ap.parse_args()
 
     atlas = load(args.atlas)
-    if args.t:
-        ladder = tuple(float(x) for x in args.t.split(","))
-    elif atlas.geometry == "hyperkahler":
-        ladder = (4.0, 8.0, 16.0, 32.0)
-    else:
-        ladder = (1.0, 10.0, 100.0, 1000.0, 10000.0)
-
-    cfg = MollifierConfig(t_ladder=ladder)
     try:
+        cfg = MollifierConfig()
+        if args.t:
+            cfg = MollifierConfig(t_ladder=tuple(float(x) for x in args.t.split(",")))
         res = mollified_oint(atlas_integrand(atlas), atlas.group, cfg)
     except EqlocError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -69,14 +66,12 @@ def main() -> int:
     rich = res.richardson()
     print(f"richardson:  {rich.real:+.15e} {rich.imag:+.15e}i")
 
-    if atlas.geometry == "symplectic" and atlas.group.rank == 1:
-        report = reduce_symplectic_circle(atlas)
-        raw = complex(report.raw_coefficient)
-        vol = atlas.group.vol.numeric_value().real
-        # the mollified limit of the summed series is (2 pi i / vol) * raw
-        target = 2j * math.pi * raw / vol
-        print(f"exact limit: {target.real:+.15e} {target.imag:+.15e}i")
-        print(f"|last - exact| = {abs(res.estimate - target):.3e}")
+    raw = complex(reduce_symplectic_circle(atlas).raw_coefficient)
+    vol = atlas.group.vol.numeric_value().real
+    # the mollified limit of the summed series is (2 pi i / vol) * raw
+    target = 2j * math.pi * raw / vol
+    print(f"exact limit: {target.real:+.15e} {target.imag:+.15e}i")
+    print(f"|last - exact| = {abs(res.estimate - target):.3e}")
     return 0
 
 

@@ -10,7 +10,8 @@ Subcommands:
 
 Atlas arguments are file paths, or builtin:NAME / builtin:NAME(SEED) for the
 bundled generators.  Exit code 0 on success, 1 for invalid input or a
-quadrature failure (with an error object on stderr), 2 for internal faults.
+quadrature failure (with an error object on stderr) and for a stdout whose
+reader has closed it (without one), 2 for internal faults.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ from .atlas import (
 )
 from .errors import EqlocError, InternalError, QuadratureError, SeriesError, ValidationError
 from .exact import LaurentSeries
-from .record import replace
 from .roots import known_groups, table_json_dict
 
 
@@ -224,13 +224,11 @@ def _cmd_reduce(args) -> int:
     return 0
 
 
-def _oracle_cfg(args, default_ladder=None) -> MollifierConfig:
+def _oracle_cfg(args) -> MollifierConfig:
     from .oracle import MollifierConfig
 
     kwargs = {}
     ladder = _ladder(args.t_ladder)
-    if ladder is None:
-        ladder = default_ladder
     if ladder is not None:
         kwargs["t_ladder"] = ladder
     if args.extrapolation is not None:
@@ -290,19 +288,10 @@ def _cmd_oracle(args) -> int:
         )
     if args.shift is not None:
         zetas = _numbers(args.shift, "moment shifts")
-        cfg = _oracle_cfg(args)
-        table = shift_smoothness_check(atlas, zetas, cfg)
+        table = shift_smoothness_check(atlas, zetas, _oracle_cfg(args))
         _emit({"shift": table.to_json_dict()})
         return 0
-    # quadratic phases need panel counts that grow with t; default to a
-    # short ladder with extrapolation rather than a guaranteed budget fault
-    if geometry == "hyperkahler":
-        cfg = _oracle_cfg(args, default_ladder=(4.0, 8.0, 16.0, 32.0))
-        if args.extrapolation is None:
-            cfg = replace(cfg, extrapolation="richardson")
-    else:
-        cfg = _oracle_cfg(args)
-    res = mollified_oint(atlas_integrand(atlas), atlas.group, cfg)
+    res = mollified_oint(atlas_integrand(atlas), atlas.group, _oracle_cfg(args))
     _emit({"mollified": res.to_json_dict()})
     return 0
 
@@ -387,12 +376,21 @@ def run(argv) -> int:
         return _fail("internal", exc, 2)
     except EqlocError as exc:
         return _fail("internal", exc, 2)
+    except BrokenPipeError:  # the reader closed stdout: nothing to report to
+        return 1
     except Exception as exc:  # noqa: BLE001 - the CLI boundary
         return _fail("internal", exc, 2)
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    code = run(sys.argv[1:])
+    try:
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # point stdout at devnull, so that the flush at exit cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

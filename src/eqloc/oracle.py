@@ -35,8 +35,7 @@ round of panels with one real matrix product: the Gaussian times the
 powers of y at every node form the basis, and on a panel's nodes c + k h a
 linear phase separates as exp(i f c) * exp(i f k h), so the second factor
 joins the rule weights and the terms' coefficients in one small matrix per
-round, every panel of a round having the same spacing h.  A hyperkahler
-phase exp(i f y^2) does not separate and is taken per node.
+round, every panel of a round having the same spacing h.
 
 This module imports numpy.  ``import eqloc`` registers it as a lazy module
 that runs on the first read of one of its attributes, so numpy loads only
@@ -89,6 +88,11 @@ class _Budget:
 #: exp(-y^2/4t) has the Fourier transform sqrt(4 pi t) exp(-t w^2), below
 #: exp(-_MARGIN) of its peak past the frequency sqrt(_MARGIN / t)
 _MARGIN = 60.0
+
+#: the mollified limit's per-panel tolerance, and its window |y| <=
+#: _SIGMAS sqrt(2t), past which the Gaussian's tail is below 1e-30
+_TOLERANCE = 1e-10
+_SIGMAS = 12.0
 
 #: panel width times the band limit: 15 nodes h = 2 pi / (3 freq) apart
 _PANEL_PHASE = 10 * math.pi
@@ -216,39 +220,38 @@ def _check_ladder(t_ladder: Sequence[float], min_len: int) -> Tuple[float, ...]:
     entries and is finite, positive and strictly increasing, in that order."""
     ladder = tuple(float(t) for t in t_ladder)
     if min_len > 1 and len(ladder) < min_len:
-        raise ValidationError("t ladder needs at least two entries")
+        raise ValidationError("t ladder needs at least two entries", t_ladder=ladder)
     # written so that NaN fails every test
     if not ladder or not all(0 < t < math.inf for t in ladder) or any(
         a >= b for a, b in zip(ladder, ladder[1:])
     ):
-        raise ValidationError("t ladder must be finite, positive and strictly increasing")
+        raise ValidationError(
+            "t ladder must be finite, positive and strictly increasing", t_ladder=ladder
+        )
     return ladder
 
 
 class MollifierConfig(Record):
-    __slots__ = ("t_ladder", "quad_tolerance", "window_sigmas", "extrapolation", "max_panels")
+    __slots__ = ("t_ladder", "extrapolation", "max_panels")
 
     def __init__(
         self,
         t_ladder: Tuple[float, ...] = (1.0, 10.0, 100.0, 1000.0, 10000.0),
-        quad_tolerance: float = 1e-10,
-        window_sigmas: float = 12.0,
         extrapolation: str = "last_value",
         max_panels: int = 300_000,
     ):
         t_ladder = _check_ladder(t_ladder, 2)
-        if not (0 < quad_tolerance < math.inf and 0 < window_sigmas < math.inf):
-            raise ValidationError("tolerance and window size must be finite and positive")
         if extrapolation not in ("last_value", "richardson"):
-            raise ValidationError(f"unknown extrapolation rule {extrapolation!r}")
+            raise ValidationError(
+                f"unknown extrapolation rule {extrapolation!r}", extrapolation=extrapolation
+            )
         # NaN or inf would switch the panel budget off
         if not isinstance(max_panels, int) or isinstance(max_panels, bool) or max_panels < 16:
             raise ValidationError(
-                f"max_panels must be an integer of at least 16, got {max_panels!r}"
+                f"max_panels must be an integer of at least 16, got {max_panels!r}",
+                max_panels=max_panels,
             )
         object.__setattr__(self, "t_ladder", t_ladder)
-        object.__setattr__(self, "quad_tolerance", quad_tolerance)
-        object.__setattr__(self, "window_sigmas", window_sigmas)
         object.__setattr__(self, "extrapolation", extrapolation)
         object.__setattr__(self, "max_panels", max_panels)
 
@@ -258,29 +261,19 @@ class OracleIntegrand(Record):
 
     fn maps a list holding one array, the nodes, to a complex array of the
     same shape.  freq_linear bounds |d phase / d y| from oscillatory factors
-    exp(i mu y); freq_quadratic bounds the lambda of exp(i lambda y^2)
-    factors, whose local frequency grows with the window.
+    exp(i mu y).
 
-    The grid is spaced for these bounds and trusts them, and a plain
-    function counts as band-limited to frequency 1: a faster phase aliases
+    The grid is spaced for this bound and trusts it, and a plain function
+    counts as band-limited to frequency 1: a faster phase aliases
     unflagged.  exp(5 i y) declared as frequency 1 gives -1.6e-4 at t = 100,
     where the integral is about 0, with an error estimate of 2e-16.
     """
 
-    __slots__ = ("fn", "freq_linear", "freq_quadratic")
+    __slots__ = ("fn", "freq_linear")
 
-    def __init__(
-        self,
-        fn: Callable[[List[np.ndarray]], np.ndarray],
-        freq_linear: float = 1.0,
-        freq_quadratic: float = 0.0,
-    ):
+    def __init__(self, fn: Callable[[List[np.ndarray]], np.ndarray], freq_linear: float = 1.0):
         object.__setattr__(self, "fn", fn)
         object.__setattr__(self, "freq_linear", freq_linear)
-        object.__setattr__(self, "freq_quadratic", freq_quadratic)
-
-    def max_frequency(self, window: float) -> float:
-        return self.freq_linear + 2.0 * self.freq_quadratic * window
 
 
 class LadderRow(Record):
@@ -357,8 +350,8 @@ class OracleResult(Record):
 def _mollified_single_t(
     g: OracleIntegrand, t: float, cfg: MollifierConfig, budget: _Budget
 ) -> Tuple[complex, float]:
-    window = cfg.window_sigmas * math.sqrt(2.0 * t)
-    grid = _panel_grid(window, g.max_frequency(window) + _spread(t), budget.left)
+    window = _SIGMAS * math.sqrt(2.0 * t)
+    grid = _panel_grid(window, g.freq_linear + _spread(t), budget.left)
     if isinstance(g.fn, _PointSum):
         fn = _MollifiedPanels(g.fn, t)
     else:
@@ -366,7 +359,7 @@ def _mollified_single_t(
         def fn(y: np.ndarray) -> np.ndarray:
             return np.exp(-(y * y) / (4.0 * t)) * g.fn([y])
 
-    return adaptive_quadrature(fn, grid, cfg.quad_tolerance, budget)
+    return adaptive_quadrature(fn, grid, _TOLERANCE, budget)
 
 
 def _one_variable(rank: int, what: str) -> None:
@@ -387,11 +380,10 @@ def mollified_oint(
     group; a torus is refused (see _one_variable).
 
     f is an OracleIntegrand or a plain function of one array.  The limit is
-    estimated over cfg.t_ladder; the tail outside |y| <= window_sigmas *
-    sqrt(2t) is dropped (bounded below 1e-30 at the default 12 sigmas).
-    The grid trusts f's freq_linear and freq_quadratic, and a plain function
-    counts as band-limited to frequency 1; a faster phase, such as exp(5 i y)
-    at t = 100, can alias unflagged (see OracleIntegrand).
+    estimated over cfg.t_ladder; the tail outside |y| <= _SIGMAS sqrt(2t)
+    is dropped (bounded below 1e-30).  The grid trusts f's freq_linear, and
+    a plain function counts as band-limited to frequency 1; a faster phase,
+    such as exp(5 i y) at t = 100, can alias unflagged (see OracleIntegrand).
     """
     _one_variable(group.rank, "the mollified limit")
     g = f if isinstance(f, OracleIntegrand) else OracleIntegrand(fn=lambda ys: f(ys[0]))
@@ -551,24 +543,23 @@ _PANEL_BLOCK = 1024
 
 
 class _MollifiedPanels:
-    """exp(-y^2/4t) times a rank-1 _PointSum, integrated a round of panels
-    at a time.  Its terms, gathered by frequency f, are the columns of a
-    coefficient matrix C[e, f] over the exponents lo..hi, which the
-    _PointSum builds once for every rung of a ladder.  On a panel
-    x = c + k h a linear phase separates, with g the Gaussian:
+    """exp(-y^2/4t) times a rank-1 _PointSum of linear phases, as
+    atlas_integrand builds, integrated a round of panels at a time.  Its
+    terms, gathered by frequency f, are the columns of a coefficient matrix
+    C[e, f] over the exponents lo..hi, which the _PointSum builds once for
+    every rung of a ladder.  On a panel x = c + k h a linear phase
+    separates, with g the Gaussian:
 
         sum_k w_k g x^e exp(i f x) = exp(i f c) sum_k [w_k exp(i f k h)] [g x^e]
 
     Every panel of a round has the same spacing h, so a round is one real
     basis B[p, (k, e)] = g x^e, one product with V[(k, e), (f, r)] =
     RULES[k, r] exp(i f k h) C[e, f], and a centre phase exp(i f c) per
-    panel and frequency.  A hyperkahler phase exp(i f x^2) does not
-    separate: it multiplies the amplitudes B C per node, and RULES
-    contracts the nodes.  Every phase is taken by _unit from its real angle.
+    panel and frequency.  Every phase is taken by _unit from its real angle.
     """
 
     def __init__(self, point_sum: _PointSum, t: float):
-        self.quadratic, self.t = point_sum.quadratic, t
+        self.t = t
         self.lo, self.hi, self.freqs, self.coeffs = point_sum.matrix
 
     def _basis(self, x: np.ndarray) -> np.ndarray:
@@ -583,25 +574,18 @@ class _MollifiedPanels:
     def sums(self, centers: np.ndarray, h: float) -> np.ndarray:
         """Each panel's RULES sums of exp(-x^2/4t) fn(x) over its nodes
         c + k h: a (panels, 2) array.  B is real, so every product
-        takes the complex right-hand side viewed as pairs of reals.  Both
-        branches work on blocks of at most _PANEL_BLOCK panels, so no array
-        grows with the round."""
+        takes the complex right-hand side viewed as pairs of reals.  It
+        works on blocks of at most _PANEL_BLOCK panels, so no array grows
+        with the round."""
         sums = np.empty((len(centers), 2), dtype=complex)
-        if not self.quadratic:
-            node = _unit(h * np.multiply.outer(PANEL_NODES, self.freqs))
-            v = RULES[:, None, None] * node[:, None, :, None] * self.coeffs[:, :, None]
-            v = v.reshape(15 * len(self.coeffs), -1).view(float)
+        node = _unit(h * np.multiply.outer(PANEL_NODES, self.freqs))
+        v = RULES[:, None, None] * node[:, None, :, None] * self.coeffs[:, :, None]
+        v = v.reshape(15 * len(self.coeffs), -1).view(float)
         for s, e in _blocks(0, len(centers)):
-            x = centers[s:e, None] + h * PANEL_NODES
-            basis = self._basis(x)
-            if self.quadratic:
-                amp = (basis.reshape(x.size, -1) @ self.coeffs.view(float)).view(complex)
-                amp = amp.reshape(*x.shape, -1) * _unit((x * x)[..., None] * self.freqs)
-                sums[s:e] = amp.sum(axis=-1) @ RULES
-            else:
-                out = (basis.reshape(e - s, -1) @ v).view(complex).reshape(e - s, -1, 2)
-                phase = _unit(np.multiply.outer(centers[s:e], self.freqs))
-                sums[s:e] = np.einsum("pf,pfr->pr", phase, out)
+            basis = self._basis(centers[s:e, None] + h * PANEL_NODES)
+            out = (basis.reshape(e - s, -1) @ v).view(complex).reshape(e - s, -1, 2)
+            phase = _unit(np.multiply.outer(centers[s:e], self.freqs))
+            sums[s:e] = np.einsum("pf,pfr->pr", phase, out)
         return sums
 
 
@@ -683,27 +667,30 @@ def _point_coeffs(atlas: FixedPointAtlas, eta_mode: str, fp: FixedPointDatum) ->
 def atlas_integrand(
     atlas: FixedPointAtlas, *, eta_mode: str = "atlas", zeta: float = 0.0
 ) -> OracleIntegrand:
-    """Numeric evaluator for the summed localization series of a circle
-    atlas, for the mollified oracle.
+    """Numeric evaluator for the summed localization series of a symplectic
+    circle atlas, for the mollified oracle.
 
     Built directly from the fixed-point data with double-precision
     arithmetic (see _point_coeffs).  The exact closed-form read is used only
     as a gate, to refuse data whose summed series has a genuine pole at the
     origin and therefore no mollified limit.  A raw point truncated below
     y^-1 could hide such a pole, and is refused with
-    InsufficientTruncationError.  A torus atlas is refused: reduce --oracle
-    checks its reports by the contour read.
+    InsufficientTruncationError.  A torus or a hyperkahler atlas is refused:
+    reduce --oracle checks its reports by the contour read.
 
-    zeta shifts every symplectic moment by -zeta: the phase picks up a
-    global factor exp(-i zeta y).
+    zeta shifts every moment by -zeta: the phase picks up a global factor
+    exp(-i zeta y).
     """
     _one_variable(atlas.group.rank, "the mollified oracle")
-    if zeta and atlas.geometry != "symplectic":
-        raise ValidationError("moment shifts are a symplectic circle diagnostic")
+    if atlas.geometry != "symplectic":
+        raise ValidationError(
+            f"the mollified oracle reads symplectic circles, not {atlas.geometry} "
+            "data; reduce --oracle checks such a report by its contour read",
+            geometry=atlas.geometry,
+        )
 
     # refuse, before any exact work, a raw series cut below y^-1 (it would
     # hide poles from the gate) and a phase frequency without a double
-    hk = atlas.geometry == "hyperkahler"
     point_freqs = []
     for fp in atlas.fixed_points:
         if fp.mode == "raw":
@@ -722,20 +709,21 @@ def atlas_integrand(
         point_freqs.append(_phase(atlas, fp))
     principal = _principal_part(atlas, eta_mode)
     if principal:
+        exponents = sorted(principal)
         raise QuadratureError(
-            "localized sum has a pole at the origin (principal exponents "
-            f"{sorted(principal)}); the mollified integral does not exist for this data"
+            f"localized sum has a pole at the origin (principal exponents {exponents}); "
+            "the mollified integral does not exist for this data",
+            exponents=exponents,
         )
 
     structured = [f for fp, (f,) in zip(atlas.fixed_points, point_freqs) if fp.mode != "raw"]
-    lin = max([abs(zeta)] + ([] if hk else [abs(f) for f in structured]))
-    quad = max([0.0] + structured) if hk else 0.0
+    lin = max([abs(zeta)] + [abs(f) for f in structured])
     if zeta:
         point_freqs = [(f - zeta,) for (f,) in point_freqs]
     points = [
         (_point_coeffs(atlas, eta_mode, fp), f) for fp, f in zip(atlas.fixed_points, point_freqs)
     ]
-    return OracleIntegrand(fn=_PointSum(points, hk), freq_linear=lin, freq_quadratic=quad)
+    return OracleIntegrand(fn=_PointSum(points, False), freq_linear=lin)
 
 
 def moment_gap(atlas: FixedPointAtlas) -> float:
@@ -857,7 +845,9 @@ def contour_coeff(f: LaurentSeries, m: int, var: str) -> complex:
     if len(f.vars) != 1:
         raise ValidationError("contour extraction works on one-variable series")
     if f.vars[0] != var:
-        raise ValidationError(f"series has variable {f.vars[0]!r}, not {var!r}")
+        raise ValidationError(
+            f"series has variable {f.vars[0]!r}, not {var!r}", variable=f.vars[0], expected=var
+        )
     terms = {
         (e,): _contour_size(e, c) for (e,), c in sorted(f.terms.items(), reverse=True)
     }
@@ -977,13 +967,15 @@ def _suptsq_size(m: int, t: float) -> float:
     except OverflowError:
         raise ValidationError(
             f"the integrand's size Gamma((m+1)/2) (4t)^((m+1)/2) for m = {m} is "
-            f"beyond the range of a double at t = {t:g}; lower n or the t ladder"
+            f"beyond the range of a double at t = {t:g}; lower n or the t ladder",
+            m=m,
+            t=t,
         ) from None
 
 
-def _suptsq_grid(x: float, m: int, t: float, window_sigmas: float) -> Tuple[float, float]:
+def _suptsq_grid(x: float, m: int, t: float, sigmas: float) -> Tuple[float, float]:
     """(window, band limit) of suptsq_check's rung t for y^m."""
-    window = math.sqrt(2.0 * t * m) + window_sigmas * math.sqrt(2.0 * t)
+    window = math.sqrt(2.0 * t * m) + sigmas * math.sqrt(2.0 * t)
     return window, abs(x) + (math.sqrt(_MARGIN) + math.sqrt(2.0 * m + 1.0)) / math.sqrt(t)
 
 
@@ -1019,11 +1011,11 @@ def suptsq_check(
     refused, the first two naming the largest value that fits.
     """
     if n < 0 or n % 2 != 0:
-        raise ValidationError("n must be an even nonnegative integer")
+        raise ValidationError("n must be an even nonnegative integer", n=n)
     power = n // 2
     ladder = _check_ladder(t_ladder, 1)
     if not math.isfinite(x):
-        raise ValidationError(f"x must be a finite number, got {x!r}")
+        raise ValidationError(f"x must be a finite number, got {x!r}", x=x)
     top = ladder[-1]
     # the widest grid lays 2 ceil(window (|x| + spread) / _PANEL_PHASE)
     # panels, so refuse before building it
@@ -1147,8 +1139,8 @@ def shift_smoothness_check(
     vol = atlas.group.vol.numeric_value().real
     gap = moment_gap(atlas)
     zmax = max((abs(z) for z in zeta_list), default=0.0)
-    window = cfg.window_sigmas * math.sqrt(2.0 * t)
-    grid = _panel_grid(window, g0.max_frequency(window) + zmax + _spread(t), cfg.max_panels)
+    window = _SIGMAS * math.sqrt(2.0 * t)
+    grid = _panel_grid(window, g0.freq_linear + zmax + _spread(t), cfg.max_panels)
 
     def base_fn(y: np.ndarray) -> np.ndarray:
         return np.exp(-(y * y) / (4.0 * t)) * g0.fn([y])

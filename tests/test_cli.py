@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import os
@@ -400,9 +402,25 @@ class TestOracleCommand:
         assert "reduce --oracle" in err["message"]
         assert err["context"] == {"rank": "2"}
 
-    def test_pole_data_is_quadrature_error(self, capsys):
-        err = run_err(capsys, ["oracle", "builtin:hk_point", "--mode", "hk"])
+    def test_pole_data_is_quadrature_error(self, capsys, tmp_path):
+        """sphere_S2's north point alone sums to exp(i y) / y, which has no
+        mollified limit."""
+        argv = _golden_variant(
+            tmp_path, "sphere_s2.json", _keep_north, ["oracle", "--mode", "symplectic"]
+        )
+        err = run_err(capsys, argv)
         assert err["error"] == "quadrature"
+        assert "pole at the origin (principal exponents [(-1,)])" in err["message"]
+        assert err["context"] == {"exponents": "[(-1,)]"}
+
+    @pytest.mark.parametrize("atlas", ["builtin:hk_point", "builtin:hk_synthetic(0)"])
+    def test_hyperkahler_circle_names_reduce_oracle(self, capsys, atlas):
+        """The mollified oracle reads symplectic circles; reduce --oracle
+        checks a hyperkahler report by its contour read."""
+        err = run_err(capsys, ["oracle", atlas, "--mode", "hk"])
+        assert (err["error"], err["slug"]) == ("validation", "validation")
+        assert "reduce --oracle" in err["message"]
+        assert err["context"] == {"geometry": "'hyperkahler'"}
 
     def test_exactly_one_form(self, capsys):
         err = run_err(
@@ -544,6 +562,10 @@ def _set_moment_hk(doc):
     doc["fixed_points"][0]["moment_hk"][0][0] = [10**200, 1]
 
 
+def _keep_north(doc):
+    doc["fixed_points"] = doc["fixed_points"][:1]
+
+
 def _set_both_eta(doc):
     for fp in doc["fixed_points"]:
         fp["eta"]["terms"][0]["re"] = [10**400, 1]
@@ -562,7 +584,9 @@ def _reduce_oracle_moment_beyond_double(tmp_path):
 
 
 def _oracle_hk_moment_beyond_double(tmp_path):
-    return _golden_variant(tmp_path, "hk_point.json", _set_moment_hk, ["oracle", "--mode", "hk"])
+    return _golden_variant(
+        tmp_path, "hk_point.json", _set_moment_hk, ["reduce", "--mode", "hk", "--oracle"]
+    )
 
 
 def _oracle_coefficient_beyond_double(tmp_path):
@@ -714,6 +738,12 @@ def test_contour_read_past_a_double_or_the_budget_exits_1(
     assert err["context"] == context
 
 
+CLOSED_PIPE_CALLS = [
+    ["roots", "SU(2)"],
+    ["reduce", str(GOLDEN_DIR / "mirror_pair_7.json"), "--mode", "symplectic", "--table"],
+]
+
+
 class TestErrorMapping:
     def test_unexpected_exception_is_internal(self, capsys, monkeypatch):
         def boom(args):
@@ -723,6 +753,41 @@ class TestErrorMapping:
         err = run_err(capsys, ["roots"], expect_code=2)
         assert err["error"] == "internal"
         assert "slug" not in err
+
+    @pytest.mark.parametrize("argv", CLOSED_PIPE_CALLS)
+    def test_closed_stdout_is_not_an_internal_fault(self, capsys, argv):
+        """A reader that closed stdout early is no fault of the program:
+        run returns 1 and writes no error object."""
+
+        class ClosedPipe(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        with contextlib.redirect_stdout(ClosedPipe()):
+            assert cli.run(argv) == 1
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("argv", CLOSED_PIPE_CALLS)
+    def test_closed_pipe_exits_1_quietly(self, argv):
+        """The same through a real pipe whose read end is closed before the
+        call starts, so that no flush, at exit included, can reach it."""
+        read, write = os.pipe()
+        os.close(read)
+        src = str(Path(cli.__file__).resolve().parent.parent)
+        try:
+            out = subprocess.run(
+                [sys.executable, "-m", "eqloc.cli", *argv],
+                stdout=write,
+                stderr=subprocess.PIPE,
+                text=True,
+                timeout=120,
+                env={**os.environ, "PYTHONPATH": src},
+            )
+        finally:
+            os.close(write)
+        assert out.returncode == 1, out.stderr
+        for text in ("internal", "Traceback", "Exception ignored"):
+            assert text not in out.stderr
 
     @pytest.mark.parametrize(
         "argv",

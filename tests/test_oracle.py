@@ -65,7 +65,7 @@ GOLDEN_DIR = Path(__file__).parent / "golden"
 
 def entire_hk_pair_atlas():
     """Two hyperkahler points whose summed series is y^2 exp(i y^2): entire,
-    so the mollified limit exists and equals a Fresnel moment."""
+    so no pole gate refuses it, but a hyperkahler atlas all the same."""
     v = ("y",)
     eta_plus = LaurentSeries(
         v, {(0,): ComplexRational.one(), (3,): ComplexRational.one()}
@@ -283,7 +283,7 @@ class TestExactSum:
         zeros, and the same values with their mirror images, whose
         imaginary parts cancel exactly."""
         g = atlas_integrand(sphere_atlas())
-        mid, h, n = _panel_grid(12.0 * math.sqrt(20.0), g.max_frequency(0.0))
+        mid, h, n = _panel_grid(12.0 * math.sqrt(20.0), g.freq_linear)
         i15 = _eval_panels(_MollifiedPanels(g.fn, 10.0), _centers(mid, h, n), h)[:, 0]
         mirrored = np.concatenate([i15, -i15[::-1]])
         assert not i15.real.any() and mirrored.imag.any()
@@ -359,11 +359,7 @@ class TestMollified:
 
     def test_halves_invariance(self):
         g = atlas_integrand(sphere_atlas())
-        neg = OracleIntegrand(
-            fn=lambda ys: g.fn([-ys[0]]),
-            freq_linear=g.freq_linear,
-            freq_quadratic=g.freq_quadratic,
-        )
+        neg = OracleIntegrand(fn=lambda ys: g.fn([-ys[0]]), freq_linear=g.freq_linear)
         cfg = MollifierConfig(t_ladder=(1.0, 10.0, 100.0))
         a = mollified_oint(g, CIRCLE, cfg).estimate
         b = mollified_oint(neg, CIRCLE, cfg).estimate
@@ -391,9 +387,6 @@ class TestMollified:
             dict(t_ladder=(-1.0, 2.0)),
             dict(t_ladder=(1.0, math.nan)),
             dict(t_ladder=(1.0, math.inf)),
-            dict(quad_tolerance=0.0),
-            dict(quad_tolerance=math.nan),
-            dict(window_sigmas=math.inf),
             dict(extrapolation="pade"),
             dict(max_panels=2),
             dict(max_panels=15),
@@ -446,7 +439,7 @@ class TestMollified:
         want = []
         for t in cfg.t_ladder:
             window = 12.0 * math.sqrt(2.0 * t)
-            h = 2 * math.pi / (3 * (g.max_frequency(window) + math.sqrt(60.0 / t)))
+            h = 2 * math.pi / (3 * (g.freq_linear + math.sqrt(60.0 / t)))
             want.append(2 * math.ceil(window / (15 * h)))
         assert seen == want
 
@@ -544,49 +537,60 @@ class TestGridRefusal:
             shift_smoothness_check(sphere_atlas(), [0.01], replace(cfg, max_panels=16))
 
 
+def north_pole_atlas():
+    """sphere_S2's north point alone: the summed series exp(i y) / y has a
+    pole at the origin."""
+    atlas = sphere_atlas()
+    atlas = replace(atlas, fixed_points=atlas.fixed_points[:1])
+    validate_atlas(atlas)
+    return atlas
+
+
 class TestHyperkahlerOracle:
-    def test_entire_pair_matches_fresnel_moment(self):
-        # integral y^2 exp(i y^2) dy = (sqrt(pi)/2) exp(3 pi i / 4)
-        atlas = entire_hk_pair_atlas()
-        g = atlas_integrand(atlas)
-        assert g.freq_quadratic == 1.0
-        cfg = MollifierConfig(
-            t_ladder=(8.0, 16.0, 32.0, 64.0), extrapolation="richardson"
-        )
-        res = mollified_oint(g, CIRCLE, cfg)
-        want = (math.sqrt(math.pi) / 2) * cmath_exp_3pi4() / (2 * math.pi)
-        assert abs(res.estimate - want) / abs(want) < 5e-4
+    """The mollified oracle reads symplectic circles only: a hyperkahler
+    report is checked by reduce --oracle's contour read.  The gate refusals
+    once read on hyperkahler data are read here on symplectic circles."""
 
     def test_pole_is_refused(self):
-        with pytest.raises(QuadratureError, match="pole at the origin"):
-            atlas_integrand(hk_point_atlas())
+        """A hyperkahler atlas is refused for its geometry, before the gate,
+        whether or not its sum has a pole; a symplectic pole is refused by
+        the gate, naming the principal exponents (its context is checked
+        in test_refusal_context_names_the_value)."""
+        for atlas in (hk_point_atlas(), entire_hk_pair_atlas()):
+            with pytest.raises(ValidationError, match="reduce --oracle") as err:
+                atlas_integrand(atlas)
+            assert err.value.context == {"geometry": "hyperkahler"}
+        with pytest.raises(QuadratureError, match=re.escape("principal exponents [(-1,)]")):
+            atlas_integrand(north_pole_atlas())
 
     def test_short_raw_truncation_is_refused(self):
-        """An empty raw point trusted only through y^-5 would hide the
-        poles at y^-4 and y^-2 from the gate; the engines refuse the same
-        atlas for the same reason."""
-        atlas = hk_point_atlas()
-        (fp,) = atlas.fixed_points
-        raw = replace(
-            fp,
-            name="cut",
-            weights=(),
-            eta=LaurentSeries.const(("y",), 1),
-            mode="raw",
-            raw_contribution=LaurentSeries(("y",), {}, (-5,)),
-        )
-        atlas = replace(atlas, fixed_points=(fp, raw))
-        validate_atlas(atlas)
+        """An empty raw point trusted only through y^-5 would hide a pole
+        at y^-1 from the gate; the engines refuse such a point for the same
+        reason, the symplectic one since the point's moment is positive."""
+
+        def with_cut_point(atlas):
+            raw = replace(
+                atlas.fixed_points[0],
+                name="cut",
+                weights=(),
+                eta=LaurentSeries.const(("y",), 1),
+                mode="raw",
+                raw_contribution=LaurentSeries(("y",), {}, (-5,)),
+            )
+            atlas = replace(atlas, fixed_points=atlas.fixed_points + (raw,))
+            validate_atlas(atlas)
+            return atlas
+
+        atlas = with_cut_point(sphere_atlas())
         with pytest.raises(InsufficientTruncationError, match="'cut'.*y\\^-5") as exc:
             atlas_integrand(atlas)
         assert (exc.value.required, exc.value.context["point"]) == (-1, "cut")
+        with pytest.raises(InsufficientTruncationError):
+            reduce_symplectic_circle(atlas)
+        hk = with_cut_point(hk_point_atlas())
         for engine in (reduce_hk_circle, reduce_hk_circle_viaP):
             with pytest.raises(InsufficientTruncationError):
-                engine(atlas)
-
-
-def cmath_exp_3pi4() -> complex:
-    return complex(-1.0, 1.0) / math.sqrt(2.0)
+                engine(hk)
 
 
 # -- exact vs oracle comparison -----------------------------------------
@@ -965,21 +969,107 @@ class TestAtlasIntegrand:
         assert np.allclose(got, want, atol=1e-14)
 
     def test_frequency_bounds(self):
-        g = atlas_integrand(mirror_pair_atlas(0))
-        assert g.freq_quadratic == 0.0
-        assert g.freq_linear >= 1.0
+        """freq_linear is the largest |moment|, or |zeta| where that is
+        larger."""
+        atlas = mirror_pair_atlas(0)
+        top = max(abs(float(fp.moment[0])) for fp in atlas.fixed_points)
+        assert atlas_integrand(atlas).freq_linear == top >= 1.0
+        assert atlas_integrand(atlas, zeta=0.5).freq_linear == top
+        assert atlas_integrand(atlas, zeta=-2 * top).freq_linear == 2 * top
 
     def test_shift_on_hk_rejected(self):
         with pytest.raises(ValidationError):
             atlas_integrand(entire_hk_pair_atlas(), zeta=0.5)
 
 
+@pytest.mark.parametrize(
+    "call, error, message, context",
+    [
+        (
+            lambda: MollifierConfig(t_ladder=(1.0,)),
+            ValidationError,
+            "t ladder needs at least two entries",
+            {"t_ladder": (1.0,)},
+        ),
+        (
+            lambda: MollifierConfig(t_ladder=(10.0, 10.0)),
+            ValidationError,
+            "t ladder must be finite, positive and strictly increasing",
+            {"t_ladder": (10.0, 10.0)},
+        ),
+        (
+            lambda: MollifierConfig(extrapolation="pade"),
+            ValidationError,
+            "unknown extrapolation rule 'pade'",
+            {"extrapolation": "pade"},
+        ),
+        (
+            lambda: MollifierConfig(max_panels=15),
+            ValidationError,
+            "max_panels must be an integer of at least 16, got 15",
+            {"max_panels": 15},
+        ),
+        (
+            lambda: atlas_integrand(north_pole_atlas()),
+            QuadratureError,
+            "localized sum has a pole at the origin (principal exponents [(-1,)]); the "
+            "mollified integral does not exist for this data",
+            {"exponents": [(-1,)]},
+        ),
+        (
+            lambda: contour_coeff(LaurentSeries(("y",), {(-1,): 1}), 1, "z"),
+            ValidationError,
+            "series has variable 'y', not 'z'",
+            {"variable": "y", "expected": "z"},
+        ),
+        (
+            lambda: suptsq_check(1.0, 3),
+            ValidationError,
+            "n must be an even nonnegative integer",
+            {"n": 3},
+        ),
+        (
+            lambda: suptsq_check(math.inf, 2),
+            ValidationError,
+            "x must be a finite number, got inf",
+            {"x": math.inf},
+        ),
+        (
+            lambda: oracle_module._suptsq_size(400, 1.0e6),
+            ValidationError,
+            "the integrand's size Gamma((m+1)/2) (4t)^((m+1)/2) for m = 400 is beyond "
+            "the range of a double at t = 1e+06; lower n or the t ladder",
+            {"m": 400, "t": 1.0e6},
+        ),
+    ],
+    ids=[
+        "short_ladder",
+        "unordered_ladder",
+        "extrapolation",
+        "max_panels",
+        "pole_gate",
+        "contour_variable",
+        "suptsq_n",
+        "suptsq_x",
+        "suptsq_size",
+    ],
+)
+def test_refusal_context_names_the_value(call, error, message, context):
+    """Each oracle refusal whose message names a value carries that value
+    in its context; the message itself is unchanged."""
+    with pytest.raises(error) as err:
+        call()
+    assert err.value.message == message
+    assert err.value.context == context
+
+
 # -- closed-form pole gate and panel evaluation --------------------------
 
 
 @st.composite
-def gated_atlases(draw, max_rank=3, pole_free=None, min_trunc=-3, bits=None):
-    """(atlas, eta_mode) for rank 1..max_rank, either geometry: structured
+def gated_atlases(draw, max_rank=3, pole_free=None, min_trunc=-3, bits=None, hk=None):
+    """(atlas, eta_mode) for rank 1..max_rank, hyperkahler when hk (drawn if
+    None) and symplectic otherwise: structured
     points with several signed weights, each involving one variable, moments
     of either sign and eta terms up to past the pole order; raw points with
     random terms and truncation orders from min_trunc up; and, when
@@ -988,7 +1078,8 @@ def gated_atlases(draw, max_rank=3, pole_free=None, min_trunc=-3, bits=None):
     bits, eta and raw coefficients have numerators and denominators of up
     to that many bits, more than a double holds."""
     k = draw(st.integers(1, max_rank))
-    hk = draw(st.booleans())
+    if hk is None:
+        hk = draw(st.booleans())
     eta_mode = draw(st.sampled_from(["atlas", "one"]))
     variables = tuple(f"y{v + 1}" for v in range(k))
     n_weights = 2 * draw(st.integers(k, 3)) if hk else draw(st.integers(k, 5))
@@ -1091,10 +1182,9 @@ def _exact_doubles(atlas, eta_mode, fp):
 
 
 def _direct_value(atlas, eta_mode, ys):
-    """The summed series at one point straight from the atlas data, and the
-    summed magnitudes of its terms."""
+    """The summed series of a symplectic atlas at one point straight from
+    the atlas data, and the summed magnitudes of its terms."""
     point = dict(zip(atlas.variable_order, ys))
-    power = 2 if atlas.geometry == "hyperkahler" else 1
     total, scale = 0j, 0.0
     for fp in atlas.fixed_points:
         if fp.mode == "raw":
@@ -1102,7 +1192,7 @@ def _direct_value(atlas, eta_mode, ys):
         else:
             v = 1.0 if eta_mode == "one" else fp.eta.evaluate(point)
             freqs = phase_covector(atlas, fp)
-            v *= cmath.exp(1j * sum(float(f) * y**power for f, y in zip(freqs, ys)))
+            v *= cmath.exp(1j * sum(float(f) * y for f, y in zip(freqs, ys)))
             for w in fp.weights:
                 v /= sum(c * y for c, y in zip(w, ys))
         total += v
@@ -1118,6 +1208,11 @@ class TestPoleGate:
         k = atlas.group.rank
         want = localize(atlas, phase_factory(eta_mode), (-1,) * k).total.principal_terms()
         assert _principal_part(atlas, eta_mode) == want
+        if atlas.geometry == "hyperkahler":
+            # refused for its geometry, before the gate
+            with pytest.raises(ValidationError, match="reduce --oracle"):
+                atlas_integrand(atlas, eta_mode=eta_mode)
+            return
         short = [
             fp.name
             for fp in atlas.fixed_points
@@ -1157,10 +1252,8 @@ class TestPointCoefficients:
             for e, (re_part, im_part) in doubles.items():
                 assert got[e].real.hex() == re_part.hex(), (fp.name, e)
                 assert got[e].imag.hex() == im_part.hex(), (fp.name, e)
-        if atlas.group.rank != 1:
+        if atlas.group.rank != 1 or atlas.geometry == "hyperkahler":
             return
-        if atlas.geometry == "hyperkahler":
-            zeta = 0.0
         try:
             g = atlas_integrand(atlas, eta_mode=eta_mode, zeta=zeta)
         except (QuadratureError, InsufficientTruncationError):
@@ -1190,7 +1283,8 @@ class TestPointCoefficients:
     def test_coefficient_beyond_double_exits_1_naming_the_point(self, case, digits):
         """A raw point's term 10^digits y^5 passes the pole gate and has no
         double: reduce --oracle exits 1 with the point in its context, on
-        the mollified route and on the contour route."""
+        the mollified route (symplectic draws, whose integrand refuses it)
+        and on the contour route (hyperkahler draws)."""
         atlas, eta_mode = case
         huge = FixedPointDatum(
             name="huge",
@@ -1202,10 +1296,11 @@ class TestPointCoefficients:
             raw_contribution=LaurentSeries(atlas.variable_order, {(5,): 10**digits}),
         )
         atlas = replace(atlas, fixed_points=atlas.fixed_points + (huge,))
-        with pytest.raises(ValidationError) as err:
-            atlas_integrand(atlas, eta_mode=eta_mode)
-        assert err.value.context == {"point": "huge", "value": Fraction(10**digits)}
         mode = "hk" if atlas.geometry == "hyperkahler" else "symplectic"
+        if mode == "symplectic":
+            with pytest.raises(ValidationError) as err:
+                atlas_integrand(atlas, eta_mode=eta_mode)
+            assert err.value.context == {"point": "huge", "value": Fraction(10**digits)}
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "atlas.json"
             path.write_text(serialize_atlas(atlas))
@@ -1220,7 +1315,7 @@ class TestPointCoefficients:
 
 class TestPanelEvaluation:
     @given(
-        gated_atlases(max_rank=1, pole_free=True, min_trunc=-1),
+        gated_atlases(max_rank=1, pole_free=True, min_trunc=-1, hk=False),
         st.sampled_from([0.0, 0.3, -0.7]),
         st.sampled_from([0.5, 2.0, 50.0]),
     )
@@ -1233,8 +1328,6 @@ class TestPanelEvaluation:
         route's rounding: near a cancelled pole the sum itself is far
         smaller."""
         atlas, eta_mode = case
-        if atlas.geometry == "hyperkahler":
-            zeta = 0.0
         g = atlas_integrand(atlas, eta_mode=eta_mode, zeta=zeta)
         window = 12.0 * math.sqrt(2.0 * t)
         uniform = (0.0, _spacing(2.0 * window / (15 * 64)), 64)
@@ -1243,7 +1336,7 @@ class TestPanelEvaluation:
             centers = _centers(mid, h, n)[(n - keep) // 2 : (n + keep) // 2]
             x = centers[:, None] + h * PANEL_NODES
             gauss = np.exp(-(x * x) / (4.0 * t_grid))
-            scale = sum(np.abs(_PointSum([p], g.fn.quadratic)([x])) for p in g.fn.points)
+            scale = sum(np.abs(_PointSum([p], False)([x])) for p in g.fn.points)
             got = _MollifiedPanels(g.fn, t_grid).sums(centers, h)
             want = (gauss * g.fn([x])) @ RULES
             assert got.shape == (len(centers), 2)
@@ -1252,24 +1345,20 @@ class TestPanelEvaluation:
         unshifted = atlas_integrand(atlas, eta_mode=eta_mode).fn([x])
         assert np.all(np.abs(g.fn([x]) - np.exp(-1j * zeta * x) * unshifted) <= 1e-12 * scale)
 
-    @given(gated_atlases(max_rank=1, pole_free=True, min_trunc=-1))
+    @given(gated_atlases(max_rank=1, pole_free=True, min_trunc=-1, hk=False))
     @settings(max_examples=600, derandomize=True, deadline=None, database=None)
     def test_pole_free_rungs_fit_and_agree_with_a_denser_grid(self, case):
         """Every rung of a symplectic pole-free draw fits its budget, and a
         grid three times denser agrees within 1e-12 of the L1 size, the
-        rule applied to exp(-y^2/4t) times the summed term magnitudes.  A
-        hyperkahler phase exp(i f y^2) has a band limit growing with the
-        window, so its top rungs are refused before any grid is built."""
+        rule applied to exp(-y^2/4t) times the summed term magnitudes."""
         atlas, eta_mode = case
-        if atlas.geometry == "hyperkahler":
-            return
         g = atlas_integrand(atlas, eta_mode=eta_mode)
         res = mollified_oint(g, atlas.group)
         vol = atlas.group.vol.numeric_value().real
         for row in res.rows:
             t = row.t
             window = 12.0 * math.sqrt(2.0 * t)
-            mid, h, n = _panel_grid(window, g.max_frequency(window) + _spread(t))
+            mid, h, n = _panel_grid(window, g.freq_linear + _spread(t))
             assert row.panels == n
             dense = (mid, _spacing(h / 3), 3 * n)
             value = oracle_module.fixed_quadrature(_MollifiedPanels(g.fn, t), dense)
@@ -1312,7 +1401,17 @@ class TestPanelEvaluation:
 
 
 def test_convergence_script_runs():
+    """The script studies symplectic circles; a hyperkahler atlas gets the
+    oracle's refusal, which names reduce --oracle, and exit code 1."""
     script = Path(__file__).resolve().parent.parent / "scripts" / "oracle_convergence.py"
+    out = subprocess.run(
+        [sys.executable, str(script), "builtin:hk_point"],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert out.returncode == 1 and out.stdout == ""
+    assert "reduce --oracle" in out.stderr and "Traceback" not in out.stderr
     for args, verdict in [
         (["builtin:sphere_S2", "--t", "1,10"], "no"),
         (["builtin:mirror_pair(7)"], "yes"),
