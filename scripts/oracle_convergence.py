@@ -41,9 +41,11 @@ def main() -> int:
 
     atlas = load(args.atlas)
     try:
-        cfg = MollifierConfig()
-        if args.t:
-            cfg = MollifierConfig(t_ladder=tuple(float(x) for x in args.t.split(",")))
+        cfg = (
+            MollifierConfig(t_ladder=tuple(float(x) for x in args.t.split(",")))
+            if args.t
+            else MollifierConfig()
+        )
         res = mollified_oint(atlas_integrand(atlas), atlas.group, cfg)
     except EqlocError as exc:
         print(f"error: {exc}", file=sys.stderr)

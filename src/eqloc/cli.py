@@ -291,7 +291,8 @@ def _cmd_oracle(args) -> int:
         table = shift_smoothness_check(atlas, zetas, _oracle_cfg(args))
         _emit({"shift": table.to_json_dict()})
         return 0
-    res = mollified_oint(atlas_integrand(atlas), atlas.group, _oracle_cfg(args))
+    cfg = _oracle_cfg(args)
+    res = mollified_oint(atlas_integrand(atlas), atlas.group, cfg)
     _emit({"mollified": res.to_json_dict()})
     return 0
 

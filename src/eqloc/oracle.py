@@ -1131,8 +1131,6 @@ def shift_smoothness_check(
     noise floor 1e-13 max(1, |F(0)|) is skipped; larger shifts are reported
     unasserted.
     """
-    if atlas.geometry != "symplectic" or atlas.group.rank != 1:
-        raise ValidationError("shift smoothness is a symplectic circle diagnostic")
     cfg = cfg or MollifierConfig()
     g0 = atlas_integrand(atlas)
     t = cfg.t_ladder[-1]

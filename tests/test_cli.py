@@ -397,10 +397,12 @@ class TestOracleCommand:
         assert err["error"] == "validation"
 
     def test_torus_names_reduce_oracle(self, capsys):
-        err = run_err(capsys, ["oracle", "builtin:hk_torus_rank2", "--mode", "hk"])
-        assert err["error"] == "validation"
-        assert "reduce --oracle" in err["message"]
-        assert err["context"] == {"rank": "2"}
+        for extra in ([], ["--shift", "0,0.1"]):
+            argv = ["oracle", "builtin:hk_torus_rank2", "--mode", "hk", *extra]
+            err = run_err(capsys, argv)
+            assert err["error"] == "validation"
+            assert "reduce --oracle" in err["message"]
+            assert err["context"] == {"rank": "2"}
 
     def test_pole_data_is_quadrature_error(self, capsys, tmp_path):
         """sphere_S2's north point alone sums to exp(i y) / y, which has no
@@ -413,11 +415,12 @@ class TestOracleCommand:
         assert "pole at the origin (principal exponents [(-1,)])" in err["message"]
         assert err["context"] == {"exponents": "[(-1,)]"}
 
+    @pytest.mark.parametrize("extra", [[], ["--shift", "0,0.1"]])
     @pytest.mark.parametrize("atlas", ["builtin:hk_point", "builtin:hk_synthetic(0)"])
-    def test_hyperkahler_circle_names_reduce_oracle(self, capsys, atlas):
-        """The mollified oracle reads symplectic circles; reduce --oracle
-        checks a hyperkahler report by its contour read."""
-        err = run_err(capsys, ["oracle", atlas, "--mode", "hk"])
+    def test_hyperkahler_circle_names_reduce_oracle(self, capsys, atlas, extra):
+        """The mollified oracle and its shift check read symplectic circles;
+        reduce --oracle checks a hyperkahler report by its contour read."""
+        err = run_err(capsys, ["oracle", atlas, "--mode", "hk", *extra])
         assert (err["error"], err["slug"]) == ("validation", "validation")
         assert "reduce --oracle" in err["message"]
         assert err["context"] == {"geometry": "'hyperkahler'"}

@@ -109,9 +109,9 @@ class TestRecord:
 
 def test_replace_changes_only_the_named_fields_and_reruns_the_checks():
     base = MollifierConfig()
-    cfg = replace(base, max_panels=64)
-    assert cfg.max_panels == 64
-    assert (cfg.t_ladder, cfg.extrapolation) == (base.t_ladder, base.extrapolation)
+    cfg = replace(base, extrapolation="richardson", max_panels=64)
+    assert (cfg.extrapolation, cfg.max_panels) == ("richardson", 64)
+    assert cfg.t_ladder == base.t_ladder
     with pytest.raises(ValidationError, match="max_panels"):
         replace(base, max_panels=3)
     assert replace(SymbolicConstant(1), sqrt2_pow=2) == SymbolicConstant(2)
