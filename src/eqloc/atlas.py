@@ -181,8 +181,10 @@ def check_variable_order(variables: Sequence[str], rank: int) -> None:
 
 
 def validate_atlas(atlas: FixedPointAtlas) -> None:
-    """Check a built atlas: its header, then each fixed point in turn."""
+    """Check a built atlas: its header, that it has fixed points, then each
+    fixed point in turn."""
     _check_header(atlas)
+    _check_point_count(len(atlas.fixed_points))
     seen: set = set()
     for fp in atlas.fixed_points:
         _check_point(atlas, fp, seen)
@@ -279,6 +281,15 @@ def _check_header(atlas: FixedPointAtlas) -> None:
     if atlas.submanifold is not None and atlas.submanifold.codim < 0:
         raise ValidationError(
             "submanifold codimension must be >= 0", codim_L=atlas.submanifold.codim
+        )
+
+
+def _check_point_count(n: int) -> None:
+    """An atlas with no fixed points localizes to 0 and has nothing to
+    reduce."""
+    if n == 0:
+        raise ValidationError(
+            "atlas has no fixed points; nothing to localize", key="fixed_points"
         )
 
 
@@ -799,6 +810,7 @@ def parse_atlas(document) -> FixedPointAtlas:
     fps_doc = document["fixed_points"]
     if not isinstance(fps_doc, list):
         raise ValidationError("fixed_points must be a list", key="fixed_points")
+    _check_point_count(len(fps_doc))
     points = []
     seen: set = set()
     for n, fdoc in enumerate(fps_doc):

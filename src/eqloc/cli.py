@@ -56,7 +56,7 @@ def _load_atlas(spec: str):
     try:
         text = Path(spec).read_text()
     except OSError as exc:
-        raise ValidationError(f"cannot read atlas file {spec!r}: {exc}")
+        raise ValidationError(f"cannot read atlas file {spec!r}: {exc}", path=spec)
     return parse_atlas(text)
 
 
@@ -64,9 +64,12 @@ def _load_series(path: str) -> LaurentSeries:
     try:
         doc = json.loads(Path(path).read_text())
     except OSError as exc:
-        raise ValidationError(f"cannot read series file {path!r}: {exc}")
+        raise ValidationError(f"cannot read series file {path!r}: {exc}", path=path)
     except json.JSONDecodeError as exc:
-        raise ValidationError(f"series file {path!r} is not JSON: {exc}")
+        raise ValidationError(
+            f"series file {path!r} is not JSON: {exc}",
+            path=path, line=exc.lineno, column=exc.colno,
+        )
     if not isinstance(doc, dict) or set(doc) - {"variables", "terms", "trunc"}:
         raise ValidationError(
             "series file must be an object with keys variables, terms and "
@@ -94,9 +97,11 @@ def _numbers(text: str, what: str) -> tuple:
     try:
         values = tuple(float(x) for x in text.split(","))
     except ValueError:
-        raise ValidationError(f"cannot parse {what} {text!r}")
+        raise ValidationError(f"cannot parse {what} {text!r}", what=what, text=text)
     if not all(math.isfinite(v) for v in values):
-        raise ValidationError(f"{what} must be finite numbers, got {text!r}")
+        raise ValidationError(
+            f"{what} must be finite numbers, got {text!r}", what=what, text=text
+        )
     return values
 
 
@@ -284,7 +289,9 @@ def _cmd_oracle(args) -> int:
     geometry = "symplectic" if args.mode == "symplectic" else "hyperkahler"
     if atlas.geometry != geometry:
         raise ValidationError(
-            f"--mode {args.mode} does not match atlas geometry {atlas.geometry}"
+            f"--mode {args.mode} does not match atlas geometry {atlas.geometry}",
+            mode=args.mode,
+            geometry=atlas.geometry,
         )
     if args.shift is not None:
         zetas = _numbers(args.shift, "moment shifts")
@@ -325,7 +332,7 @@ def example_file_text(name: str) -> str:
         return serialize_atlas(builtin_atlas("hk_torus_rank2"))
     if name == "su2_roots.json":
         return canonical_dumps(table_json_dict("SU(2)"))
-    raise ValidationError(f"unknown example {name!r}")
+    raise ValidationError(f"unknown example {name!r}", name=name)
 
 
 def _cmd_examples(args) -> int:
@@ -333,7 +340,9 @@ def _cmd_examples(args) -> int:
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
-        raise ValidationError(f"cannot create output directory {args.out!r}: {exc}")
+        raise ValidationError(
+            f"cannot create output directory {args.out!r}: {exc}", out=args.out
+        )
     for name in EXAMPLE_FILES:
         (out / name).write_text(example_file_text(name))
         print(out / name)

@@ -10,23 +10,26 @@ points produce byte-identical canonical reports.
 
 A product of linear forms has a Laurent inverse with finite principal part
 only if it is a monomial, so the Euler class of every structured point the
-engines accept is c * y^n: each tangent weight involves one variable.  Such a
-point's coefficient is then a finite sum over its eta terms, which the
-engines read in closed form without building a series.  A weight involving
-two variables is rejected with NonInvertibleError naming the point and the
-weight.  Raw points are read from their stored series.
+engines accept is c * y^n: each tangent weight involves one variable.
+``localize.monomial_euler_class`` reads (c, n) for every route, and refuses
+a weight of the wrong length (VariableMismatchError), a zero weight
+(ValidationError) or one involving two variables (NonInvertibleError), each
+naming the point and the weight.  A point's coefficient is then a finite sum
+over its eta terms, which the engines read in closed form without building
+a series.  Raw points are read from their stored series.
 
 The alternative hyperKahler route builds each point's series in the original
 variable with the exact Laurent arithmetic, keeps its even part, substitutes
 the square of the variable, and reads the coefficient at y^-1 of its product
-with the phase instead, forming that one coefficient only; it is
-the independent reference for the closed-form read, the two routes agree
-exactly and the report does not distinguish them.  Its extra expansion
-order is held to the series work budget of ``localize`` at the same depth.
+with the phase instead, forming that one coefficient only: it inverts the
+monomial c * y^n with ``invert_series``.  It is the independent reference
+for the closed-form read, the two routes agree exactly and the report does
+not distinguish them.  Its extra expansion order is held to the series work
+budget of ``localize`` at the same depth.
 ``localize`` (and the ``localize`` command) also keeps the series path.  The
 closed-form read itself, ``point_coeff``, lives in ``localize`` beside
-``euler_class``: the oracle's pole gate reads the principal part of a circle
-sum with it too.
+``monomial_euler_class``: the oracle's pole gate reads the principal part of
+a circle sum with it too.
 
 Every report can be checked numerically by ``eqloc.oracle.oracle_comparison``
 (``reduce --oracle``), which shares no code with these reads: a symplectic
@@ -605,9 +608,9 @@ def weyl_wrap(
     order: int = 0,
 ) -> ReductionReport:
     """Nonabelian reduction through the maximal torus: multiply every
-    restriction, and every raw point's stored series, by the fourth power
-    of the positive-root product, run the torus engine, divide by the Weyl
-    group order.
+    restriction, and every raw point's stored series, by w^4 / |W|, w the
+    positive-root product and |W| the Weyl group order, and run the torus
+    engine.  The report names w^4 and |W|.
 
     With no positive roots and trivial Weyl group this is literally the torus
     engine.  The nontrivial insertion is specific to hyperKahler data.
@@ -632,17 +635,18 @@ def weyl_wrap(
     variables = atlas.variable_order
     w = weyl_product(variables, roots)
     w4 = w * w * w * w
+    inserted = w4 * Fraction(1, roots.weyl_order)
     points = []
     for fp in atlas.fixed_points:
         if fp.mode == "raw":
             # w^4 has no negative exponents, so the stored series' trust
             # through its truncation order carries over to the product
             raw = fp.raw_contribution
-            product = LaurentSeries(variables, (raw * w4).terms, raw.trunc)
+            product = LaurentSeries(variables, (raw * inserted).terms, raw.trunc)
             points.append(replace(fp, raw_contribution=product))
         else:
             base = LaurentSeries.const(variables, 1) if eta_mode == "one" else fp.eta
-            points.append(replace(fp, eta=base * w4))
+            points.append(replace(fp, eta=base * inserted))
     wrapped = replace(atlas, fixed_points=tuple(points))
     rep = _run(
         wrapped,
@@ -652,19 +656,9 @@ def weyl_wrap(
         order=order,
         path="weyl_hyperkahler_torus",
     )
-    inv_w = Fraction(1, roots.weyl_order)
     return replace(
         rep,
         eta_mode=eta_mode,
-        contributions=tuple(
-            replace(p, coefficient=p.coefficient * inv_w)
-            for p in rep.contributions
-        ),
-        raw_coefficient=rep.raw_coefficient * inv_w,
-        quotient_integral=ExactValue(
-            rep.quotient_integral.unit,
-            rep.quotient_integral.coeff * inv_w,
-        ),
         inserted_polynomial=w4.canonical_text(),
         weyl_divisor=roots.weyl_order,
     )

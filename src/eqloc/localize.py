@@ -3,8 +3,12 @@
 Each structured fixed point contributes numerator(y) / e(y), where e is the
 product of its tangent weight forms and the numerator is produced by an
 integrand factory (the restriction of the class alone, or the restriction
-times an oscillatory phase attached to the moment values).  Raw-mode points
-contribute their stored series verbatim.  All arithmetic is exact; the
+times an oscillatory phase attached to the moment values).  Each weight
+must involve one variable, so e(y) = c * y^n; ``monomial_euler_class`` is
+the one place that reads (c, n) off the weights and refuses a weight of the
+wrong length, a zero weight or a mixed one.  The closed-form read
+``point_coeff``, the series path and the oracle all call it.  Raw-mode
+points contribute their stored series verbatim.  All arithmetic is exact; the
 factory is told how many orders of trust the caller needs so that every
 coefficient the engines later read is certified.
 """
@@ -42,14 +46,16 @@ SERIES_WORK_BUDGET = 500_000
 
 def series_work(atlas: FixedPointAtlas, orders: Orders) -> int:
     """The work estimate that SERIES_WORK_BUDGET caps, from weight counts
-    alone; a variable with order None is not expanded."""
+    alone; a variable with order None is not expanded.  A weight of the
+    wrong length is counted where it has entries and refused later, by
+    ``monomial_euler_class``."""
     work = 0
     for fp in atlas.fixed_points:
         if fp.mode == "raw":
             continue
         widths = []
         for v, o in enumerate(orders):
-            n_v = sum(1 for w in fp.weights if w[v] != 0)
+            n_v = sum(1 for w in fp.weights if len(w) > v and w[v])
             widths.append(0 if o is None else max(0, o + n_v))
         work += math.prod(w + 1 for w in widths) * sum(widths)
     return work
@@ -85,55 +91,13 @@ def check_series_budget(atlas: FixedPointAtlas, orders: Orders) -> None:
 
 
 def euler_class(fp: FixedPointDatum, variables: Sequence[str]) -> LaurentSeries:
-    """Product of the tangent weight forms at a fixed point.
-
-    Exact polynomial with integer coefficients; any rank and mixed weights
-    such as (1, -1) are allowed.  A weight with one nonzero component w_v is
-    the monomial w_v y_v, so it scales one int and shifts one exponent; only
-    weights in two or more variables are multiplied out, in a plain
-    {exponents: int} dictionary, and the result is wrapped as a series once.
-    The empty weight list gives 1 (a zero-dimensional tangent space).  Zero
-    weight vectors are rejected because they make the product a zero
-    divisor, and a weight whose length is not the number of variables is
-    rejected as LaurentSeries.linear_form rejects it.
-    """
+    """The equivariant Euler class c * y^n of a structured fixed point, as an
+    exact series; (c, n) is ``monomial_euler_class``'s decision, with its
+    refusals.  The empty weight list gives 1 (a zero-dimensional tangent
+    space)."""
     variables = tuple(variables)
-    k = len(variables)
-    c = 1
-    n = [0] * k
-    forms = []  # the weights in two or more variables
-    for w in fp.weights:
-        if not any(w):
-            raise ValidationError(
-                f"e(y) is a zero divisor at {fp.name!r}: zero tangent weight",
-                point=fp.name, weight=w,
-            )
-        if len(w) != k:
-            raise VariableMismatchError(
-                f"covector length {len(w)} does not match variables {variables}",
-                weight=w, variables=variables,
-            )
-        nonzero = [v for v, x in enumerate(w) if x]
-        if len(nonzero) == 1:
-            v = nonzero[0]
-            c *= w[v]
-            n[v] += 1
-        else:
-            forms.append(w)
-    e: dict = {tuple(n): c}
-    for w in forms:
-        # multiply by sum_v w_v y_v
-        out: dict = {}
-        for v, w_v in enumerate(w):
-            if w_v == 0:
-                continue
-            for exps, a in e.items():
-                exps = exps[:v] + (exps[v] + 1,) + exps[v + 1 :]
-                out[exps] = out.get(exps, 0) + a * w_v
-        e = out
-    # sums over two-variable forms can cancel; a monomial product cannot
-    terms = {exps: _make((a, 0, 1)) for exps, a in e.items() if a}
-    return LaurentSeries._canonical(variables, terms, (None,) * k)
+    c, n = monomial_euler_class(fp, len(variables))
+    return LaurentSeries._canonical(variables, {n: _make((c, 0, 1))}, (None,) * len(n))
 
 
 def phase_covector(atlas: FixedPointAtlas, fp: FixedPointDatum) -> Tuple[RationalLike, ...]:
@@ -146,15 +110,23 @@ def phase_covector(atlas: FixedPointAtlas, fp: FixedPointDatum) -> Tuple[Rationa
 
 
 def monomial_euler_class(fp: FixedPointDatum, k: int) -> Tuple[int, Tuple[int, ...]]:
-    """(c, n) with e(y) = c * y^n at a structured fixed point.
+    """(c, n) with e(y) = c * y^n at a structured fixed point of a rank-k
+    atlas: the one reading of its tangent weights that every reader shares.
 
-    Each tangent weight must involve exactly one variable.  A weight such as
-    (1, -1) makes e(y) a non-monomial product of linear forms, whose inverse
-    has no finite principal part.
+    Each weight must have length k, be nonzero (else e(y) is a zero
+    divisor) and involve exactly one variable.  A weight such as (1, -1)
+    makes e(y) a non-monomial product of linear forms, whose inverse has no
+    finite principal part.
     """
     c = 1
     n = [0] * k
     for w in fp.weights:
+        if len(w) != k:
+            raise VariableMismatchError(
+                f"covector length {len(w)} of tangent weight {w} at {fp.name!r} "
+                f"does not match rank {k}",
+                point=fp.name, weight=w, rank=k,
+            )
         nonzero = [v for v, x in enumerate(w) if x != 0]
         if not nonzero:
             raise ValidationError(

@@ -640,8 +640,9 @@ def _phase(atlas: FixedPointAtlas, fp: FixedPointDatum) -> Tuple[float, ...]:
 
 def _point_coeffs(atlas: FixedPointAtlas, eta_mode: str, fp: FixedPointDatum) -> _Coeffs:
     """A point's amplitude coefficients as doubles: eta_j / c at y^(j - n)
-    for a structured point, e(y) = c y^n its monomial Euler class, and the
-    stored series of a raw point.  Each part of an exact (p + i q) / d
+    for a structured point, e(y) = c y^n its monomial Euler class (read, and
+    a malformed weight refused, by ``monomial_euler_class``, as the exact
+    side does), and the stored series of a raw point.  Each part of an exact (p + i q) / d
     becomes the int quotient p / (d c), which Python rounds correctly, so
     it is the double float(Fraction) gives, without building one."""
     if fp.mode == "raw":

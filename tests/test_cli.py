@@ -872,6 +872,89 @@ class TestErrorMapping:
             assert "'product'" in err["message"]
             assert "mixed weights are not supported yet" in err["message"]
 
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["check"],
+            ["localize"],
+            ["oracle", "--mode", "symplectic"],
+            ["reduce", "--mode", "symplectic"],
+        ],
+    )
+    def test_atlas_without_fixed_points_is_refused_at_validation(self, capsys, tmp_path, command):
+        doc = json.loads((GOLDEN_DIR / "sphere_s2.json").read_text())
+        doc["fixed_points"] = []
+        path = tmp_path / "empty.json"
+        path.write_text(json.dumps(doc))
+        err = run_err(capsys, [command[0], str(path), *command[1:]])
+        assert err["error"] == "validation"
+        assert err["message"] == "atlas has no fixed points; nothing to localize"
+        assert err["context"] == {"key": "'fixed_points'"}
+
+
+def _unreadable_series(tmp_path, monkeypatch):
+    return ["oracle", "--contour", str(tmp_path / "none.json"), "1"]
+
+
+def _series_not_json(tmp_path, monkeypatch):
+    p = tmp_path / "s.json"
+    p.write_text('{"variables":\n ["y"] ]')
+    return ["oracle", "--contour", str(p), "1"]
+
+
+def _unknown_example(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "EXAMPLE_FILES", ("none.json",))
+    return ["examples", "--out", str(tmp_path)]
+
+
+def _out_under_a_file(tmp_path, monkeypatch):
+    (tmp_path / "file").write_text("")
+    return ["examples", "--out", str(tmp_path / "file" / "out")]
+
+
+_MOLLIFIED = ["oracle", "builtin:sphere_S2", "--mode", "symplectic"]
+
+
+@pytest.mark.parametrize(
+    "argv, context",
+    [
+        (
+            lambda tmp_path, _: ["check", str(tmp_path / "none.json")],
+            lambda tmp_path: {"path": repr(str(tmp_path / "none.json"))},
+        ),
+        (
+            _unreadable_series,
+            lambda tmp_path: {"path": repr(str(tmp_path / "none.json"))},
+        ),
+        (
+            _series_not_json,
+            lambda tmp_path: {"path": repr(str(tmp_path / "s.json")), "line": "2", "column": "8"},
+        ),
+        (
+            lambda *_: _MOLLIFIED + ["--shift", "0,x"],
+            lambda _: {"what": "'moment shifts'", "text": "'0,x'"},
+        ),
+        (
+            lambda *_: _MOLLIFIED + ["--t", "1,inf"],
+            lambda _: {"what": "'t ladder'", "text": "'1,inf'"},
+        ),
+        (
+            lambda *_: ["oracle", "builtin:hk_point", "--mode", "symplectic"],
+            lambda _: {"mode": "'symplectic'", "geometry": "'hyperkahler'"},
+        ),
+        (_out_under_a_file, lambda tmp_path: {"out": repr(str(tmp_path / "file" / "out"))}),
+        (_unknown_example, lambda _: {"name": "'none.json'"}),
+    ],
+    ids=[
+        "atlas_path", "series_path", "series_json", "numbers_parse", "numbers_finite",
+        "oracle_mode", "examples_out", "example_name",
+    ],
+)
+def test_cli_refusal_names_its_value(capsys, tmp_path, monkeypatch, argv, context):
+    err = run_err(capsys, argv(tmp_path, monkeypatch))
+    assert err["error"] == "validation"
+    assert err["context"] == context(tmp_path)
+
 
 # -- numpy is loaded only by the oracle ------------------------------------
 

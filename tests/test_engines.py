@@ -48,7 +48,7 @@ from eqloc.engines import (
     weyl_product,
     weyl_wrap,
 )
-from eqloc.errors import EqlocError, NonInvertibleError, ValidationError
+from eqloc.errors import EqlocError, NonInvertibleError, ValidationError, VariableMismatchError
 from eqloc.exact import ComplexRational, LaurentSeries, SymbolicConstant
 from eqloc.localize import localize, monomial_euler_class, phase_factory, point_coeff
 from eqloc.record import replace
@@ -469,6 +469,64 @@ def test_mixed_weight_rejected_naming_point_and_weight():
     assert "'product'" in info.value.message
     assert "(1, 1)" in info.value.message
     assert info.value.context == {"point": "product", "weight": (1, 1)}
+
+
+@pytest.mark.parametrize(
+    "build, weight",
+    [
+        (sphere_atlas, ()),
+        (sphere_atlas, (0, 1)),
+        (sphere_atlas, (0,)),
+        (hk_point_atlas, (1, 0)),
+        (hk_torus_rank2_atlas, (1,)),
+        (hk_torus_rank2_atlas, (1, 0, 0)),
+        (hk_torus_rank2_atlas, (0, 0)),
+        (hk_torus_rank2_atlas, (1, -1)),
+        (product_of_spheres_atlas, (1,)),
+        (product_of_spheres_atlas, (0, 1, 0)),
+        (product_of_spheres_atlas, (1, 1)),
+    ],
+    ids=[
+        "S2-short", "S2-long", "S2-zero", "hk_point-long", "hk_rank2-short",
+        "hk_rank2-long", "hk_rank2-zero", "hk_rank2-mixed", "S2xS2-short",
+        "S2xS2-long", "S2xS2-mixed",
+    ],
+)
+def test_every_reader_refuses_a_malformed_weight_alike(build, weight):
+    """An atlas built in code skips validation.  A wrong-length, zero or
+    mixed first weight at its first point, which every reader selects, gets
+    the same refusal with the same context from the closed-form read, the
+    series path, each engine that takes the rank and the oracle."""
+    from eqloc.oracle import oracle_comparison
+
+    atlas = build()
+    k, hk = atlas.group.rank, atlas.geometry == "hyperkahler"
+    report = (reduce_hk_torus if hk else reduce_symplectic_torus)(atlas)
+    fp = atlas.fixed_points[0]
+    fp = replace(fp, weights=(weight,) + fp.weights[1:])
+    bad = replace(atlas, fixed_points=(fp,) + atlas.fixed_points[1:])
+    target = (-2 if hk else -1,) * k
+    reads = [
+        lambda: point_coeff(bad, fp, "atlas", target),
+        lambda: localize(bad, phase_factory(), target),
+        lambda: oracle_comparison(report, bad),
+    ]
+    engines = [reduce_hk_torus] if hk else [reduce_symplectic_torus]
+    if k == 1:
+        engines += [reduce_hk_circle, reduce_hk_circle_viaP] if hk else [reduce_symplectic_circle]
+    reads += [lambda engine=engine: engine(bad) for engine in engines]
+    refusals = []
+    for read in reads:
+        with pytest.raises(EqlocError) as info:
+            read()
+        refusals.append((type(info.value), info.value.message, info.value.context))
+    if len(weight) != k:
+        error, context = VariableMismatchError, {"point": fp.name, "weight": weight, "rank": k}
+    else:
+        error = NonInvertibleError if any(weight) else ValidationError
+        context = {"point": fp.name, "weight": weight}
+    assert refusals[0][0] is error and refusals[0][2] == context
+    assert refusals == refusals[:1] * len(reads)
 
 
 @st.composite

@@ -22,7 +22,12 @@ from eqloc.atlas import (
     sphere_atlas,
     validate_atlas,
 )
-from eqloc.errors import NonInvertibleError, ValidationError, VariableMismatchError
+from eqloc.errors import (
+    EqlocError,
+    NonInvertibleError,
+    ValidationError,
+    VariableMismatchError,
+)
 from eqloc.exact import ComplexRational, LaurentSeries
 from eqloc.localize import (
     SERIES_WORK_BUDGET,
@@ -54,12 +59,17 @@ def test_euler_class_products():
 
 
 def reference_euler_class(fp, variables) -> LaurentSeries:
-    """The product of series objects that euler_class multiplies out in
-    integers: one general product per linear form."""
+    """The product of series objects, one general product per linear form,
+    with the refusals euler_class makes, weight by weight: a wrong length,
+    a zero weight, a weight in two or more variables."""
     e = LaurentSeries.const(variables, 1)
     for w in fp.weights:
+        if len(w) != len(variables):
+            raise VariableMismatchError("covector length")
         if all(x == 0 for x in w):
             raise ValidationError("zero tangent weight")
+        if len(w) - w.count(0) > 1:
+            raise NonInvertibleError("mixed weight")
         e = e * LaurentSeries.linear_form(variables, w)
     return e
 
@@ -85,20 +95,25 @@ def weight_lists(draw):
 
 @given(weight_lists())
 @settings(max_examples=200, deadline=None)
-@example((2, ((1, 0), (1, -1), (0, 2), (1, 1))))  # the yz terms cancel
-@example((2, ((2, 0), (0, -1), (1, 1), (1, 0), (0, 3))))
-@example((3, ((0, 0, -2), (1, 1, 0), (1, 0, 0), (0, 1, -1), (0, 0, 3))))
-@example((3, ((1, 0, 0), (0, 1, 1), (0, 0, 0))))  # zero weight after a mixed one
-@example((2, ((0, 1), (1, -1), (1,))))  # short weight after a mixed one
+@example((2, ((1, 0), (1, -1), (0, 2), (1, 1))))  # mixed
+@example((2, ((2, 0), (0, -1), (1, 0), (0, 3))))
+@example((3, ((0, 0, -2), (1, 0, 0), (0, 3, 0), (0, 0, 3))))
+@example((3, ((1, 0, 0), (0, 1, 1), (0, 0, 0))))  # mixed before a zero weight
+@example((2, ((0, 1), (1, 0), (1,))))  # short weight last
+@example((2, ((0, 1), (0, 0), (1,))))  # zero weight before a short one
 def test_euler_class_matches_series_product(case):
+    """A product of one-variable weights is the monomial the series product
+    gives; a mixed, zero or wrong-length weight gets the refusal of the
+    first such weight."""
     k, weights = case
     fp = replace(sphere_atlas().fixed_points[0], weights=weights)
     variables = ("y", "z", "w")[:k]
     try:
         expected = reference_euler_class(fp, variables)
-    except (ValidationError, VariableMismatchError) as exc:
-        with pytest.raises(type(exc)):
+    except EqlocError as exc:
+        with pytest.raises(EqlocError) as info:
             euler_class(fp, variables)
+        assert type(info.value) is type(exc)
         return
     got = euler_class(fp, variables)
     assert got == expected
@@ -238,8 +253,8 @@ _ZERO_TEXT = "e(y) is a zero divisor at 'north': zero tangent weight"
         (
             lambda: euler_class(sphere_atlas().fixed_points[0], ("y", "z")),
             VariableMismatchError,
-            "covector length 1 does not match variables ('y', 'z')",
-            {"weight": (1,), "variables": ("y", "z")},
+            "covector length 1 of tangent weight (1,) at 'north' does not match rank 2",
+            {"point": "north", "weight": (1,), "rank": 2},
         ),
     ],
     ids=["eta_mode", "euler_zero_weight", "monomial_zero_weight", "covector_length"],

@@ -4,8 +4,6 @@ import io
 import json
 import math
 import re
-import runpy
-import subprocess
 import sys
 import tempfile
 from fractions import Fraction
@@ -1398,53 +1396,3 @@ class TestPanelEvaluation:
         comparison = oracle_comparison(reduce_symplectic_circle(atlas), atlas)
         assert len(comparison["ladder"]) == len(MollifierConfig().t_ladder)
         assert built == [len(atlas.fixed_points)]
-
-
-def test_convergence_script_runs():
-    """The script studies symplectic circles; a hyperkahler atlas gets the
-    oracle's refusal, which names reduce --oracle, and exit code 1."""
-    script = Path(__file__).resolve().parent.parent / "scripts" / "oracle_convergence.py"
-    out = subprocess.run(
-        [sys.executable, str(script), "builtin:hk_point"],
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
-    assert out.returncode == 1 and out.stdout == ""
-    assert "reduce --oracle" in out.stderr and "Traceback" not in out.stderr
-    for args, verdict in [
-        (["builtin:sphere_S2", "--t", "1,10"], "no"),
-        (["builtin:mirror_pair(7)"], "yes"),
-    ]:
-        out = subprocess.run(
-            [sys.executable, str(script), *args],
-            capture_output=True,
-            text=True,
-            timeout=120,
-        )
-        assert out.returncode == 0, out.stderr
-        assert "exact limit:" in out.stdout
-        assert "panels" in out.stdout and "panel budget: 300000 per rung" in out.stdout
-        assert f"converged:   {verdict} (last two rungs)" in out.stdout, args
-
-
-def test_convergence_script_integrates_once(monkeypatch, capsys):
-    """The Richardson line is read from the ladder already run."""
-    script = Path(__file__).resolve().parent.parent / "scripts" / "oracle_convergence.py"
-    calls = []
-    real = oracle_module.mollified_oint
-
-    def spy(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(oracle_module, "mollified_oint", spy)
-    main = runpy.run_path(str(script))["main"]
-    for args in (["builtin:sphere_S2", "--t", "1,10"], ["builtin:mirror_pair(7)"]):
-        calls.clear()
-        monkeypatch.setattr(sys, "argv", ["oracle_convergence.py", *args])
-        assert main() == 0
-        assert len(calls) == 1
-        res = real(*calls[0][:2], replace(calls[0][2], extrapolation="richardson"))
-        rich = res.estimate
-        assert f"richardson:  {rich.real:+.15e} {rich.imag:+.15e}i" in capsys.readouterr().out
