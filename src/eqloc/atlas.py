@@ -17,7 +17,6 @@ add those series verbatim.
 from __future__ import annotations
 
 import json
-import math
 import random
 from collections.abc import Mapping
 from fractions import Fraction
@@ -543,84 +542,11 @@ def _parse_str(doc, key: str, where: str = "") -> str:
 
 
 def canonical_dumps(doc) -> str:
-    """``json.dumps(doc, sort_keys=True, indent=2) + "\\n"``, written directly.
-
-    The canonical form of every pretty-printed document (atlases, reports,
-    CLI output): keys sorted, two-space indent, strings with ASCII escapes
-    (json's C ``encode_basestring_ascii``), ints and floats by their
-    ``repr`` with NaN and +-Infinity as json writes them, and empty
-    containers on one line.  dicts, lists and tuples nest; any other type,
-    and any dict key that is not a str, raises TypeError.  With an indent,
-    json falls back to its pure-Python encoder, which takes about twice as
-    long.  Atlases and reports are written by their own templates
-    (``serialize_atlas``, ``ReductionReport.canonical_json``) in this form.
-    """
-    return _json_text(doc, "\n") + "\n"
-
-
-def _json_text(o, nl: str) -> str:
-    """o's canonical text, nl being a newline plus the indent of o's line."""
-    parts: list = []
-    _dump(o, parts, nl)
-    return "".join(parts)
-
-
-def _dump(o, parts: list, nl: str) -> None:
-    """Append o's canonical text to parts; nl is a newline plus the indent
-    of o's own line.  int and str members skip the recursion, as they are
-    most of a document."""
-    if isinstance(o, dict):
-        if not o:
-            parts.append("{}")
-            return
-        inner = nl + "  "
-        sep = "{" + inner
-        for key in sorted(o):
-            if not isinstance(key, str):
-                raise TypeError(f"keys must be str, not {type(key).__name__}")
-            v = o[key]
-            if type(v) is int:
-                parts.append(sep + _encode_str(key) + ": " + int.__repr__(v))
-            elif type(v) is str:
-                parts.append(sep + _encode_str(key) + ": " + _encode_str(v))
-            else:
-                parts.append(sep + _encode_str(key) + ": ")
-                _dump(v, parts, inner)
-            sep = "," + inner
-        parts.append(nl + "}")
-    elif isinstance(o, (list, tuple)):
-        if not o:
-            parts.append("[]")
-            return
-        inner = nl + "  "
-        sep = "[" + inner
-        for v in o:
-            if type(v) is int:
-                parts.append(sep + int.__repr__(v))
-            else:
-                parts.append(sep)
-                _dump(v, parts, inner)
-            sep = "," + inner
-        parts.append(nl + "]")
-    elif isinstance(o, str):
-        parts.append(_encode_str(o))
-    elif o is None:
-        parts.append("null")
-    elif o is True:
-        parts.append("true")
-    elif o is False:
-        parts.append("false")
-    elif isinstance(o, int):
-        parts.append(int.__repr__(o))
-    elif isinstance(o, float):
-        if o != o:
-            parts.append("NaN")
-        elif o in (math.inf, -math.inf):
-            parts.append("Infinity" if o > 0 else "-Infinity")
-        else:
-            parts.append(float.__repr__(o))
-    else:
-        raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+    """The canonical form of every plain-JSON document (CLI output, the
+    oracle block): ``json.dumps`` with keys sorted and a two-space indent.
+    Atlases and reports are written in this form by their own templates
+    (``serialize_atlas``, ``ReductionReport.canonical_json``)."""
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
 def _list(items, nl: str) -> str:

@@ -344,8 +344,12 @@ def _cmd_examples(args) -> int:
             f"cannot create output directory {args.out!r}: {exc}", out=args.out
         )
     for name in EXAMPLE_FILES:
-        (out / name).write_text(example_file_text(name))
-        print(out / name)
+        path = out / name
+        try:
+            path.write_text(example_file_text(name))
+        except OSError as exc:
+            raise ValidationError(f"cannot write {str(path)!r}: {exc}", path=str(path))
+        print(path)
     return 0
 
 

@@ -11,10 +11,11 @@ points produce byte-identical canonical reports.
 A product of linear forms has a Laurent inverse with finite principal part
 only if it is a monomial, so the Euler class of every structured point the
 engines accept is c * y^n: each tangent weight involves one variable.
-``localize.monomial_euler_class`` reads (c, n) for every route, and refuses
-a weight of the wrong length (VariableMismatchError), a zero weight
-(ValidationError) or one involving two variables (NonInvertibleError), each
-naming the point and the weight.  A point's coefficient is then a finite sum
+``localize.monomial_euler_class`` reads (c, n) for every route, at every
+structured point whether selected or not, and refuses a weight of the wrong
+length (VariableMismatchError), a zero weight (ValidationError) or one
+involving two variables (NonInvertibleError), each naming the point and
+the weight.  A point's coefficient is then a finite sum
 over its eta terms, which the engines read in closed form without building
 a series.  Raw points are read from their stored series.
 
@@ -45,11 +46,12 @@ exact coefficient, which the report always exposes raw.
 from __future__ import annotations
 
 import cmath
+import json
 from fractions import Fraction
 from typing import Dict, Optional, Sequence, Tuple
 
 from .atlas import FixedPointAtlas, FixedPointDatum, RootSystemData
-from .atlas import _coeff_text, _constant_text, _encode_str, _json_text, _list
+from .atlas import _coeff_text, _constant_text, _encode_str, _list
 from .errors import (
     InternalError,
     OddExponentError,
@@ -72,6 +74,7 @@ from .localize import (  # noqa: F401
     check_series_budget,
     euler_class,
     localize,
+    monomial_euler_class,
     point_coeff,
 )
 from .record import Record, replace
@@ -118,9 +121,6 @@ class ConventionProfile(Record):
         if geometry == "hyperkahler":
             return self.prefactor_hk_circle ** rank
         return self.prefactor_symplectic_circle ** rank
-
-    def volume(self, rank: int) -> SymbolicConstant:
-        return self.vol_circle ** rank
 
     def to_json_dict(self) -> dict:
         return {
@@ -302,7 +302,8 @@ class ReductionReport(Record):
         if self.inserted_polynomial is not None:
             text += f'{i}"inserted_polynomial": {_encode_str(self.inserted_polynomial)},'
         if self.oracle_comparison is not None:
-            text += f'{i}"oracle_comparison": {_json_text(self.oracle_comparison, i)},'
+            block = json.dumps(self.oracle_comparison, sort_keys=True, indent=2).replace("\n", i)
+            text += f'{i}"oracle_comparison": {block},'
         text += (
             f'{i}"prefactor": {_constant_text(self.prefactor, i)},'
             f'{i}"profile": {{{j}"name": {_encode_str(profile.name)},'
@@ -317,7 +318,7 @@ class ReductionReport(Record):
             f'{i}"variable_order": {_list(map(_encode_str, self.variable_order), i)}'
         )
         if self.inserted_polynomial is not None:
-            text += f',{i}"weyl_divisor": {_json_text(self.weyl_divisor, i)}'
+            text += f',{i}"weyl_divisor": {self.weyl_divisor}'
         return text + "\n}\n"
 
     def with_oracle(self, comparison: dict) -> "ReductionReport":
@@ -417,6 +418,9 @@ def _run(
     raw = ComplexRational.zero()
     for fp, keep in zip(atlas.fixed_points, mask):
         if not keep:
+            if fp.mode == "structured":
+                # read, though unselected, so every reader refuses the same weights
+                monomial_euler_class(fp, k)
             c = ComplexRational.zero()
         elif via_p:
             c = _point_coeff_via_even_part(atlas, fp, eta_mode, order)

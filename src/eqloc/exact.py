@@ -2,10 +2,11 @@
 multivariate Laurent series with explicit truncation accounting.
 
 Everything in this module is exact.  Floating point appears only in the
-``numeric_value``/``evaluate`` casts used by reports and by the numeric
-oracle.  The series type stores finitely many negative-exponent terms plus a
-regular part that is trusted only up to a per-variable truncation order, and
-every operation propagates that trust honestly: no result ever claims
+casts to complex: ``numeric_value``, which reports and the numeric oracle
+use, and ``LaurentSeries.evaluate``, which only the tests call.  The
+series type stores finitely many negative-exponent terms plus a regular
+part that is trusted only up to a per-variable truncation order, and every
+operation propagates that trust honestly: no result ever claims
 accuracy beyond what its inputs support.
 
 Truncation bookkeeping for products uses the shifted rule
@@ -261,10 +262,6 @@ class SymbolicConstant(Record):
     @classmethod
     def one(cls) -> "SymbolicConstant":
         return cls(Fraction(1))
-
-    @classmethod
-    def rational(cls, q: RationalLike) -> "SymbolicConstant":
-        return cls(_frac(q))
 
     def is_zero(self) -> bool:
         return self.q == 0
@@ -616,8 +613,8 @@ class LaurentSeries:
         terms = {e: c for e, c in self.terms.items() if e[v] % 2 == 0}
         return LaurentSeries._canonical(self.vars, terms, self.trunc)
 
-    def substitute_sqrt(self, var: str, new_name: Optional[str] = None) -> "LaurentSeries":
-        """Replace var^2 by a fresh variable: exponents of var are halved.
+    def substitute_sqrt(self, var: str) -> "LaurentSeries":
+        """Replace var^2 by var: exponents of var are halved.
 
         Requires every exponent of var to be even (apply even_part first).
         Exact on its domain; the truncation order in the substituted variable
@@ -633,13 +630,9 @@ class LaurentSeries:
         t = self.trunc[v]
         new_tr = self.trunc[:v] + (None if t is None else t // 2,) + self.trunc[v + 1 :]
         terms = {e[:v] + (e[v] // 2,) + e[v + 1 :]: c for e, c in self.terms.items()}
-        if new_name is None:
-            # halving even exponents keeps them distinct and within the
-            # halved order, so the terms are still canonical
-            return LaurentSeries._canonical(self.vars, terms, new_tr)
-        new_vars = list(self.vars)
-        new_vars[v] = new_name
-        return LaurentSeries(new_vars, terms, new_tr)
+        # halving even exponents keeps them distinct and within the halved
+        # order, so the terms are still canonical
+        return LaurentSeries._canonical(self.vars, terms, new_tr)
 
     # -- rendering and numeric evaluation -------------------------------
 
@@ -703,10 +696,8 @@ def even_projector(f: LaurentSeries, var: str) -> LaurentSeries:
     return f.even_part(var)
 
 
-def substitute_sqrt(
-    f: LaurentSeries, var: str, new_name: Optional[str] = None
-) -> LaurentSeries:
-    return f.substitute_sqrt(var, new_name)
+def substitute_sqrt(f: LaurentSeries, var: str) -> LaurentSeries:
+    return f.substitute_sqrt(var)
 
 
 def _order_tuple(order, k: int) -> Trunc:

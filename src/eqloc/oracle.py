@@ -71,17 +71,19 @@ RULES[1::3, 1] = 3.0
 
 
 class _Budget:
-    __slots__ = ("left",)
+    __slots__ = ("total", "left")
 
     def __init__(self, n: int):
-        self.left = n
+        self.total = self.left = n
 
     def spend(self, n: int):
         self.left -= n
         if self.left < 0:
             raise QuadratureError(
-                "quadrature panel budget exhausted; reduce the top of the "
-                "t ladder or raise max_panels"
+                f"quadrature panel budget exhausted: more than {self.total} panels; "
+                "lower the top of the t ladder (--t), or raise "
+                "MollifierConfig.max_panels when calling the library",
+                budget=self.total,
             )
 
 
@@ -908,8 +910,10 @@ class DecayTable(Record):
         }
 
 
-#: panel budget of each ladder rung of suptsq_check
+#: panel budget of each ladder rung of suptsq_check, and its per-panel
+#: tolerance in units of S(t)
 SUPTSQ_MAX_PANELS = 300_000
+_SUPTSQ_TOLERANCE = 1e-13
 
 
 def _max_finite_power(base: float) -> Optional[int]:
@@ -974,9 +978,9 @@ def _suptsq_size(m: int, t: float) -> float:
         ) from None
 
 
-def _suptsq_grid(x: float, m: int, t: float, sigmas: float) -> Tuple[float, float]:
+def _suptsq_grid(x: float, m: int, t: float) -> Tuple[float, float]:
     """(window, band limit) of suptsq_check's rung t for y^m."""
-    window = math.sqrt(2.0 * t * m) + sigmas * math.sqrt(2.0 * t)
+    window = math.sqrt(2.0 * t * m) + _SIGMAS * math.sqrt(2.0 * t)
     return window, abs(x) + (math.sqrt(_MARGIN) + math.sqrt(2.0 * m + 1.0)) / math.sqrt(t)
 
 
@@ -984,15 +988,13 @@ def suptsq_check(
     x: float,
     n: int,
     t_ladder: Sequence[float] = (1.0, 3.0, 10.0, 30.0),
-    quad_tolerance: float = 1e-13,
-    window_sigmas: float = 12.0,
 ) -> DecayTable:
     """I(t) = integral exp(-y^2/4t + i x y) y^m dy, m = n/2, per ladder point.
 
     I(t) has the closed form sqrt(4 pi t) (i sqrt t)^m H_m(x sqrt t)
     exp(-t x^2), H_m the physicists' Hermite polynomial, and its size is
     measured against S(t) = Gamma((m+1)/2) (4t)^((m+1)/2), the integral of
-    |y|^m exp(-y^2/4t).  The per-panel tolerance is quad_tolerance * S(t).
+    |y|^m exp(-y^2/4t).  The per-panel tolerance is 1e-13 S(t).
     For x != 0 each row's bound is 2 |I(t)| + 1e-9 S(t), and decay_ok says
     that every row's |value| is inside its bound.  While |I(t)| is above
     1e-9 S(t) this follows the closed form's exp(-t x^2) decay; on rungs
@@ -1002,11 +1004,11 @@ def suptsq_check(
     the rows.  For x = 0 the integral grows like t^((m+1)/2) and no decay
     claim is made.
 
-    Rung t integrates over |y| <= sqrt(2tm) + window_sigmas sqrt(2t), the
-    peak sqrt(2tm) of y^m exp(-y^2/4t) plus the window, on the grid of band
-    limit |x| + (sqrt(_MARGIN) + sqrt(2m + 1)) / sqrt(t): past the Gaussian's
-    spread, the Fourier transform of y^m exp(-y^2/4t) reaches out about
-    sqrt((2m + 1) / t).  The widest window is at the top of the ladder.  An
+    Rung t integrates over |y| <= sqrt(2tm) + _SIGMAS sqrt(2t), the peak
+    sqrt(2tm) of y^m exp(-y^2/4t) plus the mollified limit's window, on the
+    grid of band limit |x| + (sqrt(_MARGIN) + sqrt(2m + 1)) / sqrt(t): past
+    the Gaussian's spread, the Fourier transform of y^m exp(-y^2/4t) reaches
+    out about sqrt((2m + 1) / t).  The widest window is at the top of the ladder.  An
     x whose panels there exceed the panel budget, an n whose y^m overflows a
     double at that window's edge, or an S(t) beyond double range is
     refused, the first two naming the largest value that fits.
@@ -1020,7 +1022,7 @@ def suptsq_check(
     top = ladder[-1]
     # the widest grid lays 2 ceil(window (|x| + spread) / _PANEL_PHASE)
     # panels, so refuse before building it
-    window, spread = _suptsq_grid(0.0, power, top, window_sigmas)
+    window, spread = _suptsq_grid(0.0, power, top)
     x_max = SUPTSQ_MAX_PANELS // 2 * _PANEL_PHASE / window - spread
     if abs(x) > x_max:
         largest = f"|x| up to {x_max:g} fits" if x_max >= 0 else f"no x fits with n = {n}"
@@ -1031,7 +1033,7 @@ def suptsq_check(
         )
 
     def edge(m: int) -> float:
-        _, h, panels = _panel_grid(*_suptsq_grid(x, m, top, window_sigmas))
+        _, h, panels = _panel_grid(*_suptsq_grid(x, m, top))
         return panels // 2 * (15 * h)
 
     def fits(m: int) -> bool:
@@ -1053,14 +1055,14 @@ def suptsq_check(
 
     values = []
     for t, size in zip(ladder, sizes):
-        grid = _panel_grid(*_suptsq_grid(x, power, t, window_sigmas))
+        grid = _panel_grid(*_suptsq_grid(x, power, t))
         budget = _Budget(SUPTSQ_MAX_PANELS)
 
         def fn(y: np.ndarray, t=t) -> np.ndarray:
             base = np.exp(-(y * y) / (4.0 * t) + 1j * x * y)
             return base * y**power if power else base
 
-        val, _ = adaptive_quadrature(fn, grid, quad_tolerance * size, budget)
+        val, _ = adaptive_quadrature(fn, grid, _SUPTSQ_TOLERANCE * size, budget)
         values.append(val)
 
     if x == 0:

@@ -878,7 +878,7 @@ def test_writer_edge_cases():
 
 @pytest.mark.parametrize(
     "doc",
-    [Fraction(1, 2), {1, 2}, {1: "a"}, [{"a": 1, 2: "b"}], {"a": [Fraction(1)]}, object()],
+    [Fraction(1, 2), {1, 2}, [{"a": 1, 2: "b"}], {"a": [Fraction(1)]}, object()],
 )
 def test_writer_refuses_what_json_cannot_write_canonically(doc):
     with pytest.raises(TypeError):

@@ -693,6 +693,7 @@ def test_oversize_oracle_grid_exits_1(capsys, tmp_path, monkeypatch, moment, tai
     err = run_err(capsys, [tail[0], str(path)] + tail[1:])
     assert err["error"] == "quadrature"
     assert "panel budget exhausted" in err["message"]
+    assert err["context"] == {"budget": "300000"}
 
 
 def _set_huge_eta(doc):
@@ -912,6 +913,11 @@ def _out_under_a_file(tmp_path, monkeypatch):
     return ["examples", "--out", str(tmp_path / "file" / "out")]
 
 
+def _example_named_by_a_directory(tmp_path, monkeypatch):
+    (tmp_path / "sphere_s2.json").mkdir()
+    return ["examples", "--out", str(tmp_path)]
+
+
 _MOLLIFIED = ["oracle", "builtin:sphere_S2", "--mode", "symplectic"]
 
 
@@ -944,10 +950,14 @@ _MOLLIFIED = ["oracle", "builtin:sphere_S2", "--mode", "symplectic"]
         ),
         (_out_under_a_file, lambda tmp_path: {"out": repr(str(tmp_path / "file" / "out"))}),
         (_unknown_example, lambda _: {"name": "'none.json'"}),
+        (
+            _example_named_by_a_directory,
+            lambda tmp_path: {"path": repr(str(tmp_path / "sphere_s2.json"))},
+        ),
     ],
     ids=[
         "atlas_path", "series_path", "series_json", "numbers_parse", "numbers_finite",
-        "oracle_mode", "examples_out", "example_name",
+        "oracle_mode", "examples_out", "example_name", "example_path",
     ],
 )
 def test_cli_refusal_names_its_value(capsys, tmp_path, monkeypatch, argv, context):

@@ -472,39 +472,44 @@ def test_mixed_weight_rejected_naming_point_and_weight():
 
 
 @pytest.mark.parametrize(
-    "build, weight",
+    "build, index, weight",
     [
-        (sphere_atlas, ()),
-        (sphere_atlas, (0, 1)),
-        (sphere_atlas, (0,)),
-        (hk_point_atlas, (1, 0)),
-        (hk_torus_rank2_atlas, (1,)),
-        (hk_torus_rank2_atlas, (1, 0, 0)),
-        (hk_torus_rank2_atlas, (0, 0)),
-        (hk_torus_rank2_atlas, (1, -1)),
-        (product_of_spheres_atlas, (1,)),
-        (product_of_spheres_atlas, (0, 1, 0)),
-        (product_of_spheres_atlas, (1, 1)),
+        (sphere_atlas, 0, ()),
+        (sphere_atlas, 0, (0, 1)),
+        (sphere_atlas, 0, (0,)),
+        (sphere_atlas, 1, (0, 1)),
+        (sphere_atlas, 1, (0,)),
+        (hk_point_atlas, 0, (1, 0)),
+        (hk_torus_rank2_atlas, 0, (1,)),
+        (hk_torus_rank2_atlas, 0, (1, 0, 0)),
+        (hk_torus_rank2_atlas, 0, (0, 0)),
+        (hk_torus_rank2_atlas, 0, (1, -1)),
+        (product_of_spheres_atlas, 0, (1,)),
+        (product_of_spheres_atlas, 0, (0, 1, 0)),
+        (product_of_spheres_atlas, 0, (1, 1)),
     ],
     ids=[
-        "S2-short", "S2-long", "S2-zero", "hk_point-long", "hk_rank2-short",
-        "hk_rank2-long", "hk_rank2-zero", "hk_rank2-mixed", "S2xS2-short",
-        "S2xS2-long", "S2xS2-mixed",
+        "S2-short", "S2-long", "S2-zero", "S2-south-long", "S2-south-zero",
+        "hk_point-long", "hk_rank2-short", "hk_rank2-long", "hk_rank2-zero",
+        "hk_rank2-mixed", "S2xS2-short", "S2xS2-long", "S2xS2-mixed",
     ],
 )
-def test_every_reader_refuses_a_malformed_weight_alike(build, weight):
+def test_every_reader_refuses_a_malformed_weight_alike(build, index, weight):
     """An atlas built in code skips validation.  A wrong-length, zero or
-    mixed first weight at its first point, which every reader selects, gets
-    the same refusal with the same context from the closed-form read, the
-    series path, each engine that takes the rank and the oracle."""
+    mixed first weight at one point gets the same refusal with the same
+    context from the closed-form read, the series path, each engine that
+    takes the rank and the oracle: at a point that every reader selects,
+    and at the sphere's south pole, which the symplectic engines do not
+    select but still read."""
     from eqloc.oracle import oracle_comparison
 
     atlas = build()
     k, hk = atlas.group.rank, atlas.geometry == "hyperkahler"
     report = (reduce_hk_torus if hk else reduce_symplectic_torus)(atlas)
-    fp = atlas.fixed_points[0]
-    fp = replace(fp, weights=(weight,) + fp.weights[1:])
-    bad = replace(atlas, fixed_points=(fp,) + atlas.fixed_points[1:])
+    points = list(atlas.fixed_points)
+    fp = replace(points[index], weights=(weight,) + points[index].weights[1:])
+    points[index] = fp
+    bad = replace(atlas, fixed_points=tuple(points))
     target = (-2 if hk else -1,) * k
     reads = [
         lambda: point_coeff(bad, fp, "atlas", target),

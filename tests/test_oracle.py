@@ -531,8 +531,12 @@ class TestGridRefusal:
         # 20 panels at t = 100, more than the smallest budget of 16
         cfg = MollifierConfig(t_ladder=(0.5, 100.0), max_panels=1000)
         assert shift_smoothness_check(sphere_atlas(), [0.01], cfg).linear_ok
-        with pytest.raises(QuadratureError, match="budget exhausted"):
+        with pytest.raises(QuadratureError, match="budget exhausted") as info:
             shift_smoothness_check(sphere_atlas(), [0.01], replace(cfg, max_panels=16))
+        # the refusal names its total, and the two ways to stay inside it
+        assert info.value.context == {"budget": 16}
+        assert "more than 16 panels" in info.value.message
+        assert "(--t)" in info.value.message and "MollifierConfig.max_panels" in info.value.message
 
 
 def north_pole_atlas():
@@ -795,9 +799,9 @@ class TestSuptsq:
             assert table.decay_ok is None
 
     def test_far_oscillation_has_a_zero_closed_form(self):
-        # H_80(1e4) ~ 2e4^80 overflows a double and exp(-1e8) underflows; a
-        # window of 24 sigmas holds the mass of y^80 exp(-y^2/4)
-        table = suptsq_check(1.0e4, 160, t_ladder=(1.0,), window_sigmas=24.0)
+        # H_80(1e4) ~ 2e4^80 overflows a double and exp(-1e8) underflows;
+        # the window about the peak sqrt(2tm) holds the mass of y^80 exp(-y^2/4)
+        table = suptsq_check(1.0e4, 160, t_ladder=(1.0,))
         assert table.decay_ok is True
         assert table.rows[0].bound == pytest.approx(1e-9 * math.gamma(40.5) * 4**40.5)
 
@@ -858,7 +862,7 @@ class TestSuptsq:
             suptsq_check(-1.001 * x_max, 2)
         # the outer grid of the largest x fits the budget, at every rung
         for t in (1.0, 3.0, 10.0, 30.0):
-            _, _, n = _panel_grid(*oracle_module._suptsq_grid(0.999 * x_max, 1, t, 12.0))
+            _, _, n = _panel_grid(*oracle_module._suptsq_grid(0.999 * x_max, 1, t))
             assert n <= 300_000
 
     @pytest.mark.parametrize("ladder", [(1.0, 3.0, 10.0, 30.0), (0.5, 1000.0)])
@@ -869,7 +873,7 @@ class TestSuptsq:
         # the window widens with n, so each n is held to its own window's edge
         edges = []
         for n in (max_n, max_n + 2):
-            _, h, panels = _panel_grid(*oracle_module._suptsq_grid(0.0, n // 2, ladder[-1], 12.0))
+            _, h, panels = _panel_grid(*oracle_module._suptsq_grid(0.0, n // 2, ladder[-1]))
             edges.append(panels // 2 * 15 * h)
         assert math.isfinite(edges[0] ** (max_n // 2))
         with pytest.raises(OverflowError):

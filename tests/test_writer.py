@@ -40,6 +40,7 @@ from eqloc.engines import (
     weyl_wrap,
 )
 from eqloc.exact import ComplexRational, LaurentSeries, SymbolicConstant
+from eqloc.oracle import oracle_comparison
 from eqloc.record import replace
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -136,9 +137,22 @@ def test_report_with_oracle_block_and_weyl_insertion():
     assert_report_parity(report)
     roots = RootSystemData(((2,),), 2)
     weyl = GroupSpec("compact_with_torus", 1, 3, GroupSpec.circle().vol, roots)
-    atlas = replace(builtin_atlas("hk_point"), group=weyl, dim_m=16, dim_quotient=4)
-    assert_atlas_parity(atlas)
-    assert_report_parity(weyl_wrap(atlas))
+    lift = replace(builtin_atlas("hk_point"), group=weyl, dim_m=16, dim_quotient=4)
+    assert_atlas_parity(lift)
+    assert_report_parity(weyl_wrap(lift))
+    # real blocks, nested in the report at its indent: the mollified route,
+    # the contour route, and a contour block that checks abs_err alone
+    sphere, hk = builtin_atlas("sphere_S2"), builtin_atlas("hk_point")
+    routes = set()
+    for report, atlas in (
+        (reduce_symplectic_circle(sphere), sphere),
+        (reduce_hk_circle(hk), hk),
+        (weyl_wrap(lift), lift),
+    ):
+        block = oracle_comparison(report, atlas)
+        routes.add((block["route"], block.get("checks")))
+        assert_report_parity(report.with_oracle(block))
+    assert routes == {("mollified", None), ("contour", None), ("contour", "abs_err")}
 
 
 # -- drawn documents: awkward text, large and negative ints, any rank -------
