@@ -6,7 +6,8 @@ Three independent instruments:
     by a composite midpoint rule on a uniform grid over a truncated window
     and a ladder of t values with optional Richardson extrapolation.  A
     rung's grid is three numbers (mid, h, n): n panels of 15 nodes h apart
-    about mid; the node arrays are built a round at a time.
+    about mid.  The rungs share their quadrature rounds: one round builds
+    the node arrays of every rung still open, each row with its own t.
   - torus_mean: the tensor trapezoid rule on a torus |z_v| = r_v, reading
     one Laurent coefficient of a function of k variables; contour_coeff is
     its one-variable case on a stored series.
@@ -31,11 +32,12 @@ the doubles float(Fraction) would give, with no Fraction built.
 
 An atlas integrand is a sum of per-point terms amp(y) * exp(i phase(y)),
 amp a Laurent polynomial.  On a circle the mollified quadrature sums each
-round of panels with one real matrix product: the Gaussian times the
-powers of y at every node form the basis, and on a panel's nodes c + k h a
-linear phase separates as exp(i f c) * exp(i f k h), so the second factor
-joins the rule weights and the terms' coefficients in one small matrix per
-round, every panel of a round having the same spacing h.
+rung's panels with one real matrix product: the Gaussian times the powers
+of y at every node form the basis, and on a panel's nodes c + k h a linear
+phase separates as exp(i f c) * exp(i f k h), so the second factor joins
+the rule weights and the terms' coefficients in one small matrix per rung,
+every panel of a rung having the same spacing h.  A round builds the basis
+and the phases of all its rungs together; only the products are per rung.
 
 This module imports numpy.  ``import eqloc`` registers it as a lazy module
 that runs on the first read of one of its attributes, so numpy loads only
@@ -71,14 +73,23 @@ RULES[1::3, 1] = 3.0
 
 
 class _Budget:
-    __slots__ = ("total", "left")
+    """An allowance of total panels for each grid of one quadrature call.
+    left is what the grids have left between them, so it falls by every
+    panel that any of them spends."""
 
-    def __init__(self, n: int):
-        self.total = self.left = n
+    __slots__ = ("total", "spent")
 
-    def spend(self, n: int):
-        self.left -= n
-        if self.left < 0:
+    def __init__(self, total: int, grids: int):
+        self.total = total
+        self.spent = [0] * grids
+
+    @property
+    def left(self) -> int:
+        return self.total * len(self.spent) - sum(self.spent)
+
+    def spend(self, grid: int, n: int):
+        self.spent[grid] += n
+        if self.spent[grid] > self.total:
             raise QuadratureError(
                 f"quadrature panel budget exhausted: more than {self.total} panels; "
                 "lower the top of the t ladder (--t), or raise "
@@ -140,68 +151,114 @@ def _panel_grid(
     width = 15 * h
     count = window / width if width > 0 else math.inf
     m = max(1, math.ceil(count)) if count < math.inf else math.inf
-    _Budget(max_panels).spend(2 * m)
+    _Budget(max_panels, 1).spend(0, 2 * m)
     return 0.0, h, 2 * m
 
 
-def _eval_panels(fn, centers: np.ndarray, h: float) -> np.ndarray:
-    """Each panel's integral by the 15-node and by the nested 5-node rule:
-    an (n, 2) array."""
+#: one rung of a quadrature round: (grid index, panel centres, spacing h)
+_Rung = Tuple[int, np.ndarray, float]
+
+
+def _round(rungs: Sequence[_Rung]) -> Tuple[List[int], np.ndarray, np.ndarray]:
+    """A round's panel counts per rung, and its panel centres and spacings
+    row by row, rung after rung."""
+    counts = [len(c) for _, c, _ in rungs]
+    centers = np.concatenate([c for _, c, _ in rungs])
+    return counts, centers, np.repeat([h for _, _, h in rungs], counts)
+
+
+def _eval_panels(fn, rungs: Sequence[_Rung]) -> np.ndarray:
+    """Each panel's integral by the 15-node and by the nested 5-node rule,
+    for every rung of a round in one evaluation: a (panels, 2) array, rung
+    after rung.  A function of nodes is called once on all of them, and
+    its values take one product with RULES per rung."""
     if isinstance(fn, _MollifiedPanels):
-        sums = fn.sums(centers, h)
-    else:
-        x = centers[:, None] + h * PANEL_NODES
-        sums = np.asarray(fn(x.ravel()), dtype=complex).reshape(len(centers), 15) @ RULES
-    return sums * h
+        return fn.sums(rungs)
+    counts, centers, hs = _round(rungs)
+    x = (centers[:, None] + hs[:, None] * PANEL_NODES).ravel()
+    values = np.asarray(fn(x), dtype=complex).reshape(-1, 15)
+    sums = np.empty((len(values), 2), dtype=complex)
+    start = 0
+    for n in counts:
+        sums[start : start + n] = values[start : start + n] @ RULES
+        start += n
+    return sums * hs[:, None]
+
+
+def _fsums(values: np.ndarray, counts: Sequence[int]) -> List[List[complex]]:
+    """math.fsum of each part of each column of a 2-d complex array, over
+    consecutive runs of counts rows: per run, its columns' sums.  They are
+    correctly rounded, so independent of the order of the values."""
+    re, im = values.real.T.tolist(), values.imag.T.tolist()
+    sums, start = [], 0
+    for n in counts:
+        end = start + n
+        sums.append(
+            [complex(math.fsum(r[start:end]), math.fsum(i[start:end])) for r, i in zip(re, im)]
+        )
+        start = end
+    return sums
 
 
 def _fsum(values: np.ndarray):
-    """math.fsum of each part of complex values along the first axis: the
-    correctly rounded sum, so independent of their order.  A 2-d array gives
-    a list of its columns' sums."""
+    """math.fsum of each part of complex values along the first axis.  A
+    2-d array gives a list of its columns' sums."""
     values = np.asarray(values, dtype=complex)
-    sums = [
-        complex(math.fsum(c.real.tolist()), math.fsum(c.imag.tolist()))
-        for c in np.atleast_2d(values.T)
-    ]
+    (sums,) = _fsums(np.atleast_2d(values.T).T, [len(values)])
     return sums if values.ndim > 1 else sums[0]
 
 
 def _centers(mid: float, h: float, n: int) -> np.ndarray:
     """The n panel centres of a grid of spacing h about mid."""
-    return mid + (15 * (2 * np.arange(n) + 1 - n)) * (h / 2)
+    return mid + np.arange(15 * (1 - n), 15 * n, 30) * (h / 2)
 
 
 def adaptive_quadrature(
     fn: Callable[[np.ndarray], np.ndarray],
-    grid: Tuple[float, float, int],
+    grids: Sequence[Tuple[float, float, int]],
     tol_panel: float,
     budget: _Budget,
-) -> Tuple[complex, float]:
-    """Composite midpoint integration over a uniform grid (mid, h, n): n
-    panels of 15 nodes h apart, centred on mid.
+) -> List[Tuple[complex, float]]:
+    """Composite midpoint integration over uniform grids (mid, h, n), each
+    n panels of 15 nodes h apart, centred on mid.
 
-    fn is a function of an array of nodes, or a _MollifiedPanels evaluated a
-    panel at a time.  A round sums every panel by the 15-node rule and by
-    the 5-node rule nested in it, each total by _fsum, math.fsum's
-    correctly rounded sum of the panel values.  When the two totals
-    differ by more than tol_panel times the panel count, or 1e-14 of the
-    summed panel magnitudes where that is larger, every panel is cut in
-    three and the round repeats, the old nodes (up to the rounding of the
-    spacing) being the new coarse ones.  A composite midpoint rule's
-    per-panel errors cancel only in the total, so the whole grid is
-    refined, never single panels.  Returns the 15-node total and
+    fn is a function of an array of nodes, or a _MollifiedPanels whose
+    ladder has one t per grid.  A round evaluates the panels of every grid
+    still open in one _eval_panels call, and each grid then has its own
+    totals, test and refinement: every panel summed by the 15-node rule and
+    by the 5-node rule nested in it, each total the correctly rounded sum
+    of the grid's panel values (see _fsums).  When the two totals differ by
+    more than tol_panel times the panel count, or 1e-14 of the summed panel
+    magnitudes where that is larger, every panel of that grid is cut in
+    three and the grid goes on to the next round, the old nodes (up to the
+    rounding of the spacing) being the new coarse ones; otherwise it is
+    closed.  A composite midpoint rule's per-panel errors cancel only in
+    the total, so a whole grid is refined, never single panels.  Each
+    grid's panels are spent from its own allowance in budget before the
+    round evaluates any.  Returns, per grid, the 15-node total and
     |15-node total - 5-node total|.
     """
-    mid, h, n = grid
-    while True:
-        budget.spend(n)
-        values = _eval_panels(fn, _centers(mid, h, n), h)
-        fine, coarse = _fsum(values)
-        err = abs(fine - coarse)
-        if err <= max(tol_panel * n, 1e-14 * float(np.abs(values[:, 0]).sum())):
-            return fine, err
-        n, h = 3 * n, _spacing(h / 3)
+    grids = list(grids)
+    results = [None] * len(grids)
+    open_ = list(range(len(grids)))
+    while open_:
+        for i in open_:
+            budget.spend(i, grids[i][2])
+        rungs = [(i, _centers(*grids[i]), grids[i][1]) for i in open_]
+        values = _eval_panels(fn, rungs)
+        sizes = np.abs(values[:, 0])
+        refined, start = [], 0
+        for i, (fine, coarse) in zip(open_, _fsums(values, [grids[i][2] for i in open_])):
+            mid, h, n = grids[i]
+            err = abs(fine - coarse)
+            if err <= max(tol_panel * n, 1e-14 * float(sizes[start : start + n].sum())):
+                results[i] = (fine, err)
+            else:
+                grids[i] = (mid, _spacing(h / 3), 3 * n)
+                refined.append(i)
+            start += n
+        open_ = refined
+    return results
 
 
 def fixed_quadrature(
@@ -210,8 +267,7 @@ def fixed_quadrature(
     """Single 15-node midpoint pass over a uniform grid (mid, h, n), not
     refined.  Used when two integrands must be compared on the identical
     nodes."""
-    mid, h, n = grid
-    return _fsum(_eval_panels(fn, _centers(mid, h, n), h)[:, 0])
+    return _fsum(_eval_panels(fn, [(0, _centers(*grid), grid[1])])[:, 0])
 
 
 # -- mollified limit integrals ------------------------------------------
@@ -280,7 +336,9 @@ class OracleIntegrand(Record):
 
 class LadderRow(Record):
     """One rung of the t ladder; panels counts the panels it evaluated,
-    against the rung's budget of MollifierConfig.max_panels."""
+    against the rung's budget of MollifierConfig.max_panels.  The rungs
+    share their quadrature rounds, but a rung's panels, value and error
+    estimate are its own: they do not depend on the rest of the ladder."""
 
     __slots__ = ("t", "value", "err_estimate", "panels")
 
@@ -349,21 +407,6 @@ class OracleResult(Record):
         }
 
 
-def _mollified_single_t(
-    g: OracleIntegrand, t: float, cfg: MollifierConfig, budget: _Budget
-) -> Tuple[complex, float]:
-    window = _SIGMAS * math.sqrt(2.0 * t)
-    grid = _panel_grid(window, g.freq_linear + _spread(t), budget.left)
-    if isinstance(g.fn, _PointSum):
-        fn = _MollifiedPanels(g.fn, t)
-    else:
-
-        def fn(y: np.ndarray) -> np.ndarray:
-            return np.exp(-(y * y) / (4.0 * t)) * g.fn([y])
-
-    return adaptive_quadrature(fn, grid, _TOLERANCE, budget)
-
-
 def _one_variable(rank: int, what: str) -> None:
     """Refuse a rank >= 2 group from a one-variable instrument, naming the
     route that reads such data."""
@@ -394,14 +437,20 @@ def mollified_oint(
     if abs(vol.imag) > 1e-15 or vol.real <= 0:
         raise ValidationError("group volume must be a positive real")
     vol = vol.real
-    rows = []
-    for t in cfg.t_ladder:
-        budget = _Budget(cfg.max_panels)
-        val, err = _mollified_single_t(g, t, cfg, budget)
-        panels = cfg.max_panels - budget.left
-        rows.append(LadderRow(t=t, value=val / vol, err_estimate=err / vol, panels=panels))
+    ladder = cfg.t_ladder
+    # every rung's grid is counted against its budget before any is built
+    grids = [
+        _panel_grid(_SIGMAS * math.sqrt(2.0 * t), g.freq_linear + _spread(t), cfg.max_panels)
+        for t in ladder
+    ]
+    budget = _Budget(cfg.max_panels, len(ladder))
+    results = adaptive_quadrature(_MollifiedPanels(g.fn, ladder), grids, _TOLERANCE, budget)
+    rows = tuple(
+        LadderRow(t=t, value=val / vol, err_estimate=err / vol, panels=panels)
+        for t, (val, err), panels in zip(ladder, results, budget.spent)
+    )
     res = OracleResult(
-        rows=tuple(rows),
+        rows=rows,
         estimate=rows[-1].value,
         extrapolation=cfg.extrapolation,
         max_panels=cfg.max_panels,
@@ -545,60 +594,90 @@ _PANEL_BLOCK = 1024
 
 
 class _MollifiedPanels:
-    """exp(-y^2/4t) times a rank-1 _PointSum of linear phases, as
-    atlas_integrand builds, integrated a round of panels at a time.  Its
-    terms, gathered by frequency f, are the columns of a coefficient matrix
-    C[e, f] over the exponents lo..hi, which the _PointSum builds once for
-    every rung of a ladder.  On a panel x = c + k h a linear phase
-    separates, with g the Gaussian:
+    """exp(-y^2/4t) times fn over a ladder of t values, integrated a round
+    of panels at a time, every rung of the round in one pass: each panel
+    row carries its own rung's t and spacing h.
+
+    fn is a rank-1 _PointSum of linear phases, as atlas_integrand builds,
+    or a plain function of a list holding one array of nodes, which is
+    evaluated at every node of the round.  A _PointSum's terms, gathered
+    by frequency f, are the columns of a coefficient matrix C[e, f] over
+    the exponents lo..hi, which it builds once for every rung.  On a panel
+    x = c + k h a linear phase separates, with g the Gaussian:
 
         sum_k w_k g x^e exp(i f x) = exp(i f c) sum_k [w_k exp(i f k h)] [g x^e]
 
-    Every panel of a round has the same spacing h, so a round is one real
-    basis B[p, (k, e)] = g x^e, one product with V[(k, e), (f, r)] =
+    Every panel of a rung has the same spacing h, so a rung is one real
+    basis B[p, (k, e)] = g x^e, one product with its own V[(k, e), (f, r)] =
     RULES[k, r] exp(i f k h) C[e, f], and a centre phase exp(i f c) per
-    panel and frequency.  Every phase is taken by _unit from its real angle.
+    panel and frequency.  The basis, the phases and their contraction are
+    built for the round's rows together; only the products are per rung.
+    Every phase is taken by _unit from its real angle.
     """
 
-    def __init__(self, point_sum: _PointSum, t: float):
-        self.t = t
-        self.lo, self.hi, self.freqs, self.coeffs = point_sum.matrix
+    def __init__(self, fn, ts: Sequence[float]):
+        self.fn = fn
+        self.ts = ts
+        if isinstance(fn, _PointSum):
+            self.lo, self.hi, self.freqs, self.coeffs = fn.matrix
 
-    def _basis(self, x: np.ndarray) -> np.ndarray:
-        """g(x) x^e for e = lo..hi, on a last axis."""
+    def _basis(self, x: np.ndarray, t: np.ndarray) -> np.ndarray:
+        """g(x) x^e for e = lo..hi, on a last axis; t broadcasts with x."""
         basis = np.empty(x.shape + (self.hi - self.lo + 1,))
         gauss = basis[..., -self.lo]
-        np.exp(-(x * x) / (4.0 * self.t), out=gauss)
+        np.exp(-(x * x) / (4.0 * t), out=gauss)
         _powers(x, gauss, self.hi, basis[..., -self.lo :])
         _powers(x, gauss, self.lo, basis[..., -self.lo :: -1])
         return basis
 
-    def sums(self, centers: np.ndarray, h: float) -> np.ndarray:
+    def sums(self, rungs: Sequence[_Rung]) -> np.ndarray:
         """Each panel's RULES sums of exp(-x^2/4t) fn(x) over its nodes
-        c + k h: a (panels, 2) array.  B is real, so every product
-        takes the complex right-hand side viewed as pairs of reals.  It
-        works on blocks of at most _PANEL_BLOCK panels, so no array grows
-        with the round."""
+        c + k h, times h, t and h its rung's: a (panels, 2) array, rung
+        after rung.  B is real, so every product takes the complex
+        right-hand side viewed as pairs of reals.  Each rung's products run
+        on its own blocks, gathered into runs of at most _PANEL_BLOCK rows
+        (see _runs), so no array grows with the round."""
+        counts, centers, hs = _round(rungs)
+        ts = np.repeat([self.ts[i] for i, _, _ in rungs], counts)
+        if not isinstance(self.fn, _PointSum):
+            t = np.repeat(ts, 15)
+            return _eval_panels(lambda y: np.exp(-(y * y) / (4.0 * t)) * self.fn([y]), rungs)
+        steps = np.array([h for _, _, h in rungs])
+        node = _unit(steps[:, None, None] * np.multiply.outer(PANEL_NODES, self.freqs))
+        v = RULES[:, None, None] * node[:, :, None, :, None] * self.coeffs[:, :, None]
+        v = v.reshape(len(rungs), 15 * len(self.coeffs), -1).view(float)
         sums = np.empty((len(centers), 2), dtype=complex)
-        node = _unit(h * np.multiply.outer(PANEL_NODES, self.freqs))
-        v = RULES[:, None, None] * node[:, None, :, None] * self.coeffs[:, :, None]
-        v = v.reshape(15 * len(self.coeffs), -1).view(float)
-        for s, e in _blocks(0, len(centers)):
-            basis = self._basis(centers[s:e, None] + h * PANEL_NODES)
-            out = (basis.reshape(e - s, -1) @ v).view(complex).reshape(e - s, -1, 2)
-            phase = _unit(np.multiply.outer(centers[s:e], self.freqs))
-            sums[s:e] = np.einsum("pf,pfr->pr", phase, out)
-        return sums
+        for run in _runs(counts):
+            a, b = run[0][1], run[-1][2]
+            basis = self._basis(centers[a:b, None] + hs[a:b, None] * PANEL_NODES, ts[a:b, None])
+            out = np.empty((b - a, v.shape[2]))
+            for r, s, e in run:
+                out[s - a : e - a] = basis[s - a : e - a].reshape(e - s, -1) @ v[r]
+            out = out.view(complex).reshape(b - a, -1, 2)
+            phase = _unit(np.multiply.outer(centers[a:b], self.freqs))
+            sums[a:b] = np.einsum("pf,pfr->pr", phase, out)
+        return sums * hs[:, None]
 
 
-def _blocks(start: int, end: int) -> List[Tuple[int, int]]:
-    """[start, end) cut into the fewest near-equal blocks of at most
-    _PANEL_BLOCK panels.  No block of a longer range is a single panel,
-    which BLAS would multiply by another kernel (gemv, not gemm), so a
-    panel's sums do not depend on how its round was cut."""
-    n = -(-(end - start) // _PANEL_BLOCK)
-    bounds = [start + (end - start) * i // n for i in range(n + 1)]
-    return list(zip(bounds, bounds[1:]))
+def _runs(counts: Sequence[int]) -> List[List[Tuple[int, int, int]]]:
+    """A round's rows, counts[r] of them for rung r, rung after rung, as
+    runs of at most _PANEL_BLOCK rows, each a list of blocks (r, start,
+    end).  Each rung is cut into the fewest near-equal blocks of at most
+    _PANEL_BLOCK rows.  So no block of a longer rung is a single panel,
+    which BLAS would multiply by another kernel (gemv, not gemm), and a
+    panel's sums do not depend on the round it is in."""
+    runs: List[List[Tuple[int, int, int]]] = []
+    start = 0
+    for r, n in enumerate(counts):
+        k = -(-n // _PANEL_BLOCK)
+        bounds = [start + n * i // k for i in range(k + 1)]
+        for s, e in zip(bounds, bounds[1:]):
+            if runs and e - runs[-1][0][1] <= _PANEL_BLOCK:
+                runs[-1].append((r, s, e))
+            else:
+                runs.append([(r, s, e)])
+        start += n
+    return runs
 
 
 def _principal_part(
@@ -1056,13 +1135,13 @@ def suptsq_check(
     values = []
     for t, size in zip(ladder, sizes):
         grid = _panel_grid(*_suptsq_grid(x, power, t))
-        budget = _Budget(SUPTSQ_MAX_PANELS)
+        budget = _Budget(SUPTSQ_MAX_PANELS, 1)
 
         def fn(y: np.ndarray, t=t) -> np.ndarray:
             base = np.exp(-(y * y) / (4.0 * t) + 1j * x * y)
             return base * y**power if power else base
 
-        val, _ = adaptive_quadrature(fn, grid, _SUPTSQ_TOLERANCE * size, budget)
+        [(val, _)] = adaptive_quadrature(fn, [grid], _SUPTSQ_TOLERANCE * size, budget)
         values.append(val)
 
     if x == 0:

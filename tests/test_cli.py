@@ -696,6 +696,26 @@ def test_oversize_oracle_grid_exits_1(capsys, tmp_path, monkeypatch, moment, tai
     assert err["context"] == {"budget": "300000"}
 
 
+def test_oversize_top_rung_is_refused_before_any_rung_is_evaluated(capsys, monkeypatch):
+    """t = 1e20 needs more panels than the budget; every rung's grid is
+    laid out before any panel is evaluated, so t = 1, which fits, is not
+    integrated first."""
+    import eqloc.oracle
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a panel was evaluated")
+
+    monkeypatch.setattr(eqloc.oracle, "_centers", refuse)
+    monkeypatch.setattr(eqloc.oracle._MollifiedPanels, "sums", refuse)
+    err = run_err(capsys, ["oracle", "builtin:sphere_S2", "--mode", "symplectic", "--t", "1,1e20"])
+    assert err["error"] == "quadrature"
+    assert err["message"] == (
+        "quadrature panel budget exhausted: more than 300000 panels; lower the top of "
+        "the t ladder (--t), or raise MollifierConfig.max_panels when calling the library"
+    )
+    assert err["context"] == {"budget": "300000"}
+
+
 def _set_huge_eta(doc):
     doc["fixed_points"][0]["eta"]["terms"][0]["re"] = [10**307, 1]
 

@@ -146,7 +146,7 @@ class TestGaussKronrod:
         window = 12.0 * math.sqrt(2.0 * t)
         mid, h, n = _panel_grid(window, f + _spread(t))
         values = _eval_panels(
-            lambda y: np.exp(-(y * y) / (4.0 * t) + 1j * f * y), _centers(mid, h, n), h
+            lambda y: np.exp(-(y * y) / (4.0 * t) + 1j * f * y), [(0, _centers(mid, h, n), h)]
         )
         want = math.sqrt(4.0 * math.pi * t) * math.exp(-t * f * f)
         scale = math.sqrt(4.0 * math.pi * t)
@@ -161,8 +161,8 @@ class TestGaussKronrod:
     def test_adaptive_gaussian(self):
         # 24 panels of width 1 about 0
         grid = (0.0, _spacing(1.0 / 15), 24)
-        val, err = adaptive_quadrature(
-            lambda y: np.exp(-y * y), grid, 1e-12, _Budget(10_000)
+        [(val, err)] = adaptive_quadrature(
+            lambda y: np.exp(-y * y), [grid], 1e-12, _Budget(10_000, 1)
         )
         assert abs(val - math.sqrt(math.pi)) < 1e-12
         assert err < 1e-10
@@ -282,7 +282,7 @@ class TestExactSum:
         imaginary parts cancel exactly."""
         g = atlas_integrand(sphere_atlas())
         mid, h, n = _panel_grid(12.0 * math.sqrt(20.0), g.freq_linear)
-        i15 = _eval_panels(_MollifiedPanels(g.fn, 10.0), _centers(mid, h, n), h)[:, 0]
+        i15 = _eval_panels(_MollifiedPanels(g.fn, (10.0,)), [(0, _centers(mid, h, n), h)])[:, 0]
         mirrored = np.concatenate([i15, -i15[::-1]])
         assert not i15.real.any() and mirrored.imag.any()
         for values in (i15, mirrored, 1j * mirrored):
@@ -425,9 +425,9 @@ class TestMollified:
         seen = []
         real = oracle_module.adaptive_quadrature
 
-        def spy(fn, grid, tol, budget):
-            seen.append(grid[2])
-            return real(fn, grid, tol, budget)
+        def spy(fn, grids, tol, budget):
+            seen.extend(n for _, _, n in grids)
+            return real(fn, grids, tol, budget)
 
         monkeypatch.setattr(oracle_module, "adaptive_quadrature", spy)
         atlas = builtin_atlas(name)
@@ -474,6 +474,64 @@ class TestMollified:
             want = math.sqrt(4 * math.pi * row.t) * math.exp(-25.0 * row.t) / (2 * math.pi)
             assert abs(row.value - want) <= 1e-14, row.t
         assert res.converged()
+
+    @pytest.mark.parametrize(
+        "name", [f"mirror_pair({n})" for n in range(20)] + ["sphere_S2", "mirror_pair_7.json"]
+    )
+    def test_a_rung_does_not_depend_on_its_round(self, name):
+        """The rungs of a ladder share their quadrature rounds, yet each
+        row of the default ladder is the row its t gets in a two-rung
+        ladder with another partner, bit for bit: value, error estimate
+        and panels."""
+        if name.endswith(".json"):
+            atlas = parse_atlas((GOLDEN_DIR / name).read_text())
+        else:
+            atlas = builtin_atlas(name)
+        g = atlas_integrand(atlas)
+        for row in mollified_oint(g, atlas.group).rows:
+            pair = MollifierConfig(t_ladder=(row.t / 3, row.t))
+            assert mollified_oint(g, atlas.group, pair).rows[1] == row, row.t
+
+    def test_a_refined_rung_keeps_its_own_panels(self):
+        """exp(5iy) declared as frequency 1 is refined at t = 1 and closes
+        in the first round at t = 10: the refined row is the one t = 1 gets
+        beside t = 0.5, and its panels are its own first grid and the grid
+        cut in three, nothing of its partner's."""
+        g = OracleIntegrand(fn=lambda ys: np.exp(5j * ys[0]), freq_linear=1.0)
+        refined, closed = mollified_oint(g, CIRCLE, MollifierConfig(t_ladder=(1.0, 10.0))).rows
+        laid = {
+            t: _panel_grid(12.0 * math.sqrt(2.0 * t), 1.0 + _spread(t))[2] for t in (1.0, 10.0)
+        }
+        assert refined.panels == laid[1.0] + 3 * laid[1.0]
+        assert closed.panels == laid[10.0]
+        beside = mollified_oint(g, CIRCLE, MollifierConfig(t_ladder=(0.5, 1.0))).rows[1]
+        assert beside == refined
+
+    @pytest.mark.parametrize("integrand", ["mirror_pair(3)", "refined"])
+    def test_the_ladder_spends_one_budget_through_the_module_global(
+        self, integrand, monkeypatch
+    ):
+        """The ladder integrates every rung in one adaptive_quadrature call,
+        looked up on the module as a tracer would rebind it, and the left
+        of the budget it passes falls by exactly the rows' panels."""
+        seen = []
+        real = oracle_module.adaptive_quadrature
+
+        def spy(fn, grids, tol, budget):
+            before = budget.left
+            out = real(fn, grids, tol, budget)
+            seen.append(before - budget.left)
+            return out
+
+        monkeypatch.setattr(oracle_module, "adaptive_quadrature", spy)
+        if integrand == "refined":
+            g, group = OracleIntegrand(fn=lambda ys: np.exp(5j * ys[0]), freq_linear=1.0), CIRCLE
+        else:
+            atlas = builtin_atlas(integrand)
+            g, group = atlas_integrand(atlas), atlas.group
+        cfg = MollifierConfig(t_ladder=(1.0, 10.0, 100.0))
+        rows = mollified_oint(g, group, cfg).rows
+        assert seen == [sum(r.panels for r in rows)]
 
 
 def _sphere_with_moment(m):
@@ -1339,10 +1397,10 @@ class TestPanelEvaluation:
             x = centers[:, None] + h * PANEL_NODES
             gauss = np.exp(-(x * x) / (4.0 * t_grid))
             scale = sum(np.abs(_PointSum([p], False)([x])) for p in g.fn.points)
-            got = _MollifiedPanels(g.fn, t_grid).sums(centers, h)
-            want = (gauss * g.fn([x])) @ RULES
+            got = _MollifiedPanels(g.fn, (t_grid,)).sums([(0, centers, h)])
+            want = (gauss * g.fn([x])) @ RULES * h
             assert got.shape == (len(centers), 2)
-            assert np.all(np.abs(got - want) <= 1e-12 * ((gauss * scale) @ RULES))
+            assert np.all(np.abs(got - want) <= 1e-12 * ((gauss * scale) @ RULES) * h)
         # the shift is a global phase, raw points included
         unshifted = atlas_integrand(atlas, eta_mode=eta_mode).fn([x])
         assert np.all(np.abs(g.fn([x]) - np.exp(-1j * zeta * x) * unshifted) <= 1e-12 * scale)
@@ -1363,7 +1421,7 @@ class TestPanelEvaluation:
             mid, h, n = _panel_grid(window, g.freq_linear + _spread(t))
             assert row.panels == n
             dense = (mid, _spacing(h / 3), 3 * n)
-            value = oracle_module.fixed_quadrature(_MollifiedPanels(g.fn, t), dense)
+            value = oracle_module.fixed_quadrature(_MollifiedPanels(g.fn, (t,)), dense)
 
             def size(y, t=t):
                 terms = (_PointSum([p], False)([y]) for p in g.fn.points)
