@@ -111,13 +111,6 @@ def _ladder(text):
     return _numbers(text, "t ladder")
 
 
-def _profile_arg(args) -> object:
-    from .engines import resolve_profile
-
-    name = getattr(args, "profile", None) or os.environ.get("EQLOC_PROFILE")
-    return resolve_profile(name)
-
-
 def _build_parser() -> _Parser:
     parser = _Parser(prog="eqloc")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -137,7 +130,6 @@ def _build_parser() -> _Parser:
     )
     p.add_argument("--profile")
     p.add_argument("--eta-mode", choices=("atlas", "one"), default="atlas")
-    p.add_argument("--depth", type=int, default=0)
     p.add_argument("--order", help="comma-separated variable order, e.g. y2,y1")
     p.add_argument("--oracle", action="store_true")
     p.add_argument("--table", action="store_true", help="human-readable output")
@@ -205,19 +197,16 @@ def _cmd_reduce(args) -> int:
     if args.order:
         new_order = tuple(v.strip() for v in args.order.split(","))
         atlas = permute_atlas_variables(atlas, new_order)
-    profile = _profile_arg(args)
-    kwargs = {"eta_mode": args.eta_mode, "order": args.depth}
     rank = atlas.group.rank
     if args.mode == "weyl":
-        report = weyl_wrap(atlas, profile=profile, **kwargs)
+        fn = weyl_wrap
     elif args.mode == "symplectic":
         fn = reduce_symplectic_circle if rank == 1 else reduce_symplectic_torus
-        report = fn(atlas, profile, **kwargs)
     elif args.mode == "hk":
         fn = reduce_hk_circle if rank == 1 else reduce_hk_torus
-        report = fn(atlas, profile, **kwargs)
     else:
-        report = reduce_hk_circle_viaP(atlas, profile, **kwargs)
+        fn = reduce_hk_circle_viaP
+    report = fn(atlas, profile=args.profile, eta_mode=args.eta_mode)
     if args.oracle:
         from .oracle import oracle_comparison
 

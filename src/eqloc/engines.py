@@ -25,8 +25,7 @@ the square of the variable, and reads the coefficient at y^-1 of its product
 with the phase instead, forming that one coefficient only: it inverts the
 monomial c * y^n with ``invert_series``.  It is the independent reference
 for the closed-form read, the two routes agree exactly and the report does
-not distinguish them.  Its extra expansion order is held to the series work
-budget of ``localize`` at the same depth.
+not distinguish them.  It is held to the series work budget of ``localize``.
 ``localize`` (and the ``localize`` command) also keeps the series path.  The
 closed-form read itself, ``point_coeff``, lives in ``localize`` beside
 ``monomial_euler_class``: the oracle's pole gate reads the principal part of
@@ -363,28 +362,17 @@ class ReductionReport(Record):
         return "\n".join(lines) + "\n"
 
 
-def _check_order(order: int) -> int:
-    if not isinstance(order, int) or isinstance(order, bool) or order < 0:
-        raise ValidationError(
-            f"extra expansion order must be a nonnegative integer, got {order!r}",
-            order=order,
-        )
-    return order
-
-
 def _run(
     atlas: FixedPointAtlas,
     profile,
     *,
     geometry: str,
     eta_mode: str,
-    order: int,
     path: str,
     require_rank: Optional[int] = None,
     via_p: bool = False,
 ) -> ReductionReport:
     profile = resolve_profile(profile)
-    _check_order(order)
     check_eta_mode(eta_mode)
     if atlas.geometry != geometry:
         raise ValidationError(
@@ -411,8 +399,8 @@ def _run(
 
     target = (-2 if geometry == "hyperkahler" else -1,) * k
     if via_p:
-        # the series route is held to localize's budget at the same depth
-        check_series_budget(atlas, tuple(t + order for t in target))
+        # the series route is held to localize's budget at the same read
+        check_series_budget(atlas, target)
 
     entries = []
     raw = ComplexRational.zero()
@@ -423,7 +411,7 @@ def _run(
                 monomial_euler_class(fp, k)
             c = ComplexRational.zero()
         elif via_p:
-            c = _point_coeff_via_even_part(atlas, fp, eta_mode, order)
+            c = _point_coeff_via_even_part(atlas, fp, eta_mode)
         else:
             c = point_coeff(atlas, fp, eta_mode, target)
         entries.append(PointEntry(fp.name, keep, c))
@@ -452,7 +440,7 @@ def _run(
 
 
 def _point_coeff_via_even_part(
-    atlas: FixedPointAtlas, fp: FixedPointDatum, eta_mode: str, order: int
+    atlas: FixedPointAtlas, fp: FixedPointDatum, eta_mode: str
 ) -> ComplexRational:
     """Coefficient read through the even-part route.
 
@@ -465,7 +453,7 @@ def _point_coeff_via_even_part(
     """
     variables = atlas.variable_order
     var = variables[0]
-    z_order = -2 + 2 * order
+    z_order = -2  # the y^-2 read, y^-1 once the exponents are halved
     if fp.mode == "raw":
         series_z = fp.raw_contribution
     else:
@@ -491,7 +479,7 @@ def _point_coeff_via_even_part(
         return halved.coefficient((-1,))
     lam = fp.hk_norm_sq(0)  # nonzero: the moment vector is validated nonzero
     min_exp = halved.min_exponent()[0]
-    exp_order = max(0, (-1 + order) - min_exp)
+    exp_order = max(0, -1 - min_exp)
     phase = exp_series(
         LaurentSeries._canonical(
             variables, {(1,): _make((0, lam.numerator, lam.denominator))}, (None,)
@@ -505,7 +493,7 @@ def _point_coeff_via_even_part(
 
 
 def reduce_symplectic_circle(
-    atlas: FixedPointAtlas, profile=None, *, eta_mode: str = "atlas", order: int = 0
+    atlas: FixedPointAtlas, profile=None, *, eta_mode: str = "atlas"
 ) -> ReductionReport:
     """Quotient integral of a symplectic circle atlas.
 
@@ -518,14 +506,13 @@ def reduce_symplectic_circle(
         profile,
         geometry="symplectic",
         eta_mode=eta_mode,
-        order=order,
         path="symplectic_circle",
         require_rank=1,
     )
 
 
 def reduce_symplectic_torus(
-    atlas: FixedPointAtlas, profile=None, *, eta_mode: str = "atlas", order: int = 0
+    atlas: FixedPointAtlas, profile=None, *, eta_mode: str = "atlas"
 ) -> ReductionReport:
     """Rank-k version: keeps fixed points whose moment components are all
     positive and reads the iterated y_1^-1 ... y_k^-1 coefficient."""
@@ -534,13 +521,12 @@ def reduce_symplectic_torus(
         profile,
         geometry="symplectic",
         eta_mode=eta_mode,
-        order=order,
         path="symplectic_torus",
     )
 
 
 def reduce_hk_circle(
-    atlas: FixedPointAtlas, profile=None, *, eta_mode: str = "atlas", order: int = 0
+    atlas: FixedPointAtlas, profile=None, *, eta_mode: str = "atlas"
 ) -> ReductionReport:
     """HyperKahler circle reduction: y^-2 read over all fixed points, then
     prefactor and one division by the degree factor."""
@@ -549,14 +535,13 @@ def reduce_hk_circle(
         profile,
         geometry="hyperkahler",
         eta_mode=eta_mode,
-        order=order,
         path="hyperkahler_circle",
         require_rank=1,
     )
 
 
 def reduce_hk_circle_viaP(
-    atlas: FixedPointAtlas, profile=None, *, eta_mode: str = "atlas", order: int = 0
+    atlas: FixedPointAtlas, profile=None, *, eta_mode: str = "atlas"
 ) -> ReductionReport:
     """Same value as reduce_hk_circle through the even-part route; the
     canonical report is byte-identical."""
@@ -565,7 +550,6 @@ def reduce_hk_circle_viaP(
         profile,
         geometry="hyperkahler",
         eta_mode=eta_mode,
-        order=order,
         path="hyperkahler_circle_even_part",
         require_rank=1,
         via_p=True,
@@ -573,7 +557,7 @@ def reduce_hk_circle_viaP(
 
 
 def reduce_hk_torus(
-    atlas: FixedPointAtlas, profile=None, *, eta_mode: str = "atlas", order: int = 0
+    atlas: FixedPointAtlas, profile=None, *, eta_mode: str = "atlas"
 ) -> ReductionReport:
     """Rank-k hyperKahler reduction: iterated y_nu^-2 reads, prefactor raised
     to the rank, degree factor divided once."""
@@ -582,7 +566,6 @@ def reduce_hk_torus(
         profile,
         geometry="hyperkahler",
         eta_mode=eta_mode,
-        order=order,
         path="hyperkahler_torus",
     )
 
@@ -609,7 +592,6 @@ def weyl_wrap(
     profile=None,
     *,
     eta_mode: str = "atlas",
-    order: int = 0,
 ) -> ReductionReport:
     """Nonabelian reduction through the maximal torus: multiply every
     restriction, and every raw point's stored series, by w^4 / |W|, w the
@@ -619,6 +601,7 @@ def weyl_wrap(
     With no positive roots and trivial Weyl group this is literally the torus
     engine.  The nontrivial insertion is specific to hyperKahler data.
     """
+    profile = resolve_profile(profile)  # refused first, as in every engine
     if roots is None:
         roots = atlas.group.root_system
     if roots is None:
@@ -629,8 +612,8 @@ def weyl_wrap(
         raise ValidationError("Weyl group order must be >= 1", weyl_order=roots.weyl_order)
     if not roots.positive_roots and roots.weyl_order == 1:
         if atlas.geometry == "hyperkahler":
-            return reduce_hk_torus(atlas, profile, eta_mode=eta_mode, order=order)
-        return reduce_symplectic_torus(atlas, profile, eta_mode=eta_mode, order=order)
+            return reduce_hk_torus(atlas, profile, eta_mode=eta_mode)
+        return reduce_symplectic_torus(atlas, profile, eta_mode=eta_mode)
     if atlas.geometry != "hyperkahler":
         raise ValidationError(
             "the fourth-power root insertion applies to hyperkahler data only",
@@ -657,7 +640,6 @@ def weyl_wrap(
         profile,
         geometry="hyperkahler",
         eta_mode="atlas",
-        order=order,
         path="weyl_hyperkahler_torus",
     )
     return replace(

@@ -319,16 +319,6 @@ class SymbolicConstant(Record):
             "sqrt2_pow": self.sqrt2_pow,
         }
 
-    @classmethod
-    def from_json_dict(cls, doc: Mapping) -> "SymbolicConstant":
-        num, den = doc["q"]
-        return cls(
-            Fraction(num, den),
-            int(doc.get("i_pow", 0)),
-            int(doc.get("pi_pow", 0)),
-            int(doc.get("sqrt2_pow", 0)),
-        )
-
 
 Exponents = tuple  # tuple[int, ...], keyed per variable
 Trunc = tuple  # tuple[Optional[int], ...]

@@ -746,9 +746,7 @@ def _point_coeffs(atlas: FixedPointAtlas, eta_mode: str, fp: FixedPointDatum) ->
     return out
 
 
-def atlas_integrand(
-    atlas: FixedPointAtlas, *, eta_mode: str = "atlas", zeta: float = 0.0
-) -> OracleIntegrand:
+def atlas_integrand(atlas: FixedPointAtlas, *, eta_mode: str = "atlas") -> OracleIntegrand:
     """Numeric evaluator for the summed localization series of a symplectic
     circle atlas, for the mollified oracle.
 
@@ -759,9 +757,6 @@ def atlas_integrand(
     y^-1 could hide such a pole, and is refused with
     InsufficientTruncationError.  A torus or a hyperkahler atlas is refused:
     reduce --oracle checks its reports by the contour read.
-
-    zeta shifts every moment by -zeta: the phase picks up a global factor
-    exp(-i zeta y).
     """
     _one_variable(atlas.group.rank, "the mollified oracle")
     if atlas.geometry != "symplectic":
@@ -799,9 +794,7 @@ def atlas_integrand(
         )
 
     structured = [f for fp, (f,) in zip(atlas.fixed_points, point_freqs) if fp.mode != "raw"]
-    lin = max([abs(zeta)] + [abs(f) for f in structured])
-    if zeta:
-        point_freqs = [(f - zeta,) for (f,) in point_freqs]
+    lin = max([abs(f) for f in structured], default=0.0)
     points = [
         (_point_coeffs(atlas, eta_mode, fp), f) for fp, f in zip(atlas.fixed_points, point_freqs)
     ]
@@ -923,12 +916,23 @@ def contour_coeff(f: LaurentSeries, m: int, var: str) -> complex:
     """Numeric estimate of the coefficient at var^-m of a one-variable
     series: torus_mean of f(z) z^m on the circle |z| = 1/2.  Its reach is
     the exponent span of f(z) z^m, so the first read is exact up to
-    rounding and the second confirms it."""
+    rounding and the second confirms it.  A coefficient past f's
+    truncation order is refused with InsufficientTruncationError, as
+    ``LaurentSeries.coefficient`` refuses it."""
     if len(f.vars) != 1:
         raise ValidationError("contour extraction works on one-variable series")
     if f.vars[0] != var:
         raise ValidationError(
             f"series has variable {f.vars[0]!r}, not {var!r}", variable=f.vars[0], expected=var
+        )
+    (t,) = f.trunc
+    if t is not None and -m > t:
+        raise InsufficientTruncationError(
+            f"coefficient at {var}^{-m} requested but series is only trusted "
+            f"through order {t}; recompute with truncation order at least {-m}",
+            variable=var,
+            requested=-m,
+            required=-m,
         )
     terms = {
         (e,): _contour_size(e, c) for (e,), c in sorted(f.terms.items(), reverse=True)

@@ -17,6 +17,7 @@ from eqloc import cli
 from eqloc.atlas import (
     FixedPointAtlas,
     FixedPointDatum,
+    GroupSpec,
     parse_atlas,
     serialize_atlas,
     validate_atlas,
@@ -137,7 +138,6 @@ class TestLocalize:
         "argv",
         [
             ["localize", "builtin:hk_point", "--depth", "100000000"],
-            ["reduce", "builtin:hk_point", "--mode", "hk-p", "--depth", "100000000"],
         ],
     )
     def test_depth_past_work_budget_is_refused_at_once(self, capsys, argv):
@@ -174,9 +174,15 @@ class TestReduce:
         assert doc["prefactor"]["q"] == [1, 2]
 
     def test_profile_env(self, capsys, monkeypatch):
+        """The profile is set by --profile alone: the environment does not
+        change a report."""
+        argv = ["reduce", "builtin:sphere_S2", "--mode", "symplectic"]
+        assert cli.run(argv) == 0
+        plain = capsys.readouterr().out
         monkeypatch.setenv("EQLOC_PROFILE", "unit_volume")
-        doc = run_json(capsys, ["reduce", "builtin:sphere_S2", "--mode", "symplectic"])
-        assert doc["profile"]["name"] == "unit_volume"
+        assert cli.run(argv) == 0
+        assert capsys.readouterr().out == plain
+        assert json.loads(plain)["profile"]["name"] == "default"
 
     def test_profile_flag_beats_env(self, capsys, monkeypatch):
         monkeypatch.setenv("EQLOC_PROFILE", "unit_volume")
@@ -239,6 +245,44 @@ class TestReduce:
         assert cmp["route"] == "contour"
         assert cmp["rel_err"] <= 1e-9
         assert cmp["max_nodes"] == 2**20 and cmp["nodes"] >= 32
+
+    def test_depth_flag_is_refused(self, capsys):
+        """reduce reads one coefficient at one depth, so it has no --depth."""
+        err = run_err(capsys, ["reduce", "builtin:hk_point", "--mode", "hk-p", "--depth", "2"])
+        assert err["error"] == "validation"
+        assert "--depth" in err["message"]
+
+    def test_even_part_route_past_the_series_budget_is_refused_at_once(self, capsys, tmp_path):
+        """710 unit weights at one point: the even-part route would make
+        501972 coefficient updates, past the budget; the direct read needs
+        none of them."""
+        fp = FixedPointDatum(
+            name="p",
+            moment=(Fraction(0),),
+            weights=((1,),) * 710,
+            eta=LaurentSeries.const(("y",), 1),
+            moment_hk=((Fraction(1), Fraction(0), Fraction(0)),),
+        )
+        atlas = FixedPointAtlas(
+            group=GroupSpec.circle(),
+            geometry="hyperkahler",
+            dim_m=4 * 710,
+            dim_quotient=4 * 710 - 4,
+            deg_eta0=0,
+            variable_order=("y",),
+            fixed_points=(fp,),
+        )
+        p = tmp_path / "wide.json"
+        p.write_text(serialize_atlas(atlas))
+        start = time.perf_counter()
+        err = run_err(capsys, ["reduce", str(p), "--mode", "hk-p"])
+        assert time.perf_counter() - start < 1.0
+        assert err["error"] == "validation"
+        assert str(SERIES_WORK_BUDGET) in err["message"]
+        assert err["context"] == {
+            "work": "501972", "budget": str(SERIES_WORK_BUDGET), "max_order": "-4"
+        }
+        assert run_json(capsys, ["reduce", str(p), "--mode", "hk"])["path"] == "hyperkahler_circle"
 
     def test_even_part_route_at_rank_2_names_the_direct_read(self, capsys):
         err = run_err(capsys, ["reduce", "builtin:hk_torus_rank2", "--mode", "hk-p"])
@@ -354,6 +398,18 @@ class TestOracleCommand:
         )
         doc = run_json(capsys, ["oracle", "--contour", str(p), "1"])
         assert abs(doc["contour"]["value"][0] - 1.0) < 1e-10
+
+    def test_contour_past_the_truncation_order_is_refused(self, capsys, tmp_path):
+        """y^-1 trusted through y^5: M = -5 reads y^5, which is 0, while
+        M = -7 asks for y^7, which the series does not determine."""
+        p = tmp_path / "s.json"
+        term = {"exp": [-1], "re": [1, 1], "im": [0, 1]}
+        p.write_text(json.dumps({"variables": ["y"], "terms": [term], "trunc": [5]}))
+        doc = run_json(capsys, ["oracle", "--contour", str(p), "-5"])
+        assert abs(complex(*doc["contour"]["value"])) < 1e-12
+        err = run_err(capsys, ["oracle", "--contour", str(p), "-7"])
+        assert err["slug"] == "insufficient-truncation"
+        assert err["context"] == {"variable": "'y'", "requested": "7", "required": "7"}
 
     def test_contour_bad_file(self, capsys, tmp_path):
         p = tmp_path / "s.json"

@@ -50,7 +50,14 @@ from eqloc.engines import (
 )
 from eqloc.errors import EqlocError, NonInvertibleError, ValidationError, VariableMismatchError
 from eqloc.exact import ComplexRational, LaurentSeries, SymbolicConstant
-from eqloc.localize import localize, monomial_euler_class, phase_factory, point_coeff
+from eqloc.localize import (
+    SERIES_WORK_BUDGET,
+    localize,
+    monomial_euler_class,
+    phase_factory,
+    point_coeff,
+    series_work,
+)
 from eqloc.record import replace
 from eqloc.roots import SU2_ROOTS, U2_ROOTS, group_spec
 
@@ -210,12 +217,19 @@ def test_zero_eta_gives_zero():
 
 
 def test_extra_order_does_not_change_report():
+    """An extra expansion order only expanded terms that met zero phase
+    coefficients, so it is gone: no reducer takes one."""
     a = builtin_atlas("mirror_pair", seed=7)
-    r0 = reduce_symplectic_circle(a)
-    r3 = reduce_symplectic_circle(a, order=3)
-    assert r0.canonical_json() == r3.canonical_json()
-    with pytest.raises(ValidationError):
-        reduce_symplectic_circle(a, order=-1)
+    for engine in (
+        reduce_symplectic_circle,
+        reduce_symplectic_torus,
+        reduce_hk_circle,
+        reduce_hk_circle_viaP,
+        reduce_hk_torus,
+        weyl_wrap,
+    ):
+        with pytest.raises(TypeError):
+            engine(a, order=3)
 
 
 # -- symplectic torus ----------------------------------------------------
@@ -375,8 +389,8 @@ raw_series = st.builds(
 @given(st.integers(0, 200), st.one_of(st.none(), raw_series))
 @settings(max_examples=30, deadline=None)
 def test_even_part_route_matches_direct_bitwise(seed, raw):
-    """Both routes give the same bytes at extra orders 0-3 in both eta modes,
-    also with a raw point beside the structured ones."""
+    """Both routes give the same bytes in both eta modes, also with a raw
+    point beside the structured ones."""
     a = builtin_atlas("hk_synthetic", seed=seed)
     if raw is not None:
         point = FixedPointDatum(
@@ -391,10 +405,9 @@ def test_even_part_route_matches_direct_bitwise(seed, raw):
         a = replace(a, fixed_points=a.fixed_points + (point,))
         validate_atlas(a)
     for eta_mode in ("atlas", "one"):
-        for order in range(4):
-            direct = reduce_hk_circle(a, eta_mode=eta_mode, order=order)
-            via = reduce_hk_circle_viaP(a, eta_mode=eta_mode, order=order)
-            assert direct.canonical_json() == via.canonical_json()
+        direct = reduce_hk_circle(a, eta_mode=eta_mode)
+        via = reduce_hk_circle_viaP(a, eta_mode=eta_mode)
+        assert direct.canonical_json() == via.canonical_json()
 
 
 def test_even_part_route_on_quartic_point():
@@ -404,20 +417,53 @@ def test_even_part_route_on_quartic_point():
     assert direct.canonical_json() == via.canonical_json()
 
 
+def unit_weight_hk_atlas(n):
+    """One hyperkahler circle point with n unit weights: the even-part route
+    expands its numerator through y^(n-2), (n - 1)(n - 2) coefficient
+    updates, so n = 708 fits SERIES_WORK_BUDGET and n = 710 does not."""
+    return hk_circle_atlas([hk_point("p", (1, 0, 0), [1] * n, {(0,): cr(1)})], dim_m=4 * n)
+
+
+def pad_with_unit_weights(atlas, k):
+    """The atlas with k more unit weights at every fixed point (and dim_M
+    grown to match), so its series work at the y^-2 read rises with k."""
+    return replace(
+        atlas,
+        dim_m=atlas.dim_m + 4 * k,
+        dim_quotient=atlas.dim_quotient + 4 * k,
+        fixed_points=tuple(
+            replace(fp, weights=fp.weights + ((1,),) * k) for fp in atlas.fixed_points
+        ),
+    )
+
+
 @pytest.mark.parametrize("name", ["hk_point", "hk_synthetic(1)", "hk_synthetic(7)"])
 def test_even_part_route_at_the_series_budget_matches_direct(name):
-    """The deepest depth the exact series budget allows (its refusal names
-    the largest order that fits; depth = order + 2 at the y^-2 read)."""
-    a = builtin_atlas(name)
+    """Padded to the most unit weights the exact series budget allows, the
+    even-part route still gives the direct read's bytes; one more weight is
+    refused, and the direct read, which expands no series, still answers."""
+    base = builtin_atlas(name)
+    k = 0
+    while series_work(pad_with_unit_weights(base, k + 1), (-2,)) <= SERIES_WORK_BUDGET:
+        k += 1
+    assert k > 100
+    a = pad_with_unit_weights(base, k)
+    validate_atlas(a)
+    assert reduce_hk_circle_viaP(a).canonical_json() == reduce_hk_circle(a).canonical_json()
+    a = pad_with_unit_weights(base, k + 1)
     with pytest.raises(ValidationError) as exc:
-        reduce_hk_circle_viaP(a, order=10**6)
-    depth = exc.value.context["max_order"] + 2
-    assert depth > 100
-    with pytest.raises(ValidationError):
-        reduce_hk_circle_viaP(a, order=depth + 1)
-    via = reduce_hk_circle_viaP(a, order=depth)
-    assert via.canonical_json() == reduce_hk_circle(a, order=depth).canonical_json()
-    assert via.canonical_json() == reduce_hk_circle_viaP(a).canonical_json()
+        reduce_hk_circle_viaP(a)
+    assert exc.value.context["work"] == series_work(a, (-2,)) > SERIES_WORK_BUDGET
+    assert exc.value.context["max_order"] < -2
+    reduce_hk_circle(a)
+
+
+def test_even_part_route_budget_refusal_names_the_fitting_order():
+    a = unit_weight_hk_atlas(710)
+    with pytest.raises(ValidationError) as exc:
+        reduce_hk_circle_viaP(a)
+    assert exc.value.context == {"work": 501_972, "budget": SERIES_WORK_BUDGET, "max_order": -4}
+    assert not reduce_hk_circle(a).raw_coefficient.is_zero()
 
 
 def test_odd_eta_killed_by_even_projector_both_routes():
@@ -1022,7 +1068,10 @@ def _huge_torus_read():
     [
         (lambda: resolve_profile("nope"), {"profile"}),
         (lambda: resolve_profile(3), {"profile"}),
-        (lambda: reduce_symplectic_circle(sphere_atlas(), order=-1), {"order"}),
+        (
+            lambda: reduce_hk_circle_viaP(unit_weight_hk_atlas(710)),
+            {"work", "budget", "max_order"},
+        ),
         (lambda: reduce_hk_circle(sphere_atlas()), {"geometry", "expected"}),
         (lambda: reduce_hk_circle(hk_torus_rank2_atlas()), {"rank", "expected"}),
         (lambda: reduce_hk_circle_viaP(hk_torus_rank2_atlas()), {"rank", "expected"}),

@@ -217,17 +217,6 @@ def test_symbolic_constant_numeric_matches_direct_float(q, a, b, c):
         assert abs(x.numeric_value() - direct) <= 1e-14 * abs(direct)
 
 
-@given(
-    st.fractions(min_value=-5, max_value=5, max_denominator=12),
-    st.integers(min_value=0, max_value=7),
-    st.integers(min_value=-3, max_value=3),
-    st.integers(min_value=-4, max_value=4),
-)
-def test_symbolic_constant_round_trip(q, a, b, c):
-    x = SymbolicConstant(q, a, b, c)
-    assert SymbolicConstant.from_json_dict(x.to_json_dict()) == x
-
-
 # -- LaurentSeries construction and normalization -------------------------
 
 

@@ -1029,17 +1029,17 @@ class TestAtlasIntegrand:
         assert np.allclose(got, want, atol=1e-14)
 
     def test_frequency_bounds(self):
-        """freq_linear is the largest |moment|, or |zeta| where that is
-        larger."""
+        """freq_linear is the largest |moment|."""
         atlas = mirror_pair_atlas(0)
         top = max(abs(float(fp.moment[0])) for fp in atlas.fixed_points)
         assert atlas_integrand(atlas).freq_linear == top >= 1.0
-        assert atlas_integrand(atlas, zeta=0.5).freq_linear == top
-        assert atlas_integrand(atlas, zeta=-2 * top).freq_linear == 2 * top
 
     def test_shift_on_hk_rejected(self):
-        with pytest.raises(ValidationError):
-            atlas_integrand(entire_hk_pair_atlas(), zeta=0.5)
+        """--shift builds its integrand here, which refuses hyperkahler
+        data and names the route that checks it."""
+        with pytest.raises(ValidationError, match="reduce --oracle") as err:
+            atlas_integrand(entire_hk_pair_atlas())
+        assert err.value.context == {"geometry": "hyperkahler"}
 
 
 @pytest.mark.parametrize(
@@ -1296,6 +1296,12 @@ class TestPoleGate:
             assert abs(got - value) <= 1e-12 * scale
 
 
+def _shifted(fn, zeta):
+    """The _PointSum fn with every frequency shifted by -zeta: every moment
+    shifted by -zeta, raw points included."""
+    return _PointSum([(coeffs, (f - zeta,)) for coeffs, (f,) in fn.points], False)
+
+
 class TestPointCoefficients:
     @given(gated_atlases(bits=80), st.sampled_from([0.0, 0.3, -0.7]))
     @settings(max_examples=80, deadline=None)
@@ -1315,10 +1321,11 @@ class TestPointCoefficients:
         if atlas.group.rank != 1 or atlas.geometry == "hyperkahler":
             return
         try:
-            g = atlas_integrand(atlas, eta_mode=eta_mode, zeta=zeta)
+            g = atlas_integrand(atlas, eta_mode=eta_mode)
         except (QuadratureError, InsufficientTruncationError):
             return  # the pole gate refused the data
-        lo, hi, freqs, matrix = g.fn.matrix
+        # a shift of every frequency by -zeta varies the matrix's columns
+        lo, hi, freqs, matrix = _shifted(g.fn, zeta).matrix
         points = []
         for fp, doubles in zip(atlas.fixed_points, want):
             if doubles:
@@ -1388,7 +1395,8 @@ class TestPanelEvaluation:
         route's rounding: near a cancelled pole the sum itself is far
         smaller."""
         atlas, eta_mode = case
-        g = atlas_integrand(atlas, eta_mode=eta_mode, zeta=zeta)
+        unshifted = atlas_integrand(atlas, eta_mode=eta_mode).fn
+        fn = _shifted(unshifted, zeta)
         window = 12.0 * math.sqrt(2.0 * t)
         uniform = (0.0, _spacing(2.0 * window / (15 * 64)), 64)
         real = _panel_grid(12.0 * math.sqrt(2.0e4), 3.0)
@@ -1396,14 +1404,13 @@ class TestPanelEvaluation:
             centers = _centers(mid, h, n)[(n - keep) // 2 : (n + keep) // 2]
             x = centers[:, None] + h * PANEL_NODES
             gauss = np.exp(-(x * x) / (4.0 * t_grid))
-            scale = sum(np.abs(_PointSum([p], False)([x])) for p in g.fn.points)
-            got = _MollifiedPanels(g.fn, (t_grid,)).sums([(0, centers, h)])
-            want = (gauss * g.fn([x])) @ RULES * h
+            scale = sum(np.abs(_PointSum([p], False)([x])) for p in fn.points)
+            got = _MollifiedPanels(fn, (t_grid,)).sums([(0, centers, h)])
+            want = (gauss * fn([x])) @ RULES * h
             assert got.shape == (len(centers), 2)
             assert np.all(np.abs(got - want) <= 1e-12 * ((gauss * scale) @ RULES) * h)
         # the shift is a global phase, raw points included
-        unshifted = atlas_integrand(atlas, eta_mode=eta_mode).fn([x])
-        assert np.all(np.abs(g.fn([x]) - np.exp(-1j * zeta * x) * unshifted) <= 1e-12 * scale)
+        assert np.all(np.abs(fn([x]) - np.exp(-1j * zeta * x) * unshifted([x])) <= 1e-12 * scale)
 
     @given(gated_atlases(max_rank=1, pole_free=True, min_trunc=-1, hk=False))
     @settings(max_examples=600, derandomize=True, deadline=None, database=None)
